@@ -20,6 +20,7 @@ Three measurements of the PR-9 feedback loop:
    is estimated strictly closer to its measured wall-clock.
 """
 
+import gc
 import math
 import statistics
 import time
@@ -157,8 +158,12 @@ def test_calibration_tightens_estimates(benchmark, tmp_path):
         db.register_csv("T1", str(tmp_path / "a.csv"))
         db.register_csv("T2", str(tmp_path / "t2.csv"))
         factor0 = dict(ctx.calibration.factors)[("csv", "cold")]
+        # the assertion compares two ~30 ms scans: keep a gen-2 collection
+        # of the earlier tests' garbage from landing inside either of them
+        gc.collect()
         r1 = db.query("for { t <- T1, t.k > 5 } yield sum 1")
         factor1 = ctx.calibration.factors[("csv", "cold")]
+        gc.collect()
         r2 = db.query("for { t <- T2, t.k > 5 } yield sum 1")
         return r1, r2, factor0, factor1, ctx, db
 

@@ -14,12 +14,18 @@ updates invalidate all entries of the affected source (paper §2.1).
 from __future__ import annotations
 
 import itertools
+import json
+import sys
 import threading
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .layouts import CachedData, materialize, materialize_columns
+from .layouts import CachedData, deep_bytes, materialize, materialize_columns
 from .policy import DEFAULT_POLICY, AdmissionPolicy
+
+#: lookup preference among layouts able to serve a request
+_LAYOUT_RANK = {"columns": 0, "rows": 1, "objects": 2, "bson": 3,
+                "json_text": 4, "positions": 5}
 
 
 @dataclass
@@ -65,6 +71,9 @@ class DataCache:
         self.budget_bytes = budget_bytes
         self.policy = policy or DEFAULT_POLICY
         self._entries: dict[tuple, CacheEntry] = {}
+        #: running ``sum(nbytes)`` over ``_entries``; every mutation of the
+        #: dict goes through :meth:`_insert` / :meth:`_remove`
+        self._used_bytes = 0
         self._clock = itertools.count()
         self._mutex = threading.RLock()
         self.stats = CacheStats()
@@ -73,8 +82,17 @@ class DataCache:
 
     @property
     def used_bytes(self) -> int:
-        with self._mutex:
-            return sum(e.cached.nbytes for e in self._entries.values())
+        return self._used_bytes
+
+    def _insert(self, entry: CacheEntry) -> None:
+        self._remove(entry.key)
+        self._entries[entry.key] = entry
+        self._used_bytes += entry.cached.nbytes
+
+    def _remove(self, key: tuple) -> None:
+        entry = self._entries.pop(key, None)
+        if entry is not None:
+            self._used_bytes -= entry.cached.nbytes
 
     def entries(self) -> list[CacheEntry]:
         with self._mutex:
@@ -96,15 +114,13 @@ class DataCache:
         with self._mutex:
             self.stats.lookups += 1
             ranked: list[tuple[int, CacheEntry]] = []
-            rank = {"columns": 0, "rows": 1, "objects": 2, "bson": 3,
-                    "json_text": 4, "positions": 5}
             for entry in self._entries.values():
                 if entry.source != source:
                     continue
                 if layouts is not None and entry.cached.layout not in layouts:
                     continue
                 if entry.cached.covers(fields):
-                    ranked.append((rank.get(entry.cached.layout, 9), entry))
+                    ranked.append((_LAYOUT_RANK.get(entry.cached.layout, 9), entry))
             if not ranked:
                 return None
             ranked.sort(key=lambda pair: pair[0])
@@ -182,8 +198,7 @@ class DataCache:
                 self.stats.rejections += 1
                 return None
             entry = CacheEntry(source, cached, last_used=next(self._clock))
-            self._entries.pop(entry.key, None)
-            self._entries[entry.key] = entry
+            self._insert(entry)
             self.stats.admissions += 1
             self._evict_to_budget(protected=entry.key)
             return self._entries.get(entry.key)
@@ -206,7 +221,7 @@ class DataCache:
         if not victims:
             return cached
         for key in victims:
-            del self._entries[key]
+            self._remove(key)
         fields = tuple(sorted(columns))
         return CachedData("columns", fields, columns, nbytes, cached.count)
 
@@ -216,7 +231,7 @@ class DataCache:
         return self._admit(source, cached, expected_reuse)
 
     def _evict_to_budget(self, protected: tuple | None = None) -> None:
-        while self.used_bytes > self.budget_bytes and len(self._entries) > 1:
+        while self._used_bytes > self.budget_bytes and len(self._entries) > 1:
             victim_key = min(
                 (k for k in self._entries if k != protected),
                 key=lambda k: self._entries[k].last_used,
@@ -224,7 +239,7 @@ class DataCache:
             )
             if victim_key is None:
                 return
-            del self._entries[victim_key]
+            self._remove(victim_key)
             self.stats.evictions += 1
 
     # -- delta refresh ---------------------------------------------------------
@@ -251,10 +266,6 @@ class DataCache:
         zero-copy chunk views, and are never mutated. Returns the number
         of entries extended.
         """
-        import sys
-
-        from .layouts import _deep_bytes
-
         extended = 0
         with self._mutex:
             for key in list(self._entries):
@@ -268,8 +279,7 @@ class DataCache:
                     cols = {f: old.data[f] + tail_columns[f]
                             for f in old.fields}
                     tail_bytes = sum(
-                        _deep_bytes(v) for f in old.fields
-                        for v in tail_columns[f]
+                        deep_bytes(tail_columns[f]) for f in old.fields
                     ) + sum(sys.getsizeof(c) - sys.getsizeof(old.data[f])
                             for f, c in cols.items())
                     grown = CachedData("columns", old.fields, cols,
@@ -279,25 +289,21 @@ class DataCache:
                         and old.count == base_count and tail_objects is not None:
                     if old.layout == "objects":
                         tail = list(tail_objects)
-                        tail_bytes = sum(_deep_bytes(o) for o in tail)
+                        tail_bytes = deep_bytes(tail)
                     else:
-                        import json as _json
-
-                        tail = [_json.dumps(o) for o in tail_objects]
+                        tail = [json.dumps(o) for o in tail_objects]
                         tail_bytes = sum(len(t) for t in tail)
                     grown = CachedData(old.layout, old.fields,
                                        old.data + tail,
                                        old.nbytes + tail_bytes,
                                        base_count + tail_rows)
+                self._remove(key)
                 if grown is None:
-                    del self._entries[key]
                     self.stats.invalidations += 1
                     continue
-                replacement = CacheEntry(source, grown,
-                                         last_used=entry.last_used,
-                                         uses=entry.uses)
-                del self._entries[key]
-                self._entries[replacement.key] = replacement
+                self._insert(CacheEntry(source, grown,
+                                        last_used=entry.last_used,
+                                        uses=entry.uses))
                 extended += 1
             if extended:
                 self._evict_to_budget()
@@ -311,10 +317,11 @@ class DataCache:
             victims = [k for k, e in self._entries.items()
                        if e.source == source]
             for k in victims:
-                del self._entries[k]
+                self._remove(k)
             self.stats.invalidations += len(victims)
             return len(victims)
 
     def clear(self) -> None:
         with self._mutex:
             self._entries.clear()
+            self._used_bytes = 0

@@ -25,6 +25,7 @@ from __future__ import annotations
 import json as _json
 import sys
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 from ..errors import ViDaError
@@ -33,17 +34,51 @@ from ..formats.jsonfmt import bson as _bson
 LAYOUTS = ("rows", "columns", "objects", "json_text", "bson", "positions")
 
 
-def _deep_bytes(value, _depth: int = 0) -> int:
-    """Rough recursive memory estimate of a Python value."""
-    if _depth > 6:
-        return 64
-    size = sys.getsizeof(value)
-    if isinstance(value, dict):
-        size += sum(_deep_bytes(k, _depth + 1) + _deep_bytes(v, _depth + 1)
-                    for k, v in value.items())
-    elif isinstance(value, (list, tuple, set)):
-        size += sum(_deep_bytes(v, _depth + 1) for v in value)
-    return size
+#: how many container levels below a value are sized; anything nested deeper
+#: is charged a flat :data:`_DEEP_CELL_BYTES`
+_MAX_DEPTH = 6
+_DEEP_CELL_BYTES = 64
+_CONTAINERS = (dict, list, tuple, set)
+#: exact types the collector does not track, so ``sys.getsizeof(v)`` is
+#: ``type(v).__sizeof__(v)`` — which ``map`` can call without a Python frame
+_UNTRACKED = frozenset((int, float, str, bool, bytes, type(None)))
+
+
+def deep_bytes(values) -> int:
+    """Rough total memory estimate of a sequence of Python values.
+
+    One nesting level at a time, each with whole-level builtins: a sum of
+    sizes over the level, its *type set* to tell whether anything in it
+    nests, and ``chain.from_iterable`` to gather the members of its
+    containers for the next level — no Python call per cell. Dict keys and
+    dict values travel as separate groups, so each group tends to hold one
+    scalar type and takes the cheap ``__sizeof__`` route.
+    """
+    total = 0
+    groups = [values]
+    for _ in range(_MAX_DEPTH + 1):
+        below: list[list] = []
+        for group in groups:
+            kinds = set(map(type, group))
+            sizeof = sys.getsizeof
+            if len(kinds) == 1 and kinds <= _UNTRACKED:
+                sizeof = next(iter(kinds)).__sizeof__
+            total += sum(map(sizeof, group))
+            nesting = [t for t in kinds if issubclass(t, _CONTAINERS)]
+            if not nesting:
+                continue
+            if len(nesting) < len(kinds):
+                group = [v for v in group if isinstance(v, _CONTAINERS)]
+            below.append(list(chain.from_iterable(group)))  # dict: its keys
+            if any(issubclass(t, dict) for t in nesting):
+                dicts = group if all(issubclass(t, dict) for t in nesting) \
+                    else [v for v in group if isinstance(v, dict)]
+                below.append(list(chain.from_iterable(
+                    map(dict.values, dicts))))
+        if not below:
+            return total
+        groups = below
+    return total + _DEEP_CELL_BYTES * sum(map(len, groups))
 
 
 @dataclass
@@ -115,6 +150,11 @@ def _navigate(obj, path: str):
     return get_path(obj, path)
 
 
+def _columns_bytes(cols: dict[str, list]) -> int:
+    """Footprint of a columnar entry: the cells plus the column lists."""
+    return sum(deep_bytes(col) + sys.getsizeof(col) for col in cols.values())
+
+
 def materialize_columns(fields: Sequence[str], columns: Sequence[list]) -> CachedData:
     """Build a columnar :class:`CachedData` directly from column lists.
 
@@ -136,9 +176,7 @@ def materialize_columns(fields: Sequence[str], columns: Sequence[list]) -> Cache
             )
     cols = {f: col if isinstance(col, list) else list(col)
             for f, col in zip(fields, columns)}
-    nbytes = sum(_deep_bytes(v) for col in cols.values() for v in col)
-    nbytes += sum(sys.getsizeof(col) for col in cols.values())
-    return CachedData("columns", fields, cols, nbytes, count)
+    return CachedData("columns", fields, cols, _columns_bytes(cols), count)
 
 
 def materialize(
@@ -155,8 +193,7 @@ def materialize(
     fields = tuple(fields)
     if layout == "rows":
         data = [tuple(r) for r in rows]
-        nbytes = sum(_deep_bytes(r) for r in data)
-        return CachedData(layout, fields, data, nbytes, len(data))
+        return CachedData(layout, fields, data, deep_bytes(data), len(data))
     if layout == "columns":
         cols: dict[str, list] = {f: [] for f in fields}
         count = 0
@@ -164,13 +201,10 @@ def materialize(
             for f, v in zip(fields, r):
                 cols[f].append(v)
             count += 1
-        nbytes = sum(_deep_bytes(v) for col in cols.values() for v in col)
-        nbytes += sum(sys.getsizeof(col) for col in cols.values())
-        return CachedData(layout, fields, cols, nbytes, count)
+        return CachedData(layout, fields, cols, _columns_bytes(cols), count)
     if layout == "objects":
         data = list(rows)
-        nbytes = sum(_deep_bytes(o) for o in data)
-        return CachedData(layout, (), data, nbytes, len(data))
+        return CachedData(layout, (), data, deep_bytes(data), len(data))
     if layout == "json_text":
         data = [o if isinstance(o, str) else _json.dumps(o) for o in rows]
         nbytes = sum(len(t) for t in data)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .layouts import _deep_bytes
+from .layouts import deep_bytes
 
 
 @dataclass(frozen=True)
@@ -61,7 +61,7 @@ class AdmissionPolicy:
         """Pick a layout given a sample element of the candidate data."""
         if not is_nested:
             return "columns"
-        return self.nested_layout(_deep_bytes(sample_element))
+        return self.nested_layout(deep_bytes((sample_element,)))
 
 
 DEFAULT_POLICY = AdmissionPolicy()

@@ -545,6 +545,26 @@ class CSVSource:
                 c = self.col_index.get(f)
                 if c is not None:
                     ssink_cols[f] = c
+        record_navigated = None
+        if navigate and (sink is not None or ssink_cols):
+            # the sinks get the column lists the scan navigates anyway;
+            # a sink column outside them (normally none) is navigated once
+            # per batch and shared by both sinks
+            scan_cols = pred_cols if push else cols
+            extra_cols = sorted({*sink_cols.values(), *ssink_cols.values()}
+                                .difference(scan_cols))
+
+            def record_navigated(navigated, lines, start):
+                have = dict(zip(scan_cols, navigated))
+                if extra_cols:
+                    have.update(zip(extra_cols, self._navigate_batch(
+                        extra_cols, lines, start)))
+                if sink is not None:
+                    sink.record(start,
+                                {f: have[c] for f, c in sink_cols.items()})
+                if ssink_cols:
+                    ssink.record(start,
+                                 {f: have[c] for f, c in ssink_cols.items()})
         for start, lines in self.iter_line_batches(batch_size, device=device,
                                                    record_anchors=record_anchors,
                                                    byte_range=byte_range,
@@ -560,18 +580,8 @@ class CSVSource:
                 # late materialization: navigate predicate columns, run the
                 # selection kernel, then fetch the rest only for survivors
                 pcols = self._navigate_batch(pred_cols, lines, start)
-                if sink is not None:
-                    sink.record(start, {
-                        f: (pcols[pred_pos[c]] if c in pred_pos
-                            else self._navigate_batch([c], lines, start)[0])
-                        for f, c in sink_cols.items()
-                    })
-                if ssink_cols:
-                    ssink.record(start, {
-                        f: (pcols[pred_pos[c]] if c in pred_pos
-                            else self._navigate_batch([c], lines, start)[0])
-                        for f, c in ssink_cols.items()
-                    })
+                if record_navigated is not None:
+                    record_navigated(pcols, lines, start)
                 sel = pred_kernel(*pcols)
                 if not sel:
                     # account the physically scanned lines, carry no rows
@@ -592,18 +602,8 @@ class CSVSource:
                 continue
             if navigate:
                 converted = self._navigate_batch(cols, lines, start)
-                if sink is not None:
-                    sink.record(start, {
-                        f: (converted[cols.index(c)] if c in cols
-                            else self._navigate_batch([c], lines, start)[0])
-                        for f, c in sink_cols.items()
-                    })
-                if ssink_cols:
-                    ssink.record(start, {
-                        f: (converted[cols.index(c)] if c in cols
-                            else self._navigate_batch([c], lines, start)[0])
-                        for f, c in ssink_cols.items()
-                    })
+                if record_navigated is not None:
+                    record_navigated(converted, lines, start)
                 yield Chunk.from_columns(field_list, converted)
                 continue
             cells_rows = [line.split(delim) for line in lines]

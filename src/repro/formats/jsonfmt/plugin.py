@@ -3,7 +3,8 @@
 Supports newline-delimited JSON and single-top-level-array files. Offers the
 access paths the engine's optimizer chooses between (paper §5, Figure 4):
 
-- ``scan_objects`` — parse every object (cold scan; builds the semi-index),
+- ``scan_objects`` — parse every object (the first full parse *is* the
+  semi-index build: each object's end offset is where the decoder stopped),
 - ``scan_positions`` — yield only ``(start, end)`` spans via the semi-index,
   never parsing (the pollution-avoiding layout (d)),
 - ``load_span`` / ``load_object`` — positional access path: parse one object
@@ -16,8 +17,10 @@ Schema inference unions record types over a sample of objects.
 
 from __future__ import annotations
 
+import codecs
 import json
 import os
+import re
 import threading
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -25,7 +28,15 @@ from typing import Iterator, Sequence
 from ...errors import DataFormatError
 from ...mcc import types as T
 from ...storage.io import RawFile
-from .semi_index import JSONSemiIndex, ObjectSpan
+from .semi_index import JSONSemiIndex, ObjectSpan, iter_spans
+
+#: what may separate two top-level objects for the first parse to stay on
+#: the decoder: anything the boundary scanner would also skip without
+#: changing state (no quote, no brace)
+_GAP = re.compile(r'[^"{}]*')
+_raw_decode = json.JSONDecoder().raw_decode
+#: codecs under which ASCII bytes decode to the same characters one for one
+_ASCII_TRANSPARENT = frozenset(("utf-8", "ascii", "iso8859-1"))
 
 
 def get_path(obj, path: str):
@@ -65,6 +76,9 @@ class JSONSource:
         self.path = os.fspath(path)
         self.options = options or JSONOptions()
         self._semi_index: JSONSemiIndex | None = None
+        #: bumped by every invalidation, so a scan that was parsing the
+        #: superseded bytes cannot publish its index afterwards
+        self._aux_epoch = 0
         self._schema: T.CollectionType | None = None
         self._aux_lock = threading.Lock()
 
@@ -72,9 +86,12 @@ class JSONSource:
 
     @property
     def semi_index(self) -> JSONSemiIndex:
-        """The structural index; built on first use (one raw pass, no
-        parsing). Double-checked under a lock so concurrent sessions build
-        it once and always observe a fully-constructed index."""
+        """The structural index. A serial cold scan leaves it behind as a
+        by-product of its parse; anything that needs it earlier (morsel
+        splitting, positional access) builds it here with one boundary
+        scan, no parsing. Double-checked under a lock so concurrent
+        sessions build it once and always observe a fully-constructed
+        index."""
         if self._semi_index is None:
             with self._aux_lock:
                 if self._semi_index is None:
@@ -86,7 +103,9 @@ class JSONSource:
 
     def invalidate_auxiliary(self) -> None:
         """Drop the semi-index (underlying file changed in place)."""
-        self._semi_index = None
+        with self._aux_lock:
+            self._aux_epoch += 1
+            self._semi_index = None
         self._schema = None
 
     def extend_for_append(
@@ -116,20 +135,20 @@ class JSONSource:
             )
         with RawFile(self.path, device=device) as raw:
             tail = raw.read_at(old_size, new_size - old_size)
-        tail_index = JSONSemiIndex.build(tail)  # DataFormatError on truncation
+        # DataFormatError on a truncated or unbalanced tail
+        tail_spans = JSONSemiIndex.build(tail, base=old_size).spans
         encoding = self.options.encoding
         try:
             tail_objects = [
-                json.loads(tail[s.start:s.end].decode(encoding))
-                for s in tail_index.spans
+                json.loads(tail[s.start - old_size:s.end - old_size]
+                           .decode(encoding))
+                for s in tail_spans
             ]
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise DataFormatError(
                 f"{self.path}: bad JSON object in appended tail: {exc}"
             ) from exc
-        shifted = [ObjectSpan(s.start + old_size, s.end + old_size)
-                   for s in tail_index.spans]
-        new_index = JSONSemiIndex(list(old_index.spans) + shifted)
+        new_index = JSONSemiIndex(list(old_index.spans) + tail_spans)
         with self._aux_lock:
             self._semi_index = new_index
         return tail_objects, len(old_index.spans), new_size - old_size
@@ -160,38 +179,14 @@ class JSONSource:
         """Parse up to ``limit`` objects from the first ``prefix_bytes`` only."""
         with open(self.path, "rb") as fh:
             data = fh.read(prefix_bytes)
-        in_string = False
-        escaped = False
-        depth = 0
-        start = -1
-        count = 0
-        for i, byte in enumerate(data):
-            ch = chr(byte)
-            if in_string:
-                if escaped:
-                    escaped = False
-                elif ch == "\\":
-                    escaped = True
-                elif ch == '"':
-                    in_string = False
-                continue
-            if ch == '"':
-                in_string = True
-            elif ch == "{":
-                if depth == 0:
-                    start = i
-                depth += 1
-            elif ch == "}":
-                depth -= 1
-                if depth == 0 and start >= 0:
-                    try:
-                        yield json.loads(data[start:i + 1].decode(self.options.encoding))
-                    except (json.JSONDecodeError, UnicodeDecodeError):
-                        return
-                    count += 1
-                    if count >= limit:
-                        return
-                    start = -1
+        try:
+            for count, span in enumerate(iter_spans((data,)), 1):
+                yield json.loads(
+                    data[span.start:span.end].decode(self.options.encoding))
+                if count >= limit:
+                    return
+        except (DataFormatError, json.JSONDecodeError, UnicodeDecodeError):
+            return  # the prefix cut an object short, or the file is broken
 
     def element_type(self) -> T.Type:
         return self.schema().elem
@@ -203,18 +198,8 @@ class JSONSource:
 
     def scan_objects(self, device=None) -> Iterator[dict]:
         """Parse and yield every top-level object (builds the semi-index)."""
-        spans = self.semi_index.spans
-        encoding = self.options.encoding
-        with RawFile(self.path, device=device) as raw:
-            data = raw.read()
-        for span in spans:
-            try:
-                yield json.loads(data[span.start:span.end].decode(encoding))
-            except json.JSONDecodeError as exc:
-                raise DataFormatError(
-                    f"{self.path}: bad JSON object at bytes "
-                    f"{span.start}-{span.end}: {exc}"
-                ) from exc
+        for objs in self.scan_object_chunks(device=device):
+            yield from objs
 
     def scan_splits(self, dop: int) -> list:
         """Independently scannable morsels: contiguous semi-index span ranges.
@@ -231,15 +216,17 @@ class JSONSource:
                            span_range: tuple[int, int] | None = None) -> Iterator[list]:
         """Parse top-level objects a batch at a time (chunk pipeline).
 
-        Same contract as :meth:`scan_objects` (builds the semi-index as a
-        side effect) but amortises the per-object Python iteration overhead
-        over ``batch_size`` objects. ``span_range`` restricts the pass to
-        spans ``[lo, hi)`` and reads only the bytes covering them.
+        Amortises the per-object Python iteration overhead over
+        ``batch_size`` objects. A full scan of a file that has no
+        semi-index yet leaves one behind (:meth:`_first_parse`).
+        ``span_range`` restricts the pass to spans ``[lo, hi)`` and reads
+        only the bytes covering them.
         """
+        if span_range is None and self._semi_index is None:
+            yield from self._first_parse(batch_size, device)
+            return
         spans = self.semi_index.spans
         base = 0
-        encoding = self.options.encoding
-        loads = json.loads
         with RawFile(self.path, device=device) as raw:
             if span_range is None:
                 data = raw.read()
@@ -250,11 +237,19 @@ class JSONSource:
                     return
                 base = spans[0].start
                 data = raw.read_at(base, spans[-1].end - base)
+        yield from self._parse_spans(data, spans, base, batch_size)
+
+    def _parse_spans(self, data: bytes, spans: list, base: int,
+                     batch_size: int) -> Iterator[list]:
+        """Parse known spans out of ``data`` (which starts at file offset
+        ``base``), one ``slice → decode → loads`` per object."""
+        encoding = self.options.encoding
+        loads = json.loads
         for i in range(0, len(spans), batch_size):
             group = spans[i:i + batch_size]
             try:
-                yield [loads(data[s.start - base:s.end - base].decode(encoding))
-                       for s in group]
+                objs = [loads(data[s.start - base:s.end - base].decode(encoding))
+                        for s in group]
             except json.JSONDecodeError:
                 for span in group:  # locate the bad object for the error
                     try:
@@ -264,6 +259,59 @@ class JSONSource:
                             f"{self.path}: bad JSON object at bytes "
                             f"{span.start}-{span.end}: {exc}"
                         ) from exc
+                raise  # pragma: no cover - the re-run above raises first
+            yield objs
+
+    def _first_parse(self, batch_size: int, device) -> Iterator[list]:
+        """Cold full scan: the semi-index is born from the parse.
+
+        The file is decoded once and walked with the JSON decoder itself:
+        where ``raw_decode`` stops after an object *is* that object's end
+        offset, so no boundary pre-pass and no per-object slice/decode is
+        needed. Character offsets equal byte offsets only for ASCII text
+        in an ASCII-transparent encoding; anything else — and whatever the
+        walk cannot take (a malformed object, a stray top-level string or
+        brace) — goes through the byte-exact boundary scanner instead,
+        which yields the same spans and raises the same typed errors.
+        The index is published only when the scan ran to the end of the
+        bytes it read and nothing invalidated the source meanwhile.
+        """
+        epoch = self._aux_epoch
+        with RawFile(self.path, device=device) as raw:
+            data = raw.read()
+        spans: list[ObjectSpan] = []
+        base = 0
+        if data.isascii() and codecs.lookup(self.options.encoding).name \
+                in _ASCII_TRANSPARENT:
+            text = data.decode("ascii")
+            del data  # one copy of the file in memory, as on the warm path
+            gap, decode, size = _GAP.match, _raw_decode, len(text)
+            objs: list = []
+            while True:
+                base = gap(text, base).end()
+                if base == size or text[base] != "{":
+                    break
+                try:
+                    obj, end = decode(text, base)
+                except json.JSONDecodeError:
+                    break
+                spans.append(ObjectSpan(base, end))
+                objs.append(obj)
+                base = end
+                if len(objs) == batch_size:
+                    yield objs
+                    objs = []
+            if objs:
+                yield objs
+            data = text[base:].encode("ascii")
+            del text
+        if data:
+            rest = list(iter_spans((data,), base))
+            spans += rest
+            yield from self._parse_spans(data, rest, base, batch_size)
+        with self._aux_lock:
+            if self._semi_index is None and self._aux_epoch == epoch:
+                self._semi_index = JSONSemiIndex(spans)
 
     @staticmethod
     def project_paths(objs: list, paths: Sequence[str]) -> list[list]:
@@ -318,21 +366,25 @@ class JSONSource:
             span_range = (split.lo, split.hi)
             row = split.lo
         paths = tuple(paths)
+        # sink fields are normally a subset of ``paths``: project each
+        # distinct path once per batch and hand the sinks the same lists
+        sink_fields = tuple(f for sink in (index_sink, stats_sink)
+                            if sink is not None for f in sink.fields)
+        extra = tuple(dict.fromkeys(f for f in sink_fields if f not in paths))
         for objs in self.scan_object_chunks(batch_size, device=device,
                                             span_range=span_range):
             columns = self.project_paths(objs, paths) if paths else []
+            if sink_fields:
+                have = dict(zip(paths, columns))
+                if extra:
+                    have.update(zip(extra, self.project_paths(objs, extra)))
             if index_sink is not None:
-                index_sink.record(row, dict(zip(
-                    index_sink.fields,
-                    self.project_paths(objs, index_sink.fields),
-                )))
+                index_sink.record(row, {f: have[f] for f in index_sink.fields})
             if stats_sink is not None:
                 stats_sink.advance(row, len(objs))
                 if stats_sink.fields:
-                    stats_sink.record(row, dict(zip(
-                        stats_sink.fields,
-                        self.project_paths(objs, stats_sink.fields),
-                    )))
+                    stats_sink.record(
+                        row, {f: have[f] for f in stats_sink.fields})
             row += len(objs)
             yield Chunk.from_columns(paths, columns,
                                      whole=objs if whole or not paths else None)

@@ -10,15 +10,32 @@ its ``(start, end)`` byte range — enough to:
   objects (Figure 4 layout (d), the cache-pollution avoidance device), and
 - re-assemble qualifying objects only at projection time.
 
-The boundary scanner is a single pass over the raw bytes tracking string
-state and brace depth; it never builds parsed objects.
+The boundary scanner (:func:`iter_spans`) is one bytes regex that skips
+whole runs of non-structural text and complete strings at C speed and stops
+at each brace outside a string; it never builds parsed objects. A serial
+cold scan does not even run it: the index is born from the first parse
+(:meth:`JSONSource.scan_object_chunks`), which records where the decoder
+stopped after each object.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 from ...errors import DataFormatError
+
+_STRING_TAIL = rb'[^"\\]*(?:\\.[^"\\]*)*"'  # what follows an opening quote
+#: at most one structural byte per match: runs of non-structural bytes and
+#: complete strings, then ``{`` (1), ``}`` (2) or a ``"`` that no closing
+#: quote follows in this buffer (3). The run is bounded so that a match
+#: never carries more backtracking state than 512 iterations' worth (an
+#: unbounded ``*`` over a group degrades badly past ~10^6 iterations); a
+#: match that ends on the bound or at the end of the buffer has no group.
+_STRUCTURAL = re.compile(
+    rb'(?:[^"{}]+|"' + _STRING_TAIL + rb'){0,512}'
+    rb'(?:(\{)|(\})|("(?!' + _STRING_TAIL + rb')))?', re.DOTALL)
 
 
 @dataclass(frozen=True)
@@ -31,6 +48,43 @@ class ObjectSpan:
     @property
     def length(self) -> int:
         return self.end - self.start
+
+
+def iter_spans(chunks: Iterable[bytes], base: int = 0) -> Iterator[ObjectSpan]:
+    """Spans of the top-level objects in a byte stream given as consecutive
+    ``chunks`` whose first byte sits at file offset ``base``.
+
+    Handles both NDJSON (objects at depth 0) and a single enclosing array
+    (brackets are not structural: only braces outside strings count). A
+    string cut by a chunk boundary is carried into the next chunk. Raises
+    :class:`DataFormatError` on an unbalanced ``}`` and, once the stream
+    ends, on an open object or string (truncated JSON).
+    """
+    depth = 0
+    start = -1
+    carry = b""
+    for chunk in chunks:
+        buf = carry + chunk if carry else chunk
+        carry = b""
+        for m in _STRUCTURAL.finditer(buf):
+            kind = m.lastindex
+            if kind == 1:
+                if depth == 0:
+                    start = base + m.end() - 1
+                depth += 1
+            elif kind == 2:
+                depth -= 1
+                if depth < 0:
+                    raise DataFormatError(
+                        f"unbalanced '}}' at byte {base + m.end() - 1}")
+                if depth == 0:
+                    yield ObjectSpan(start, base + m.end())
+            elif kind == 3:
+                carry = buf[m.end() - 1:]
+                break
+        base += len(buf) - len(carry)
+    if depth != 0 or carry:
+        raise DataFormatError("truncated JSON: unbalanced braces or open string")
 
 
 class JSONSemiIndex:
@@ -52,92 +106,13 @@ class JSONSemiIndex:
         return len(self.spans) * 16
 
     @staticmethod
-    def build(data: bytes) -> "JSONSemiIndex":
-        """Scan raw bytes once, recording top-level object boundaries.
-
-        Handles both NDJSON (objects at depth 0) and a single enclosing
-        array (objects at depth 1 inside ``[...]``).
-        """
-        spans: list[ObjectSpan] = []
-        in_string = False
-        escaped = False
-        depth = 0
-        array_depth = 0
-        object_start = -1
-        top_is_array = None
-
-        for i, byte in enumerate(data):
-            ch = chr(byte)
-            if in_string:
-                if escaped:
-                    escaped = False
-                elif ch == "\\":
-                    escaped = True
-                elif ch == '"':
-                    in_string = False
-                continue
-            if ch == '"':
-                in_string = True
-            elif ch == "{":
-                if depth == 0:
-                    object_start = i
-                depth += 1
-            elif ch == "}":
-                depth -= 1
-                if depth < 0:
-                    raise DataFormatError(f"unbalanced '}}' at byte {i}")
-                if depth == 0 and object_start >= 0:
-                    spans.append(ObjectSpan(object_start, i + 1))
-                    object_start = -1
-            elif ch == "[" and depth == 0:
-                if top_is_array is None and not spans:
-                    top_is_array = True
-                array_depth += 1
-            elif ch == "]" and depth == 0:
-                array_depth -= 1
-        if depth != 0 or in_string:
-            raise DataFormatError("truncated JSON: unbalanced braces or open string")
-        return JSONSemiIndex(spans)
+    def build(data: bytes, base: int = 0) -> "JSONSemiIndex":
+        """Boundary-scan raw bytes that start at file offset ``base``."""
+        return JSONSemiIndex(list(iter_spans((data,), base)))
 
     @staticmethod
     def build_from_file(path: str, chunk_size: int = 1 << 22) -> "JSONSemiIndex":
         """Build from a file without holding it all in memory (chunked scan)."""
-        spans: list[ObjectSpan] = []
-        in_string = False
-        escaped = False
-        depth = 0
-        object_start = -1
-        base = 0
         with open(path, "rb") as fh:
-            while True:
-                chunk = fh.read(chunk_size)
-                if not chunk:
-                    break
-                for j, byte in enumerate(chunk):
-                    i = base + j
-                    ch = chr(byte)
-                    if in_string:
-                        if escaped:
-                            escaped = False
-                        elif ch == "\\":
-                            escaped = True
-                        elif ch == '"':
-                            in_string = False
-                        continue
-                    if ch == '"':
-                        in_string = True
-                    elif ch == "{":
-                        if depth == 0:
-                            object_start = i
-                        depth += 1
-                    elif ch == "}":
-                        depth -= 1
-                        if depth < 0:
-                            raise DataFormatError(f"unbalanced '}}' at byte {i}")
-                        if depth == 0 and object_start >= 0:
-                            spans.append(ObjectSpan(object_start, i + 1))
-                            object_start = -1
-                base += len(chunk)
-        if depth != 0 or in_string:
-            raise DataFormatError("truncated JSON: unbalanced braces or open string")
-        return JSONSemiIndex(spans)
+            return JSONSemiIndex(list(iter_spans(
+                iter(lambda: fh.read(chunk_size), b""))))

@@ -17,8 +17,14 @@ bit-identical to serial collection at any DoP on either backend:
   hash (blake2b — Python's salted ``hash()`` would differ across worker
   processes).  The sketch prunes to the K smallest hashes after *every*
   update, so its stored set is exactly "the K smallest hashes ever
-  inserted" — a set-union-like quantity independent of insertion order
-  and of how rows were partitioned into morsels.
+  inserted" — a set-union-like quantity independent of insertion order,
+  of batching, and of how rows were partitioned into morsels.
+
+Every summary is a **batch kernel** over a column list the scan already
+materialised (``set``/``min``/``max``/``count`` builtins, one hash per
+distinct value, one sort per sketch update): a by-product is never a
+per-value Python call on the scan's critical path. Only values ``set``
+cannot hold (container-valued JSON paths) are classified one by one.
 """
 
 from __future__ import annotations
@@ -32,25 +38,33 @@ SKETCH_K = 256
 
 _TWO64 = float(2**64)
 
-#: integral floats up to 2**53 are exact, so 1, 1.0 and True (which compare
-#: equal and collapse in Python sets/dicts depending on insertion order)
-#: must hash identically for the sketch to be order-independent
-_MAX_EXACT_INT_FLOAT = 2**53
+#: a scan remembers up to this many values per column whose hashes it has
+#: already offered to the sketch, so a low-cardinality column is hashed
+#: once per distinct value instead of once per distinct value *per batch*
+_MEMO_VALUES = 4096
+
+#: exact types the batch kernels handle; anything else (container-valued
+#: JSON paths, numeric subclasses) takes the per-value fallback
+_SCALARS = frozenset((int, float, bool, str, type(None)))
+
+_blake2b = hashlib.blake2b
+_from_bytes = int.from_bytes
 
 
 def _canonical_bytes(value) -> bytes:
     """Deterministic byte encoding with cross-type equality classes.
 
-    Values that compare equal in Python (``1 == 1.0 == True``) encode
-    identically; everything else gets a type-tagged representation.
+    Numbers that compare equal in Python (``1 == 1.0 == True``) encode
+    identically — the batch kernels dedupe through ``set``, which keeps an
+    arbitrary member of each equality class, so the encoding must not
+    tell the members apart. Everything else gets a type-tagged
+    representation.
     """
-    if isinstance(value, bool):
-        return b"i" + repr(int(value)).encode()
-    if isinstance(value, int):
-        return b"i" + repr(value).encode()
+    if isinstance(value, int):  # bool included
+        return b"i%d" % value
     if isinstance(value, float):
-        if value.is_integer() and abs(value) < _MAX_EXACT_INT_FLOAT:
-            return b"i" + repr(int(value)).encode()
+        if value.is_integer():
+            return b"i%d" % int(value)
         return b"f" + repr(value).encode()
     if isinstance(value, str):
         return b"s" + value.encode("utf-8", "surrogatepass")
@@ -59,56 +73,70 @@ def _canonical_bytes(value) -> bytes:
 
 def _hash64(value) -> int:
     """Deterministic 64-bit hash, stable across processes and runs."""
-    digest = hashlib.blake2b(_canonical_bytes(value), digest_size=8).digest()
-    return int.from_bytes(digest, "big")
+    digest = _blake2b(_canonical_bytes(value), digest_size=8).digest()
+    return _from_bytes(digest, "big")
+
+
+def _hash_ints(values) -> set[int]:
+    """:func:`_hash64` of every ``int``/``bool`` in ``values``, inlined."""
+    return {_from_bytes(_blake2b(b"i%d" % v, digest_size=8).digest(), "big")
+            for v in values}
+
+
+def _hash_strs(values) -> set[int]:
+    """:func:`_hash64` of every ``str`` in ``values``, inlined."""
+    return {_from_bytes(_blake2b(b"s" + v.encode("utf-8", "surrogatepass"),
+                                 digest_size=8).digest(), "big")
+            for v in values}
 
 
 class ColumnSketch:
     """KMV distinct-value sketch: the K smallest 64-bit hashes seen.
 
-    Invariant (load-bearing for bit-identity): after every ``add`` and
-    ``merge`` the stored set is *the* K smallest distinct hashes over all
-    values ever inserted, which makes the sketch a join-semilattice —
-    merge order and partitioning cannot change it.
+    Invariant (load-bearing for bit-identity): after every ``update`` the
+    stored set is *the* K smallest distinct hashes over all values ever
+    inserted, which makes the sketch a join-semilattice — merge order,
+    batching and partitioning cannot change it.
     """
 
-    __slots__ = ("k", "_hashes")
+    __slots__ = ("k", "_hashes", "_kth")
 
     def __init__(self, k: int = SKETCH_K, hashes: set[int] | None = None):
         self.k = k
-        self._hashes: set[int] = set(hashes) if hashes else set()
+        self._hashes: set[int] = set()
+        #: the K-th minimum (largest stored hash) once the sketch is full
+        self._kth: int | None = None
+        if hashes:
+            self.update(hashes)
+
+    def update(self, hashes) -> None:
+        """Fold a batch of hashes in: only hashes below the cached K-th
+        minimum can enter a full sketch, and one sort prunes the rest."""
+        kth = self._kth
+        if kth is not None:
+            hashes = [h for h in hashes if h < kth]
+            if not hashes:
+                return
+        hs = self._hashes
+        hs.update(hashes)
+        if len(hs) >= self.k:
+            if len(hs) > self.k:
+                self._hashes = hs = set(sorted(hs)[:self.k])
+            self._kth = max(hs)
 
     def add(self, value) -> None:
-        self.add_hash(_hash64(value))
-
-    def add_hash(self, h: int) -> None:
-        hs = self._hashes
-        if len(hs) < self.k:
-            hs.add(h)
-            return
-        if h in hs:
-            return
-        top = max(hs)
-        if h < top:
-            hs.discard(top)
-            hs.add(h)
+        self.update((_hash64(value),))
 
     def merge(self, other: "ColumnSketch") -> None:
-        hs = self._hashes
-        hs |= other._hashes
-        k = self.k
-        while len(hs) > k:
-            hs.discard(max(hs))
+        self.update(other._hashes)
 
     def estimate(self) -> int:
         """Estimated number of distinct values (exact below K)."""
         n = len(self._hashes)
-        if n == 0:
-            return 0
-        if n < self.k:
+        if self._kth is None:
             return n
         # classic KMV estimator: (K-1) / normalized K-th minimum
-        return max(n, int((self.k - 1) * _TWO64 / max(self._hashes)))
+        return max(n, int((self.k - 1) * _TWO64 / self._kth))
 
     def snapshot(self) -> tuple[int, ...]:
         """Canonical (sorted) content — equal sketches snapshot equal."""
@@ -118,8 +146,7 @@ class ColumnSketch:
         return (self.k, self.snapshot())
 
     def __setstate__(self, state):
-        self.k, hashes = state
-        self._hashes = set(hashes)
+        self.__init__(*state)
 
 
 @dataclass
@@ -134,26 +161,78 @@ class ColumnStats:
     str_max: str | None = None
     sketch: ColumnSketch = field(default_factory=ColumnSketch)
 
-    def observe_batch(self, values) -> None:
+    def observe_batch(self, values: list, seen: set | None = None) -> None:
+        """Fold one materialised batch in with per-batch builtins.
+
+        Min/max and the sketch only need each distinct value once, so the
+        batch is deduped through ``set`` first. ``seen`` is an optional
+        caller-owned memo of values this summary has already observed
+        (bounded by :data:`_MEMO_VALUES`); they are skipped outright.
+        """
+        try:
+            distinct = set(values)
+            kinds = set(map(type, distinct))
+        except TypeError:  # unhashable: a container-valued JSON path
+            kinds = None
+        if kinds is None or not kinds <= _SCALARS:
+            self._observe_each(values)
+            return
+        nulls = values.count(None) if None in distinct else 0
+        self.nulls += nulls
+        self.count += len(values) - nulls
+        distinct.discard(None)
+        if seen is not None:
+            distinct -= seen
+            if len(seen) < _MEMO_VALUES:
+                seen |= distinct
+        if not distinct:
+            return
+        strs = {v for v in distinct if type(v) is str} if str in kinds else ()
+        nums = distinct - strs if strs else distinct
+        hashes = _hash_strs(strs)
+        if float in kinds:
+            hashes.update(map(_hash64, nums))
+        else:
+            hashes |= _hash_ints(nums)
+        self._fold(nums, strs, hashes)
+
+    def _observe_each(self, values) -> None:
+        """Per-value fallback: classify and hash every value one by one
+        (unhashable values have no cheaper identity than their ``repr``),
+        then feed the same batch fold."""
+        nums, strs, hashes = [], [], set()
         for v in values:
             if v is None:
                 self.nulls += 1
                 continue
             self.count += 1
-            if isinstance(v, bool):
-                v = int(v)
             if isinstance(v, (int, float)):
-                f = float(v)
-                if self.num_min is None or f < self.num_min:
-                    self.num_min = f
-                if self.num_max is None or f > self.num_max:
-                    self.num_max = f
+                nums.append(v)
             elif isinstance(v, str):
-                if self.str_min is None or v < self.str_min:
-                    self.str_min = v
-                if self.str_max is None or v > self.str_max:
-                    self.str_max = v
-            self.sketch.add(v)
+                strs.append(v)
+            hashes.add(_hash64(v))
+        self._fold(nums, strs, hashes)
+
+    def _fold(self, nums, strs, hashes) -> None:
+        if nums:
+            lo, hi = min(nums), max(nums)
+            if lo != lo:
+                # a leading NaN poisons min()/max(); NaN never bounds a range
+                nums = [v for v in nums if v == v]
+                lo, hi = (min(nums), max(nums)) if nums else (None, None)
+            if lo is not None:
+                lo, hi = float(lo), float(hi)
+                if self.num_min is None or lo < self.num_min:
+                    self.num_min = lo
+                if self.num_max is None or hi > self.num_max:
+                    self.num_max = hi
+        if strs:
+            lo, hi = min(strs), max(strs)
+            if self.str_min is None or lo < self.str_min:
+                self.str_min = lo
+            if self.str_max is None or hi > self.str_max:
+                self.str_max = hi
+        self.sketch.update(hashes)
 
     def merge(self, other: "ColumnStats") -> None:
         self.count += other.count
@@ -213,7 +292,7 @@ class StatsPartial:
     morsel workers ship partials home like posmap deltas.
     """
 
-    __slots__ = ("fields", "rows_seen", "columns")
+    __slots__ = ("fields", "rows_seen", "columns", "_seen")
 
     def __init__(self, fields=()):
         self.fields = tuple(fields)
@@ -221,6 +300,9 @@ class StatsPartial:
         self.columns: dict[str, ColumnStats] = {
             f: ColumnStats() for f in self.fields
         }
+        #: per-column memo of values already observed by this scan (see
+        #: :meth:`ColumnStats.observe_batch`); scratch state, never shipped
+        self._seen: dict[str, set] = {f: set() for f in self.fields}
 
     def advance(self, start: int, nrows: int) -> None:
         """One batch of ``nrows`` rows was scanned (values recorded or not)."""
@@ -231,7 +313,7 @@ class StatsPartial:
         for name, values in columns.items():
             cs = self.columns.get(name)
             if cs is not None:
-                cs.observe_batch(values)
+                cs.observe_batch(values, self._seen.get(name))
 
     def merge(self, other: "StatsPartial") -> None:
         self.rows_seen += other.rows_seen
@@ -247,3 +329,4 @@ class StatsPartial:
 
     def __setstate__(self, state):
         self.fields, self.rows_seen, self.columns = state
+        self._seen = {}

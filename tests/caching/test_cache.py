@@ -114,3 +114,32 @@ def test_hit_ratio_stats():
     assert cache.stats.lookups == 2
     assert cache.stats.hits == 1
     assert cache.stats.hit_ratio == 0.5
+
+
+def test_cache_running_total_tracks_every_mutation():
+    def check(cache):
+        assert cache.used_bytes == \
+            sum(e.cached.nbytes for e in cache.entries())
+
+    cache = DataCache(budget_bytes=200_000)
+    check(cache)
+    cache.put("S", "columns", ["a"], [(i,) for i in range(100)])
+    cache.put("S", "columns", ["b"], [(str(i),) for i in range(100)])  # merge
+    check(cache)
+    cache.put("S", "objects", [], [{"a": i} for i in range(100)])
+    cache.put("S", "objects", [], [{"a": i} for i in range(100)])      # re-key
+    cache.put_columns("U", ["x"], [list(range(2000))])
+    check(cache)
+    cache.extend_source("S", 100, 2, {"a": [1, 2], "b": ["x", "y"]},
+                        tail_objects=[{"a": 1}, {"a": 2}])
+    check(cache)
+    cache.extend_source("U", 2000, 1, {})                  # no tail: dropped
+    check(cache)
+    for n in range(8):                                      # force evictions
+        cache.put_columns(f"V{n}", ["x"], [list(range(1500))])
+        check(cache)
+    assert cache.stats.evictions > 0
+    cache.invalidate_source("S")
+    check(cache)
+    cache.clear()
+    assert cache.used_bytes == 0 and len(cache) == 0

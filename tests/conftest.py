@@ -3,12 +3,25 @@
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
+import threading
 
 import pytest
 
 from repro import ViDa
 from repro.formats import write_array, write_csv, write_workbook
+
+
+@pytest.fixture(scope="session", autouse=True)
+def no_stray_workers():
+    """Every session, pool and server a test starts is closed by that test:
+    when the run ends no worker process and no non-daemon thread is left."""
+    yield
+    stray = multiprocessing.active_children() + [
+        t for t in threading.enumerate()
+        if t is not threading.main_thread() and not t.daemon]
+    assert not stray, f"left running after the test session: {stray}"
 
 
 @pytest.fixture()
