@@ -37,9 +37,12 @@ QUERIES = [
 
 
 def _warm_session(datasets, vec: bool, dop: int = 1) -> ViDa:
-    """A session with complete positional maps and no cache service, so
-    every timed query runs the warm raw-CSV path."""
-    db = ViDa(vector_filters=vec, parallelism=dop, enable_cache=False)
+    """A session with complete positional maps and neither cache nor index
+    service, so every timed query runs the warm raw-CSV path (with indexes
+    on, the first repeat builds ``index[age]`` and both sides would time
+    the index fetch instead of navigation)."""
+    db = ViDa(vector_filters=vec, parallelism=dop, enable_cache=False,
+              enable_indexes=False)
     db.register_csv("Patients", datasets.patients_csv)
     db.register_csv("Genetics", datasets.genetics_csv)
     for q in ("for { p <- Patients } yield count 1",

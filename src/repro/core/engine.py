@@ -35,7 +35,6 @@ from ..caching import AdmissionPolicy, DataCache
 from ..errors import ViDaError
 from ..indexing import IndexRegistry
 from ..stats import CostCalibration, StatsRegistry
-from ..storage.io import FileFingerprint
 from .catalog import Catalog, next_generation
 from .executor.engine import JITExecutor
 from .executor.static_engine import StaticExecutor
@@ -311,7 +310,7 @@ class EngineContext:
     def _refresh_locked(self, entry, name: str, path: str) -> None:
         old_fp = entry.fingerprint
         old_gen = entry.generation
-        new_fp = FileFingerprint.of(path)
+        new_fp, is_prefix = old_fp.successor(path)
         old_rows = self._live_row_count(entry)
         entry.history.capacity = self.retain_generations
         entry.history.add(GenerationSnapshot(
@@ -320,12 +319,11 @@ class EngineContext:
         ))
         new_gen = next_generation()
         appended = (
-            entry.format in ("csv", "json")
-            and new_fp.size > old_fp.size
+            is_prefix
+            and entry.format in ("csv", "json")
             # a CSV whose last line lacked a newline may have had that line
             # *extended* by the append — its old rows are not a row-prefix
             and (entry.format == "json" or old_fp.ends_nl)
-            and old_fp.is_prefix_of(path)
         )
         if not (appended and self._try_extend(entry, name, old_fp, new_fp,
                                               old_gen, new_gen, old_rows)):

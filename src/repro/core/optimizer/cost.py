@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ...mcc import ast as A
+from ...storage.io import RUN_GAP_BYTES
 
 #: cost per (tuple, attribute) relative to a loaded DBMS, by access path
 CONST_COST = 1.0
@@ -66,13 +67,22 @@ MORSEL_MIN_WORK_FACTOR = 8.0
 
 # JIT value-index access path (paper §2.1 extended per arXiv 1901.07627).
 # An index probe resolves candidate row ids through the hash table/sorted
-# run, each candidate is fetched positionally (posmap seek + convert — a
-# random read, charged well above a streaming warm fetch), and any rows the
-# index hasn't covered yet are scanned with the full predicate. Below
-# MIN_INDEX_COVERAGE the uncovered scan dominates and byproduct emission is
-# still growing the index, so the planner keeps the plain chunked scan.
+# run; the candidates' lines are read in runs (neighbours share a read,
+# ``storage.io.read_spans``) and go through the same positional column
+# kernel as a warm scan's batches, so a fetched cell is charged exactly
+# what a warm-navigated cell costs — the calibrated ("fmt", "warm") factor
+# — and what the index path pays on top is one read per run, itself priced
+# in warm cells. Rows the index hasn't covered yet are scanned with the
+# full predicate. The candidate count is the index's own
+# (``ValueIndex.count``), not a selectivity guess. Below MIN_INDEX_COVERAGE
+# the uncovered scan dominates and byproduct emission is still growing the
+# index, so the planner keeps the plain chunked scan.
 INDEX_PROBE_COST = 25.0
-INDEX_FETCH_COST = 4.0
+#: one positioned read (seek + read + cutting its lines out) in warm cells:
+#: ~2.7 µs against ~0.6 µs per navigated cell on the HBP files. Priced in
+#: cells, not units, so that calibration drift moves both sides of the
+#: index-vs-scan comparison together instead of flipping it
+INDEX_RUN_CELLS = 4.5
 MIN_INDEX_COVERAGE = 0.5
 
 # Process-backend fixed costs, in the same abstract units. Like JIT compile
@@ -265,17 +275,22 @@ def estimate_index_scan(
     rows: int,
     nfields: int,
     coverage: float,
-    selectivity: float,
+    matches: int,
+    file_bytes: int,
+    calibration=None,
 ) -> float:
-    """Cost of serving a scan through a value index: probe + positional
-    fetch of the estimated matches within covered rows + a warm scan of
-    the uncovered remainder."""
+    """Cost of serving a scan through a value index: probe + run-coalesced
+    positional fetch of the index's ``matches`` candidates + a warm scan of
+    the uncovered remainder, all at the (calibrated) warm per-cell factor.
+
+    Runs are bounded by the candidates (each alone in its run) and by the
+    file (consecutive runs lie more than ``RUN_GAP_BYTES`` apart)."""
     nfields = max(1, nfields)
-    matches = rows * coverage * selectivity
     uncovered = rows * (1.0 - coverage)
+    runs = min(matches, file_bytes / RUN_GAP_BYTES)
     return (INDEX_PROBE_COST
-            + matches * INDEX_FETCH_COST * nfields
-            + uncovered * access_factor(fmt, "warm") * nfields)
+            + (runs * INDEX_RUN_CELLS + (matches + uncovered) * nfields)
+            * access_factor(fmt, "warm", calibration))
 
 
 def source_row_estimate(entry) -> int:

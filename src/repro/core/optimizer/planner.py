@@ -866,7 +866,7 @@ class Planner:
         indexed = set(entry.plugin.indexed_fields())
         if not indexed:
             return None
-        for fname, spec, _sel in self._value_conjuncts(u, entry.format):
+        for fname, spec in self._value_conjuncts(u, entry.format):
             if fname not in indexed:
                 continue
             if spec[0] == "eq":
@@ -887,7 +887,7 @@ class Planner:
         Matches ``field <op> const-expr`` (either side, comparisons
         flipped), ``field IN (c1, c2, ...)``, with comparands constant-
         folded (negation, arithmetic on literals). Returns
-        ``(field, spec, selectivity)`` triples, where ``field`` is a
+        ``(field, spec)`` pairs, where ``field`` is a
         top-level column for CSV/DBMS sources and a dotted path for JSON,
         and ``spec`` is the lookup-tuple contract of
         :class:`~repro.indexing.ValueIndex`.
@@ -902,8 +902,7 @@ class Planner:
                 if isinstance(vals, list):
                     vals = tuple(vals)
                 if fname is not None and isinstance(vals, tuple):
-                    out.append((fname, ("in", fname, vals),
-                                C.SELECTIVITY["in"]))
+                    out.append((fname, ("in", fname, vals)))
                 continue
             if p.op != "=" and p.op not in _COMPARE_FLIP:
                 continue
@@ -924,28 +923,32 @@ class Planner:
                     spec = ("range", fname, None, value, False, op == "<=")
                 else:
                     spec = ("range", fname, value, None, op == ">=", False)
-                out.append((fname, spec, C.SELECTIVITY[p.op]))
+                out.append((fname, spec))
                 break
         return out
 
     def _choose_index_access(self, u: _Unit, entry, fmt: str, rows: int,
                              decisions: PlanDecisions) -> None:
         """Access-path selection for JIT value indexes, plus byproduct
-        marking: a warm scan with a usable, sufficiently covering index
-        whose estimated probe+fetch+uncovered-scan cost beats the full
-        chunked scan upgrades to ``access=index``; every matched conjunct
-        field is marked for byproduct emission either way, so plain scans
-        keep growing the indexes the chooser will use next time."""
+        marking: every usable conjunct with a sufficiently covering index
+        is costed with the index's own candidate count (probe + run reads
+        + fetch at the calibrated warm factor + uncovered scan), and the
+        cheapest upgrades a warm scan to ``access=index`` if it beats the
+        full chunked scan; every matched conjunct field is marked for
+        byproduct emission either way, so plain scans keep growing the
+        indexes the chooser will use next time."""
         matches = self._value_conjuncts(u, fmt)
         if not matches:
             return
-        u.index_emit = tuple(dict.fromkeys(f for f, _s, _sel in matches))
+        u.index_emit = tuple(dict.fromkeys(f for f, _s in matches))
         if self.indexes is None or u.access != "warm":
             # positional fetch needs a complete posmap/semi-index; cold
             # scans only emit byproducts this round
             return
         nf = len(u.fields) or 1
-        for fname, spec, sel in matches:
+        file_bytes = entry.fingerprint.size if entry.fingerprint else 0
+        costed: list[tuple[float, int, str, tuple]] = []
+        for fname, spec in matches:
             idx = self.indexes.peek(entry.name, entry.generation, fname)
             if idx is None:
                 continue  # no index yet: emission will build one, no note
@@ -957,25 +960,35 @@ class Planner:
                     f"{C.MIN_INDEX_COVERAGE:.0%})"
                 )
                 continue
-            icost = C.estimate_index_scan(fmt, rows, nf, coverage, sel)
-            if icost >= u.est_cost:
-                decisions.notes.append(
-                    f"{u.var}: index on {entry.name}.{fname} rejected "
-                    f"(cost {icost:.0f} >= scan {u.est_cost:.0f})"
-                )
-                continue
-            u.access = "index"
-            u.index_lookup = spec
-            u.est_cost = icost
-            if u.populate:
-                # an index-served scan touches matching rows only; partial
-                # columns must never be admitted as complete
-                u.populate = ()
+            count = idx.count(spec)
+            if count is None:
+                continue  # probe type this index can't serve
+            costed.append((C.estimate_index_scan(
+                fmt, rows, nf, coverage, count, file_bytes,
+                calibration=self.calibration), count, fname, spec))
+        if not costed:
+            return
+        costed.sort(key=lambda c: c[0])  # stable: ties go to conjunct order
+        icost, count, fname, spec = costed[0]
+        losers = "".join(f"; rejected {f}: {n}" for _c, n, f, _s in costed[1:])
+        if icost >= u.est_cost:
             decisions.notes.append(
-                f"{u.var}: index lookup on {entry.name}.{fname} "
-                f"(coverage {coverage:.0%})"
+                f"{u.var}: index on {entry.name}.{fname} rejected "
+                f"(~{count} of {rows} rows, cost {icost:.0f} >= scan "
+                f"{u.est_cost:.0f}{losers})"
             )
             return
+        u.access = "index"
+        u.index_lookup = spec
+        u.est_cost = icost
+        if u.populate:
+            # an index-served scan touches matching rows only; partial
+            # columns must never be admitted as complete
+            u.populate = ()
+        decisions.notes.append(
+            f"{u.var}: index lookup on {entry.name}.{fname} "
+            f"(~{count} of {rows} rows{losers})"
+        )
 
     def _build_tree(self, ordered, unit_by_var, equi, residual, decisions,
                     extra_exprs) -> PhysNode:

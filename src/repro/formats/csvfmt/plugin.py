@@ -18,11 +18,12 @@ from __future__ import annotations
 import os
 import threading
 from dataclasses import dataclass, field
+from operator import gt
 from typing import Callable, Iterator, Sequence
 
 from ...errors import DataFormatError
 from ...mcc import types as T
-from ...storage.io import RawFile
+from ...storage.io import RawFile, read_spans
 from ..descriptions import NULL_TOKENS as _NULL_TOKENS
 from .positional_map import PositionalMap
 
@@ -36,14 +37,6 @@ class CSVOptions:
     encoding: str = "utf-8"
 
 
-def _parse_int(text: str) -> int:
-    return int(text)
-
-
-def _parse_float(text: str) -> float:
-    return float(text)
-
-
 def _parse_bool(text: str) -> bool:
     lowered = text.lower()
     if lowered in ("true", "t", "1", "yes"):
@@ -53,9 +46,10 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a bool: {text!r}")
 
 
+#: the builtins themselves: a conversion comprehension pays no Python call
 _CONVERTERS: dict[str, Callable[[str], object]] = {
-    "int": _parse_int,
-    "float": _parse_float,
+    "int": int,
+    "float": float,
     "bool": _parse_bool,
     "string": str,
 }
@@ -523,12 +517,19 @@ class CSVSource:
         # Warm narrow projections navigate with the positional map: one jump
         # per requested field instead of tokenizing the whole (possibly very
         # wide) line. Whole-row binding and cleaning need the full cell list.
-        navigate = (access == "warm" and self.posmap.complete and not whole
+        pm = self.posmap  # one map per scan: a refresh swaps, never mutates
+        navigate = (access == "warm" and pm.complete and not whole
                     and bool(cols) and clean is None)
         push = navigate and pred_kernel is not None and pred_fields
         if push:
             pred_cols = self.field_indexes(list(pred_fields))
             pred_pos = {c: i for i, c in enumerate(pred_cols)}
+            rest_cols = [c for c in cols if c not in pred_pos]
+            rest_pos = {c: i for i, c in enumerate(rest_cols)}
+            fetch_rest = self._column_kernel(pm, rest_cols)
+        if navigate:
+            scan_cols = pred_cols if push else cols
+            fetch = self._column_kernel(pm, scan_cols)
         sink = index_sink
         sink_cols: dict[str, int] = {}
         if sink is not None:
@@ -550,20 +551,19 @@ class CSVSource:
             # the sinks get the column lists the scan navigates anyway;
             # a sink column outside them (normally none) is navigated once
             # per batch and shared by both sinks
-            scan_cols = pred_cols if push else cols
             extra_cols = sorted({*sink_cols.values(), *ssink_cols.values()}
                                 .difference(scan_cols))
+            fetch_extra = self._column_kernel(pm, extra_cols)
 
-            def record_navigated(navigated, lines, start):
+            def record_navigated(navigated, lines, rows):
                 have = dict(zip(scan_cols, navigated))
                 if extra_cols:
-                    have.update(zip(extra_cols, self._navigate_batch(
-                        extra_cols, lines, start)))
+                    have.update(zip(extra_cols, fetch_extra(lines, rows)))
                 if sink is not None:
-                    sink.record(start,
+                    sink.record(rows.start,
                                 {f: have[c] for f, c in sink_cols.items()})
                 if ssink_cols:
-                    ssink.record(start,
+                    ssink.record(rows.start,
                                  {f: have[c] for f, c in ssink_cols.items()})
         for start, lines in self.iter_line_batches(batch_size, device=device,
                                                    record_anchors=record_anchors,
@@ -576,35 +576,35 @@ class CSVSource:
                 sink.advance(start, len(lines))
             if ssink is not None:
                 ssink.advance(start, len(lines))
-            if push:
-                # late materialization: navigate predicate columns, run the
-                # selection kernel, then fetch the rest only for survivors
-                pcols = self._navigate_batch(pred_cols, lines, start)
+            if navigate:
+                rows = range(start, start + len(lines))
+                navigated = fetch(lines, rows)
                 if record_navigated is not None:
-                    record_navigated(pcols, lines, start)
-                sel = pred_kernel(*pcols)
+                    record_navigated(navigated, lines, rows)
+                if not push:
+                    yield Chunk.from_columns(field_list, navigated)
+                    continue
+                # late materialization: the predicate columns are in hand;
+                # run the selection kernel, fetch the rest for survivors only
+                sel = pred_kernel(*navigated)
                 if not sel:
                     # account the physically scanned lines, carry no rows
                     yield Chunk(tuple(field_list), tuple([] for _ in cols),
                                 0, scanned=len(lines))
                     continue
                 dense = len(sel) == len(lines)
+                rest = fetch_rest(lines, rows) if dense else fetch_rest(
+                    [lines[i] for i in sel], [start + i for i in sel])
                 out: list[list] = []
                 for c in cols:
                     if c in pred_pos:
-                        pc = pcols[pred_pos[c]]
+                        pc = navigated[pred_pos[c]]
                         out.append(pc if dense else [pc[i] for i in sel])
                     else:
-                        out.append(self._navigate_rows(c, lines, start, sel))
+                        out.append(rest[rest_pos[c]])
                 chunk = Chunk.from_columns(field_list, out)
                 chunk.scanned = len(lines)
                 yield chunk
-                continue
-            if navigate:
-                converted = self._navigate_batch(cols, lines, start)
-                if record_navigated is not None:
-                    record_navigated(converted, lines, start)
-                yield Chunk.from_columns(field_list, converted)
                 continue
             cells_rows = [line.split(delim) for line in lines]
             columns, selection = self._convert_clean_batch(
@@ -640,39 +640,95 @@ class CSVSource:
         if record_anchors is not None and record_map is None:
             self.posmap.finish_population()
 
-    def _navigate_rows(self, c: int, lines: list[str], start_row: int,
-                       sel: list[int]) -> list:
-        """Navigate + convert one column at the selected row indexes only
-        (late materialization: filtered-out rows never pay conversion)."""
-        pmf = self.posmap.field_in_line
-        null_tokens = self.options.null_tokens
-        raw = [pmf(lines[i], start_row + i, c) for i in sel]
-        tname = self.types[c]
-        if tname == "string":
-            return [None if v in null_tokens else v for v in raw]
-        conv = _CONVERTERS[tname]
-        return [None if v in null_tokens else conv(v) for v in raw]
+    def _column_kernel(self, pm: PositionalMap, cols: list[int]):
+        """The positional column kernel: ``fetch(lines, rows) -> columns``.
 
-    def _navigate_batch(self, cols: list[int], lines: list[str],
-                        start_row: int) -> list[list]:
-        """Warm-path column kernels: positional-map jumps, then conversion.
+        ``lines`` are decoded data lines and ``rows`` their global row ids
+        (a ``range`` for a dense batch, a list for push-down survivors or
+        index candidates — the same call either way). Each column's anchor
+        and that anchor's offset list are resolved here, once per scan and
+        column; ``fetch`` then runs one comprehension per column chosen by
+        the hop count from the anchor — a recorded offset slices the cell
+        out, an earlier anchor splits forward from its offset, no anchor
+        splits from the row start — and one conversion comprehension.
 
-        Two comprehensions per column — one navigating to the raw field text
-        via the map's recorded offsets, one converting — instead of a full
-        ``split`` of every line.
+        A dirty value or a row without the cell raises the typed error of
+        :meth:`_raise_dirty`, never the comprehension's bare exception.
         """
-        pmf = self.posmap.field_in_line
+        delim = self.options.delimiter
         null_tokens = self.options.null_tokens
-        out: list[list] = []
+        stats = pm.stats
+        plans = []
         for c in cols:
-            raw = [pmf(line, start_row + i, c) for i, line in enumerate(lines)]
+            anchor, offsets = pm.anchor_offsets(c)
             tname = self.types[c]
-            if tname == "string":
-                out.append([None if v in null_tokens else v for v in raw])
-            else:
-                conv = _CONVERTERS[tname]
-                out.append([None if v in null_tokens else conv(v) for v in raw])
-        return out
+            plans.append((c, anchor, offsets,
+                          None if tname == "string" else _CONVERTERS[tname]))
+
+        def fetch(lines: list[str], rows) -> list[list]:
+            out: list[list] = []
+            for c, anchor, offsets, conv in plans:
+                try:
+                    if anchor is None:
+                        stats.full_scans += len(lines)
+                        raw = [line.split(delim, c + 1)[c] for line in lines]
+                    else:
+                        at = offsets[rows.start:rows.stop] \
+                            if isinstance(rows, range) \
+                            else [offsets[r] for r in rows]
+                        if anchor == c:
+                            stats.direct_hits += len(lines)
+                            raw = [line[p:e]
+                                   if (e := line.find(delim, p)) >= 0
+                                   else line[p:] for line, p in zip(lines, at)]
+                            # "" is also what a missing cell's offset (one
+                            # past the line) reads as
+                            if "" in raw and any(
+                                    map(gt, at, map(len, lines))):
+                                raise IndexError(c)
+                        else:
+                            stats.anchored_scans += len(lines)
+                            hops = c - anchor
+                            raw = [line[p:].split(delim, hops + 1)[hops]
+                                   for line, p in zip(lines, at)]
+                    if conv is None:
+                        out.append([None if v in null_tokens else v
+                                    for v in raw])
+                    else:
+                        out.append([None if v in null_tokens else conv(v)
+                                    for v in raw])
+                except (ValueError, IndexError):
+                    self._raise_dirty(c, lines, rows)
+                    raise  # pragma: no cover - the re-run above raises first
+            return out
+
+        return fetch
+
+    def _raise_dirty(self, c: int, lines: list[str], rows) -> None:
+        """Row-wise re-run of a column the kernel failed on: raise the
+        typed error for the first row that lacks the cell or holds a value
+        its type cannot parse."""
+        delim = self.options.delimiter
+        null_tokens = self.options.null_tokens
+        tname = self.types[c]
+        conv = _CONVERTERS[tname]
+        for line, row in zip(lines, rows):
+            cells = line.split(delim)
+            if len(cells) <= c:
+                raise DataFormatError(
+                    f"{self.path}: row {row} has {len(cells)} cells but "
+                    f"column {self.columns[c]!r} was requested"
+                ) from None
+            text = cells[c]
+            if text in null_tokens:
+                continue
+            try:
+                conv(text)
+            except ValueError:
+                raise DataFormatError(
+                    f"{self.path}: row {row}: cannot parse {text!r} as "
+                    f"{tname} (column {self.columns[c]!r})"
+                ) from None
 
     def _convert_clean_batch(
         self, cols: list[int], cells_rows: list[list[str]], start_row: int,
@@ -802,34 +858,29 @@ class CSVSource:
                    device=None) -> list[list]:
         """Batched positional fetch: per-column value lists for ``rows``.
 
-        One file handle serves the whole batch (unlike :meth:`fetch_row`,
-        which opens per call) — this is the index-lookup access path's
-        workhorse, where a query fetches many scattered rows at once.
+        The index-lookup access path's workhorse, where a query fetches
+        many scattered rows at once: neighbouring candidates share a read
+        (:func:`~repro.storage.io.read_spans`) and the lines go through
+        the same column kernel as a warm scan's batches.
         """
-        if not self.posmap.complete:
+        pm = self.posmap
+        if not pm.complete:
             raise DataFormatError(
                 f"{self.path}: positional access requires a populated map; scan first"
             )
         cols = self.field_indexes(list(fields))
-        convs = [self.converter(c) for c in cols]
-        offsets = self.posmap.row_offsets
-        nrows = len(offsets)
+        offsets = pm.row_offsets
+        last = len(offsets) - 1
         encoding = self.options.encoding
-        out: list[list] = [[] for _ in cols]
-        pmf = self.posmap.field_in_line
         with RawFile(self.path, device=device) as raw:
-            for row in rows:
-                start = offsets[row]
-                if row + 1 < nrows:
-                    line = raw.read_at(
-                        start, offsets[row + 1] - 1 - start
-                    ).decode(encoding)
-                else:
-                    raw.seek(start)
-                    line = raw.read().split(b"\n", 1)[0].decode(encoding)
-                for k, (c, conv) in enumerate(zip(cols, convs)):
-                    out[k].append(conv(pmf(line, row, c)))
-        return out
+            size = raw.size
+            spans = [(offsets[r], offsets[r + 1] - 1 if r < last else size)
+                     for r in rows]
+            # a line ends at its first newline: the last row's span runs to
+            # the end of the file, and blank lines may follow any row
+            lines = [data.partition(b"\n")[0].decode(encoding)
+                     for data in read_spans(raw, spans)]
+        return self._column_kernel(pm, cols)(lines, rows)
 
     def row_count(self) -> int:
         """Number of data rows (cheap once the positional map is complete)."""

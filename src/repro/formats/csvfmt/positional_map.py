@@ -84,9 +84,12 @@ class PositionalMap:
                 target = nxt
             cut = line.find(delim, pos)
             if cut < 0:
-                # row ended early; remaining targets point past the line
+                # row ended early: the remaining targets point one past the
+                # line's end, where no present cell can start (an empty
+                # trailing cell starts *at* the end) — navigation reads ""
+                # there and the column kernel can tell the cell is missing
                 for t in [target] + list(want):
-                    self._col_offsets[t].append(len(line))
+                    self._col_offsets[t].append(len(line) + 1)
                 break
             pos = cut + 1
             col += 1
@@ -144,8 +147,24 @@ class PositionalMap:
                 best = c
         return best
 
+    def anchor_offsets(self, col: int) -> tuple[int | None, list[int] | None]:
+        """``(anchor, its per-row offset list)`` for reaching ``col``.
+
+        What a scan resolves once per column before it navigates batches:
+        the list is indexed by global row id and never mutated once the
+        map is complete, so a caller may hold it for the whole scan.
+        """
+        anchor = self.nearest_anchor(col)
+        if anchor is None:
+            return None, None
+        return anchor, self._col_offsets[anchor]
+
     def field_in_line(self, line: str, row: int, col: int) -> str:
-        """Extract column ``col`` of ``row`` from its decoded line text."""
+        """Extract column ``col`` of ``row`` from its decoded line text.
+
+        The one-row form of the plugin's column kernel (and its test
+        oracle): a cell the row does not have reads as ``""``.
+        """
         delim = self.delimiter
         anchor = self.nearest_anchor(col)
         if anchor is None:

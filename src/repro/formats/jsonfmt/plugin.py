@@ -27,7 +27,7 @@ from typing import Iterator, Sequence
 
 from ...errors import DataFormatError
 from ...mcc import types as T
-from ...storage.io import RawFile
+from ...storage.io import RawFile, read_spans
 from .semi_index import JSONSemiIndex, ObjectSpan, iter_spans
 
 #: what may separate two top-level objects for the first parse to stay on
@@ -418,11 +418,11 @@ class JSONSource:
         """Late materialisation: parse exactly the qualifying objects.
 
         This is the projection-time re-assembly of Figure 4(d): carry
-        positions through the plan, touch raw bytes once per survivor.
+        positions through the plan, touch raw bytes once per survivor —
+        neighbouring survivors share a read (``read_spans``).
         """
-        out: list[dict] = []
+        encoding = self.options.encoding
         with RawFile(self.path, device=device) as raw:
-            for span in spans:
-                payload = raw.read_at(span.start, span.length)
-                out.append(json.loads(payload.decode(self.options.encoding)))
-        return out
+            return [json.loads(payload.decode(encoding))
+                    for payload in read_spans(
+                        raw, [(s.start, s.end) for s in spans])]

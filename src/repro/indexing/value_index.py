@@ -141,36 +141,48 @@ class ValueIndex:
     def lookup(self, spec: tuple) -> list[int] | None:
         """Sorted candidate rows within covered ranges, or ``None`` when
         this probe can't be served (caller falls back to a full scan)."""
+        buckets = self._buckets(spec)
+        if buckets is None:
+            return None
+        # a row holds one value, so the buckets of distinct keys are disjoint
+        rows = [r for bucket in buckets for r in bucket]
+        rows.sort()
+        return rows
+
+    def count(self, spec: tuple) -> int | None:
+        """``len(lookup(spec))`` without building the row list — what the
+        planner costs an index access path with: the bucket lengths of the
+        probed values, or of the keys two bisects cut out of the sorted
+        run. Never more work than the probe it prices."""
+        buckets = self._buckets(spec)
+        return None if buckets is None else sum(map(len, buckets))
+
+    def _buckets(self, spec: tuple):
+        """The row buckets ``spec`` selects (``None``: unservable probe)."""
         kind = spec[0]
         if kind == "eq":
-            return self._lookup_values((spec[2],))
+            return self._value_buckets((spec[2],))
         if kind == "in":
-            return self._lookup_values(spec[2])
+            return self._value_buckets(spec[2])
         if kind == "range":
-            return self._lookup_range(*spec[2:])
+            return self._range_buckets(*spec[2:])
         return None
 
-    def _lookup_values(self, values: Sequence) -> list[int]:
-        rows: list[int] = []
+    def _value_buckets(self, values: Sequence):
+        # IN-lists may repeat hash-equal values (e.g. (1, 1.0)): one bucket
+        distinct: dict[Any, list[int]] = {}
         for v in values:
             try:
-                rows.extend(self.entries.get(v, ()))
+                if v not in distinct:
+                    distinct[v] = self.entries.get(v, ())
             except TypeError:
                 pass  # unhashable probe: no hashed value can equal it
-        rows.sort()
-        # IN-lists may repeat hash-equal values (e.g. (1, 1.0)); dedupe
-        out: list[int] = []
-        prev = None
-        for r in rows:
-            if r != prev:
-                out.append(r)
-                prev = r
-        return out
+        return distinct.values()
 
-    def _lookup_range(self, lo, hi, lo_incl: bool, hi_incl: bool):
+    def _range_buckets(self, lo, hi, lo_incl: bool, hi_incl: bool):
         probe = lo if lo is not None else hi
         runs = self._sorted_runs()
-        if isinstance(probe, bool) or isinstance(probe, (int, float)):
+        if isinstance(probe, (int, float)):
             run = runs["num"]
         elif isinstance(probe, str):
             run = runs["str"]
@@ -183,11 +195,7 @@ class ValueIndex:
         if hi is not None:
             j = (bisect.bisect_right(run, hi) if hi_incl
                  else bisect.bisect_left(run, hi))
-        rows: list[int] = []
-        for k in run[i:j]:
-            rows.extend(self.entries[k])
-        rows.sort()
-        return rows
+        return [self.entries[k] for k in run[i:j]]
 
     def _sorted_runs(self) -> dict[str, list]:
         """Lazily (re)built sorted key runs, partitioned by ordered type.
@@ -199,7 +207,7 @@ class ValueIndex:
             num: list = []
             strs: list = []
             for k in self.entries:
-                if isinstance(k, bool) or isinstance(k, (int, float)):
+                if isinstance(k, (int, float)):
                     num.append(k)
                 elif isinstance(k, str):
                     strs.append(k)

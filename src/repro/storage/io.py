@@ -19,6 +19,13 @@ from .device import StorageDevice
 #: hash — bounded, so fingerprinting a multi-GB file stays O(1)
 FINGERPRINT_REGION = 64 << 10
 
+#: positional fetches (:func:`read_spans`) read neighbouring spans with one
+#: call when the bytes between them are fewer than this: a gap under a page
+#: costs less to read through than a second seek + read. A run stops growing
+#: at ``RUN_CAP_BYTES`` so a dense candidate list is read in bounded pieces.
+RUN_GAP_BYTES = 4 << 10
+RUN_CAP_BYTES = 256 << 10
+
 
 @dataclass
 class IOStats:
@@ -34,9 +41,13 @@ class IOStats:
         self.seeks += other.seeks
 
 
+def _hash(data: bytes) -> str:
+    return hashlib.blake2b(data, digest_size=16).hexdigest()
+
+
 def _region_hash(fh, offset: int, nbytes: int) -> str:
     fh.seek(offset)
-    return hashlib.blake2b(fh.read(nbytes), digest_size=16).hexdigest()
+    return _hash(fh.read(nbytes))
 
 
 @dataclass(frozen=True)
@@ -62,17 +73,27 @@ class FileFingerprint:
 
     @staticmethod
     def of(path: str | os.PathLike) -> "FileFingerprint":
-        st = os.stat(path)
-        size = st.st_size
         with open(path, "rb") as fh:
-            head = _region_hash(fh, 0, min(size, FINGERPRINT_REGION))
-            tail_lo = max(0, size - FINGERPRINT_REGION)
-            tail = _region_hash(fh, tail_lo, size - tail_lo)
-            ends_nl = False
-            if size:
-                fh.seek(size - 1)
-                ends_nl = fh.read(1) == b"\n"
-        return FileFingerprint(size, st.st_mtime_ns, head, tail, ends_nl)
+            return FileFingerprint._read(fh)[0]
+
+    @staticmethod
+    def _read(fh) -> "tuple[FileFingerprint, bytes]":
+        """Fingerprint of the open file, plus its head region's bytes."""
+        st = os.fstat(fh.fileno())
+        size = st.st_size
+        fh.seek(0)
+        head = fh.read(min(size, FINGERPRINT_REGION))
+        head_hash = _hash(head)
+        tail_lo = max(0, size - FINGERPRINT_REGION)
+        # a file that fits the region has one region, not two
+        tail_hash = _region_hash(fh, tail_lo, size - tail_lo) if tail_lo \
+            else head_hash
+        ends_nl = False
+        if size:
+            fh.seek(size - 1)
+            ends_nl = fh.read(1) == b"\n"
+        return (FileFingerprint(size, st.st_mtime_ns, head_hash, tail_hash,
+                                ends_nl), head)
 
     def stat_matches(self, path: str | os.PathLike) -> bool:
         """Cheap size+mtime comparison (no content read) — the mid-scan
@@ -96,27 +117,25 @@ class FileFingerprint:
         except FileNotFoundError:
             return False
 
-    def is_prefix_of(self, path: str | os.PathLike) -> bool:
-        """True when this fingerprint's content survives as a byte-prefix
-        of the (larger) file now at ``path`` — the append-classification
-        rule. Verified by re-hashing the regions this fingerprint hashed,
-        over the file's *current* bytes at the old offsets."""
-        try:
-            st = os.stat(path)
-        except FileNotFoundError:
-            return False
-        if st.st_size <= self.size:
-            return False
-        try:
-            with open(path, "rb") as fh:
-                head = _region_hash(fh, 0, min(self.size, FINGERPRINT_REGION))
-                if head != self.head_hash:
-                    return False
-                tail_lo = max(0, self.size - FINGERPRINT_REGION)
-                return _region_hash(fh, tail_lo, self.size - tail_lo) \
-                    == self.tail_hash
-        except OSError:
-            return False
+    def successor(self, path: str | os.PathLike) -> "tuple[FileFingerprint, bool]":
+        """Fingerprint of the file now at ``path``, and whether this
+        fingerprint's content survives as a proper byte-prefix of it — the
+        append-classification rule, verified by re-hashing the regions this
+        fingerprint hashed over the file's *current* bytes at the old
+        offsets. One open; the shared head bytes are read once and, when
+        both heads span the full region, hashed once."""
+        with open(path, "rb") as fh:
+            new, head = FileFingerprint._read(fh)
+            if new.size <= self.size:
+                return new, False
+            old_head = min(self.size, FINGERPRINT_REGION)
+            head_hash = new.head_hash if old_head == len(head) \
+                else _hash(head[:old_head])
+            if head_hash != self.head_hash:
+                return new, False
+            tail_lo = max(0, self.size - FINGERPRINT_REGION)
+            return new, _region_hash(fh, tail_lo, self.size - tail_lo) \
+                == self.tail_hash
 
 
 class RawFile:
@@ -191,6 +210,34 @@ class RawFile:
                 offset += len(line) + 1
         if carry:
             yield offset, carry
+
+
+def read_spans(raw: RawFile, spans):
+    """Yield the bytes of each ``(start, end)`` span, in the order given.
+
+    The positional access pattern — index candidates, push-down survivors'
+    objects — is many short ascending reads. Spans whose gap to the previous
+    one is under ``RUN_GAP_BYTES`` join its *run* and share one ``read_at``
+    (the gap bytes are read and dropped); a run is cut at ``RUN_CAP_BYTES``.
+    A sparse probe therefore reads its own spans plus sub-constant gaps,
+    and one run's bytes are all that is held at a time. Spans that step
+    backwards simply start a new run.
+    """
+    i, n = 0, len(spans)
+    while i < n:
+        base, end = spans[i]
+        j = i + 1
+        while j < n:
+            start, stop = spans[j]
+            if not 0 <= start - end < RUN_GAP_BYTES \
+                    or stop - base > RUN_CAP_BYTES:
+                break
+            end = stop
+            j += 1
+        data = raw.read_at(base, end - base)
+        for start, stop in spans[i:j]:
+            yield data[start - base:stop - base]
+        i = j
 
 
 def file_size(path: str | os.PathLike) -> int:

@@ -24,6 +24,8 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.session import ViDa
 from repro.indexing import IndexPartial, IndexRegistry, ValueIndex
@@ -83,6 +85,43 @@ def test_value_index_lookup_kinds():
     assert 3 not in idx.lookup(("range", "x", 0, None, True, False))
     # an unservable probe (no typed bound) falls back to a full scan
     assert idx.lookup(("range", "x", None, None, False, False)) is None
+
+
+_KEYS = st.one_of(st.none(), st.booleans(), st.integers(-5, 5),
+                  st.sampled_from([-2.5, 0.0, 1.0, 3.5]),
+                  st.sampled_from(["a", "b", "m"]))
+_NUM = st.one_of(st.integers(-6, 6), st.sampled_from([-2.5, 1.0, 3.5]))
+
+
+@given(values=st.lists(_KEYS, max_size=40), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_count_equals_lookup_length(values, data):
+    """What the planner costs an index with is exactly what a probe
+    fetches: eq, IN (hash-equal repeats such as ``1, 1.0, True`` name one
+    bucket), ranges with open ends, over mixed int/float/str/NULL keys."""
+    idx = ValueIndex("x")
+    idx.add_run(0, values)
+    bound = st.one_of(st.none(), _NUM)
+    lo, hi = data.draw(bound), data.draw(bound)
+    specs = [
+        ("eq", "x", data.draw(_KEYS)),
+        ("in", "x", tuple(data.draw(st.lists(_KEYS, max_size=5)))),
+        ("in", "x", (1, 1.0, True, [1])),
+        ("range", "x", lo, hi, data.draw(st.booleans()),
+         data.draw(st.booleans())),
+        ("range", "x", data.draw(st.sampled_from(["a", "c"])), None,
+         True, False),
+    ]
+    for spec in specs:
+        rows = idx.lookup(spec)
+        assert idx.count(spec) == (None if rows is None else len(rows))
+        if rows is not None:
+            assert rows == sorted(set(rows))
+    # growing the index moves both together
+    idx.add_run(len(values), [1, 2.0, "a"])
+    for spec in specs:
+        rows = idx.lookup(spec)
+        assert idx.count(spec) == (None if rows is None else len(rows))
 
 
 def test_value_index_coverage_merging():
@@ -147,6 +186,106 @@ def test_explain_shows_index_access_path(data_dir):
     # IN-list matching goes through the same chooser
     db.query(IN_Q)
     assert "access=index[age]" in db.explain(IN_Q)
+
+
+BOTH_Q = ('for { p <- Patients, p.age >= 30, p.city = "c4" } '
+          "yield bag (id := p.id, age := p.age)")
+
+
+@pytest.mark.parametrize("backend,dop", [("thread", 1), ("thread", 2),
+                                         ("process", 2)])
+def test_chooser_picks_the_cheaper_conjunct(data_dir, backend, dop):
+    """Both conjuncts have an index: the one with fewer candidates serves
+    the scan, EXPLAIN names it and the loser with their counts, and the
+    answer (bag order included) is the same whichever conjunct serves it
+    and the same as without indexes."""
+    base = _session(data_dir, indexed=False, dop=dop, backend=backend)
+    db = _session(data_dir, indexed=True, dop=dop, backend=backend)
+    only_age = _session(data_dir, indexed=True, dop=dop, backend=backend)
+    try:
+        expect = base.query(BOTH_Q).value
+        assert len(expect) > 100
+        with open(data_dir / "patients.csv") as fh:
+            rows = [line.strip().split(",") for line in fh][1:]
+        n_age = sum(int(r[1]) >= 30 for r in rows)
+        n_city = sum(r[2] == "c4" for r in rows)
+
+        assert db.query(BOTH_Q).value == expect  # cold: builds both
+        r = db.query(BOTH_Q)
+        assert r.value == expect
+        assert r.stats.index_rows_served == n_city
+        assert (f"p: index lookup on Patients.city (~{n_city} of 6000 rows; "
+                f"rejected age: {n_age})") in r.decisions.notes
+        assert "access=index[city]" in r.plan_text
+
+        # a session that has only seen the age conjunct owns index[age]
+        # alone, so the same query is served through the other conjunct
+        only_age.query("for { p <- Patients, p.age >= 30 } yield count 1")
+        r = only_age.query(BOTH_Q)
+        assert "access=index[age]" in r.plan_text
+        assert r.stats.index_rows_served == n_age
+        assert r.value == expect
+    finally:
+        for session in (base, db, only_age):
+            session.close()
+
+
+def test_index_cost_uses_the_count_and_the_calibrated_warm_factor():
+    from repro.core.optimizer import cost as C
+    from repro.stats import CostCalibration
+    from repro.storage.io import RUN_GAP_BYTES
+
+    rows, nf, size = 10_000, 3, 4_000_000
+    scan = C.estimate_scan("csv", "warm", rows, nf, []).total_cost
+    warm = C.access_factor("csv", "warm")
+
+    def index(matches, coverage=1.0, calibration=None):
+        return C.estimate_index_scan("csv", rows, nf, coverage, matches,
+                                     size, calibration=calibration)
+
+    assert index(0) == C.INDEX_PROBE_COST
+    # a sparse probe: every candidate is a run of its own
+    assert index(50) == pytest.approx(
+        C.INDEX_PROBE_COST + 50 * (C.INDEX_RUN_CELLS + nf) * warm)
+    assert index(50) < scan / 10
+    # a dense one: runs are bounded by the file, cells cost what a scan's do
+    assert index(rows) == pytest.approx(
+        C.INDEX_PROBE_COST + size / RUN_GAP_BYTES * C.INDEX_RUN_CELLS * warm
+        + rows * warm * nf)
+    assert index(rows) > scan
+    # uncovered rows are scanned on top
+    assert index(50, coverage=0.5) == pytest.approx(
+        index(50) + rows / 2 * warm * nf)
+    # the warm factor is the calibrated one, as for the scan it competes
+    # with, and it prices reads and cells alike: drift cannot flip a choice
+    cal = CostCalibration()
+    cal.factors[("csv", "warm")] = warm * 2
+    assert index(rows, calibration=cal) - index(0, calibration=cal) \
+        == pytest.approx(2 * (index(rows) - index(0)))
+
+
+def test_dense_index_loses_to_the_scan(tmp_path):
+    """The index's own count prices a probe that matches nearly every row
+    of a wide file above the warm scan it would replace."""
+    path = tmp_path / "wide.csv"
+    with open(path, "w") as fh:
+        fh.write("id,age,pad\n")
+        for i in range(3000):
+            fh.write(f"{i},{i % 90},{'x' * 300}\n")
+    db = ViDa(enable_cache=False)
+    try:
+        db.register_csv("W", str(path))
+        q = "for { w <- W, w.age >= 2 } yield sum w.id"
+        expect = db.query(q).value
+        r = db.query(q)
+        assert r.value == expect
+        assert r.stats.index_hits == 0
+        assert any("index on W.age rejected (~" in n and ">= scan" in n
+                   for n in r.decisions.notes)
+        sparse = db.query("for { w <- W, w.age = 2 } yield sum w.id")
+        assert sparse.stats.index_hits == 1
+    finally:
+        db.close()
 
 
 @pytest.mark.parametrize("backend,dop", [("thread", 2), ("thread", 4),

@@ -105,6 +105,35 @@ def test_fingerprint_detects_change(tmp_path):
     assert not fp.matches(tmp_path / "missing.txt")
 
 
+@pytest.mark.parametrize("size", [0, 10, 70_000, 200_000])
+def test_fingerprint_successor_classifies_appends(tmp_path, size):
+    """One pass yields the new fingerprint and the append verdict, for
+    files below and above the hashed head/tail regions."""
+    p = tmp_path / "f.bin"
+    body = bytes(i % 251 for i in range(size))
+    p.write_bytes(body)
+    old = FileFingerprint.of(p)
+
+    assert old.successor(p) == (old, False)  # unchanged: not a proper prefix
+    for tail in (b"x", b"tail\n" * 20_000):
+        p.write_bytes(body + tail)
+        new, is_prefix = old.successor(p)
+        assert new == FileFingerprint.of(p)
+        assert is_prefix and new.size == size + len(tail)
+    if size:
+        for at in {0, size // 2, size - 1}:  # a rewrite under an append
+            changed = bytearray(body)
+            changed[at] ^= 0xFF
+            p.write_bytes(bytes(changed) + b"tail")
+            new, is_prefix = old.successor(p)
+            assert new == FileFingerprint.of(p)
+            # only the hashed regions are compared (the documented bound)
+            hashed = at < 65536 or at >= size - 65536
+            assert is_prefix == (not hashed)
+        p.write_bytes(body[:-1])
+        assert old.successor(p) == (FileFingerprint.of(p), False)
+
+
 # -- buffer pool -----------------------------------------------------------
 
 
