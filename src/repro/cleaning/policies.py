@@ -82,10 +82,6 @@ class CleaningPolicy:
                 values.append(outcome)
         return tuple(values)
 
-    # plugin.scan() integration: same semantics, different call shape
-    def handle_row(self, row, cells, cols, convs, plugin, exc):
-        return self.repair(plugin, row, cells, list(cols))
-
     def on_error(self, plugin, row: int, col: int, text: str, exc: Exception):
         raise NotImplementedError
 

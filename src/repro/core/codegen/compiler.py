@@ -414,15 +414,14 @@ class _ProbeSink:
 class QueryCompiler:
     """Compiles one physical plan into a Python function ``fn(runtime)``.
 
-    ``vector_filters`` (default) evaluates scan predicates as per-chunk
-    selection-vector kernels and vectorizes hash-join build/probe; disabling
-    it restores row-at-a-time predicate tests and per-row join dispatch
-    (kept for differential testing and benchmarking the batch win).
+    Chunked scans evaluate their predicates as per-chunk selection-vector
+    kernels and feed hash-join build/probe a chunk at a time; the row loop
+    is what memory, expression and DBMS-index scans run, and what takes a
+    predicate :meth:`_emit_pred_kernel` declines.
     """
 
-    def __init__(self, catalog, vector_filters: bool = True):
+    def __init__(self, catalog):
         self.catalog = catalog
-        self.vector_filters = vector_filters
 
     def compile(self, plan: PhysReduce) -> CompiledQuery:
         self.ctx = ExprContext(source_names=self.catalog.names())
@@ -681,8 +680,8 @@ class QueryCompiler:
 
     def _sinkable(self, node) -> bool:
         """A bare chunked scan whose chunk loop can host a join sink."""
-        return (self.vector_filters and isinstance(node, PhysScan)
-                and node.chunked() and bool(node.fields or node.bind_whole))
+        return (isinstance(node, PhysScan) and node.chunked()
+                and bool(node.fields or node.bind_whole))
 
     def _emit_chunk_body(self, ch: str, names: list[str],
                          whole_local: str | None, pred, consume,
@@ -755,7 +754,7 @@ class QueryCompiler:
         ctx = _ChunkCtx(names, cols_var, total, whole_var, whole_local,
                         count_var)
         row_pred = pred
-        if pred is not None and fold is None and self.vector_filters:
+        if pred is not None and fold is None:
             if self._emit_pred_kernel(ctx, pred):
                 row_pred = None
         if fold is not None:

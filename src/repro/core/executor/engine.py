@@ -32,40 +32,30 @@ class JITStats:
 class JITExecutor:
     """Compiles plans to Python functions; caches compilations (true LRU).
 
-    Concurrency-safe and multi-tenant: cache keys include the session's
-    ``vector_filters`` mode (the same plan compiles to different kernels
-    under each mode), LRU bookkeeping runs under a mutex, and compilation
+    Concurrency-safe and multi-tenant: the cache is keyed by plan
+    fingerprint, LRU bookkeeping runs under a mutex, and compilation
     itself happens outside the lock — two sessions racing the same cold
     plan compile twice, the second insert wins, nothing corrupts.
-
-    ``vector_filters`` at construction sets the default mode for
-    :meth:`compile` calls that don't pass one (standalone uses).
     """
 
-    def __init__(self, catalog, max_cached: int = 256,
-                 vector_filters: bool = True):
+    def __init__(self, catalog, max_cached: int = 256):
         self.catalog = catalog
         self.max_cached = max_cached
-        self.vector_filters = vector_filters
         # insertion-ordered dict used as an LRU: hits move to the end, so
         # the front is always the least-recently-used entry
-        self._compiled: dict[tuple, CompiledQuery] = {}
+        self._compiled: dict[str, CompiledQuery] = {}
         self._mutex = threading.Lock()
         self.stats = JITStats()
 
-    def compile(self, plan: PhysReduce,
-                vector_filters: bool | None = None) -> CompiledQuery:
-        if vector_filters is None:
-            vector_filters = self.vector_filters
-        key = (bool(vector_filters), plan_fingerprint(plan))
+    def compile(self, plan: PhysReduce) -> CompiledQuery:
+        key = plan_fingerprint(plan)
         with self._mutex:
             hit = self._compiled.pop(key, None)
             if hit is not None:
                 self._compiled[key] = hit  # move-to-end: hot keys survive
                 self.stats.cache_hits += 1
                 return hit
-        compiled = QueryCompiler(
-            self.catalog, vector_filters=vector_filters).compile(plan)
+        compiled = QueryCompiler(self.catalog).compile(plan)
         with self._mutex:
             self.stats.compilations += 1
             if key not in self._compiled and \
@@ -75,16 +65,13 @@ class JITExecutor:
             self._compiled[key] = compiled
         return compiled
 
-    def is_cached(self, plan: PhysReduce,
-                  vector_filters: bool | None = None) -> bool:
+    def is_cached(self, plan: PhysReduce) -> bool:
         """True when this plan is already compiled (no compile cost to pay).
 
         A pure probe: no LRU move, no stats bump — the auto engine chooser
         asks before deciding whether JIT's compile latency is sunk.
         """
-        if vector_filters is None:
-            vector_filters = self.vector_filters
-        key = (bool(vector_filters), plan_fingerprint(plan))
+        key = plan_fingerprint(plan)
         with self._mutex:
             return key in self._compiled
 

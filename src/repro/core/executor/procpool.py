@@ -13,10 +13,11 @@ The contract, mirrored by ARCHITECTURE.md:
   cache the rehydrated state (catalog, exec'd JIT module or unpickled
   physical plan) keyed by the spec bytes, so per-morsel cost is one small
   ``(spec_key, morsel)`` message.
-- Children build raw-column partials plus worker-local stat deltas and
-  positional-map partials; they never touch the parent's cache. All cache
-  and posmap admission happens in the parent, in morsel order, exactly as
-  the thread path does.
+- Children build raw-column partials plus worker-local stat deltas and one
+  by-product object per scanned source (positional-map and statistics
+  partials; never an index partial); they never touch the parent's cache.
+  All cache admission and by-product adoption happens in the parent, in
+  morsel order, through the same gate the thread path uses.
 - Large homogeneous numeric columns ride in ``multiprocessing.shared_memory``
   segments instead of pickles; the parent attaches, copies, and unlinks.
   Abandoned results (LIMIT early stop, first-exception cancellation) are
@@ -87,7 +88,7 @@ class KernelSpec:
     row_limit: int | None = None
     #: table-statistics marching orders: (source, row count known?, known
     #: column names) per source — children collect only what the parent's
-    #: shared registry is missing, and ship StatsPartial byproducts home
+    #: shared registry is missing, and ship the partials home
     stats_sources: tuple = ()
 
 
@@ -245,21 +246,15 @@ def _child_runtime(catalog, cleaning, row_limit, stats_sources=()):
 
 
 def _finish(rt, partial) -> tuple:
-    """Package one morsel's result: packed partial + stat deltas + posmap
-    and stats partials, all merged by the parent under its lock."""
+    """Package one morsel's result: packed partial + stat deltas + the
+    morsel's by-products (source → ScanByproducts), all taken by the parent
+    under its lock. The child runtime has no index registry, so no index
+    partial is ever built or shipped from a worker."""
     stats = (rt.stats.raw_rows, rt.stats.cleaned_rows,
              rt.stats.skipped_rows, rt.stats.cache_rows)
-    posmaps = tuple(
-        (src, part)
-        for src, by_split in rt._posmap_parts.items()
-        for part in by_split.values()
-    )
-    statparts = tuple(
-        (src, part)
-        for src, by_split in rt._stats_parts.items()
-        for part in by_split.values()
-    )
-    return (pack_partial(partial), stats, posmaps, statparts)
+    byproducts = {src: part for src, by_split in rt._byproducts.items()
+                  for part in by_split.values()}
+    return (pack_partial(partial), stats, byproducts)
 
 
 def run_jit_morsel(spec_bytes: bytes, morsel) -> tuple:

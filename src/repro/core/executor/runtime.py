@@ -22,6 +22,7 @@ from ...formats.descriptions import NULL_TOKENS
 from ...indexing import IndexPartial
 from ...mcc.monoids import get_monoid
 from ...stats import ScanTiming, StatsPartial
+from ..byproducts import ScanByproducts
 from ..chunk import DEFAULT_BATCH_SIZE, MORSEL_ALL, Chunk, Morsel, split_ranges
 from .scheduler import MorselScheduler
 
@@ -56,30 +57,26 @@ class _CountingPolicy:
     """Wraps a cleaning policy so batch scans account repairs/skips.
 
     The batch path hands the policy to the plugin's chunked scan, so the
-    per-query stats accounting wraps the policy rather than living in a
-    runtime callback. ``lock`` serialises repairs when morsel workers share
-    the underlying (possibly stateful) policy object.
+    accounting wraps the policy rather than living in a runtime callback:
+    ``counts`` is the scan's own tally, flushed into the query's stats when
+    the scan ends. ``lock`` serialises repairs — morsel workers and
+    sub-query scans share the underlying (possibly stateful) policy object.
     """
 
-    def __init__(self, policy, stats: "ExecStats", lock=None):
+    def __init__(self, policy, counts: "ExecStats", lock):
         self._policy = policy
         self._lock = lock
-        self.stats = stats
+        self.counts = counts
         self.validate_always = bool(getattr(policy, "validate_always", False))
 
     def repair(self, plugin, row: int, cells: list, cols: list):
-        if self._lock is not None:
-            with self._lock:
-                return self._repair(plugin, row, cells, cols)
-        return self._repair(plugin, row, cells, cols)
-
-    def _repair(self, plugin, row: int, cells: list, cols: list):
-        repaired = self._policy.repair(plugin, row, cells, list(cols))
-        if repaired is None:
-            self.stats.skipped_rows += 1
-        else:
-            self.stats.cleaned_rows += 1
-        return repaired
+        with self._lock:
+            repaired = self._policy.repair(plugin, row, cells, list(cols))
+            if repaired is None:
+                self.counts.skipped_rows += 1
+            else:
+                self.counts.cleaned_rows += 1
+            return repaired
 
 
 class QueryRuntime:
@@ -133,11 +130,9 @@ class QueryRuntime:
         # one cache lookup per (source, fields, whole) per query, shared by
         # every morsel worker slicing row-range chunk views off it
         self._cache_scan_memo: dict[tuple, tuple] = {}
-        # per-morsel positional-map partials awaiting the coordinator's
-        # ordered merge (source → {Morsel: PositionalMap})
-        self._posmap_parts: dict[str, dict] = {}
-        # per-morsel value-index partials, same lifecycle as posmap partials
-        self._index_parts: dict[str, dict] = {}
+        # per-morsel by-products of parallel scans awaiting the coordinator's
+        # ordered merge in finish_scan (source → {Morsel: ScanByproducts})
+        self._byproducts: dict[str, dict] = {}
         #: shared :class:`~repro.stats.StatsRegistry`, or ``None`` when
         #: adaptive statistics are off (then ``stats_hint`` may still carry
         #: a worker child's marching orders: source → (have_rows, known
@@ -145,10 +140,8 @@ class QueryRuntime:
         self.table_stats = table_stats
         self._stats_hint = stats_hint or {}
         # per-source collection state memoised at first touch so every
-        # morsel of one scan builds identically-shaped stats sinks
+        # morsel of one scan builds identically-shaped stats partials
         self._stats_states: dict[str, tuple | None] = {}
-        # per-morsel stats partials, same lifecycle as index partials
-        self._stats_parts: dict[str, dict] = {}
         #: measured per-scan wall-clock timings (serial scans only — morsel
         #: workers overlap, so their per-worker times aren't wall-clock);
         #: the session feeds these into the shared CostCalibration
@@ -213,20 +206,6 @@ class QueryRuntime:
             if deltas:
                 self.engine.count(**deltas)
 
-    def _adopt_posmap(self, source: str, partials: list,
-                      expect=None) -> bool:
-        """Atomic adopt-or-discard of completed positional-map partials:
-        one winner per concurrent cold race, stale scans always discard."""
-        plugin = self.catalog.get(source).plugin
-        with self.catalog.source_lock(source):
-            adopted = self._generation_current(source) and \
-                plugin.adopt_posmap_partials(partials, expect=expect)
-        if adopted:
-            self._count_engine(posmap_adoptions=1)
-        else:
-            self._count_engine(posmap_discards=1)
-        return adopted
-
     # -- morsel-parallel scan protocol ------------------------------------------
 
     def run_morsels(self, kernel, morsels: list, dop: int,
@@ -272,7 +251,7 @@ class QueryRuntime:
         the session's worker-process pool, and returns unpacked worker
         partials in morsel order — shaped exactly like the thread path's, so
         the generated merge loop is backend-agnostic. Worker stat deltas are
-        flushed under the runtime lock and positional-map partials are
+        flushed under the runtime lock and each worker's by-products are
         stored for :meth:`finish_scan`, mirroring the thread contract.
         """
         import functools
@@ -296,8 +275,9 @@ class QueryRuntime:
         return self._run_spec(kernel, morsels, dop, limited)
 
     def _run_spec(self, kernel, morsels: list, dop: int, limited: bool) -> list:
-        """Shared spec-kernel driver: schedule, merge stats/posmap partials
-        in the parent (children never touch the parent's cache), unpack
+        """Shared spec-kernel driver: schedule, take worker stat deltas and
+        by-products in the parent (children never touch the parent's cache,
+        maps or registries; :meth:`finish_scan` adopts or discards), unpack
         shared-memory columns, and return worker partials in morsel order."""
         from . import procpool
         from .scheduler import ProcessMorselScheduler
@@ -323,17 +303,15 @@ class QueryRuntime:
                 with self._lock:
                     self.stats.morsels_cancelled += scheduler.cancelled
         partials = []
-        for morsel, (packed, deltas, posmaps, statparts) in zip(morsels, results):
+        for morsel, (packed, deltas, byproducts) in zip(morsels, results):
             raw_rows, cleaned, skipped, cache_rows = deltas
             with self._lock:
                 self.stats.raw_rows += raw_rows
                 self.stats.cleaned_rows += cleaned
                 self.stats.skipped_rows += skipped
                 self.stats.cache_rows += cache_rows
-                for src, part in posmaps:
-                    self._posmap_parts.setdefault(src, {})[morsel] = part
-                for src, part in statparts:
-                    self._stats_parts.setdefault(src, {})[morsel] = part
+                for src, part in byproducts.items():
+                    self._byproducts.setdefault(src, {})[morsel] = part
             partials.append(procpool.unpack_partial(packed))
         return partials
 
@@ -377,78 +355,20 @@ class QueryRuntime:
         return splits(parts)
 
     def finish_scan(self, source: str, splits: list) -> None:
-        """Coordinator epilogue of a parallel scan: merge auxiliary-structure
-        partials (positional maps, value indexes) in morsel order. No-op for
+        """Coordinator epilogue of a parallel scan: merge what its morsels
+        left behind, in morsel order, and adopt or discard it. No-op for
         sources whose morsels recorded nothing."""
-        parts = self._posmap_parts.pop(source, None)
+        parts = self._byproducts.pop(source, None)
         if parts:
-            byte_splits = [s for s in splits if s.kind == "bytes"]
-            if byte_splits and all(s in parts for s in byte_splits):
-                self._adopt_posmap(source,
-                                   [parts[s] for s in byte_splits],
-                                   expect=self._posmap_expect.get(source))
-            # else: a morsel didn't finish; discard rather than adopt holes
-        iparts = self._index_parts.pop(source, None)
-        if iparts:
-            if any(s.kind == "bytes" for s in splits):
-                # byte morsels record morsel-local rows: shifting them to
-                # global rows needs every morsel's exact row count, so a
-                # single missing partial discards the whole byproduct
-                if all(s in iparts for s in splits):
-                    self._adopt_index_partials(
-                        source, [iparts[s] for s in splits]
-                    )
-            else:
-                # row/span morsels record global rows and per-field coverage
-                # ranges, so whatever completed adopts soundly on its own
-                ordered = [iparts[s] for s in splits if s in iparts]
-                if ordered:
-                    self._adopt_index_partials(source, ordered)
-        sparts = self._stats_parts.pop(source, None)
-        if sparts:
-            # statistics claim full-table coverage, so (unlike row-morsel
-            # index partials) a single missing split discards the byproduct
-            # — no partial row counts, no biased min/max/NDV
-            if all(s in sparts for s in splits):
-                self._adopt_stats_partials(
-                    source, [sparts[s] for s in splits], complete=True
-                )
+            self._adopt_byproducts(source, parts, splits)
 
-    def _adopt_index_partials(self, source: str, partials: list) -> None:
-        """Merge scan-byproduct index partials into the shared registry
-        (morsel order), crediting ``index_builds`` for fields that grew.
-
-        Atomic adopt-or-discard: runs under the source lock against the
-        generation token captured at scan start, so partials built from a
-        since-mutated file are dropped instead of poisoning fresh indexes.
-        """
-        if self.indexes is None:
-            return
-        with self.catalog.source_lock(source):
-            if not self._generation_current(source):
-                self._count_engine(index_discards=1)
-                return
-            entry = self.catalog.get(source)
-            grown = self.indexes.adopt(source, entry.generation, partials)
-        if grown:
-            with self._lock:
-                self.stats.index_builds += grown
-            self._count_engine(index_adoptions=1)
-
-    def _new_index_sink(self, index_fields: tuple, split) -> IndexPartial | None:
-        """A byproduct recorder for one scan (or morsel), if emission is on."""
-        if not index_fields or self.indexes is None:
-            return None
-        local = split is not None and split.kind == "bytes"
-        return IndexPartial(index_fields, local_rows=local)
-
-    # -- table statistics as scan byproducts --------------------------------
+    # -- scan by-products: request, adopt or discard -------------------------
 
     def _stats_state(self, source: str) -> tuple | None:
         """(row count known?, known column names) for ``source``, or None
         when this runtime collects no statistics. Memoised per query so all
-        morsels of one scan agree on the sink shape (bit-identity across
-        DoP depends on it)."""
+        morsels of one scan agree on the partial's shape (bit-identity
+        across DoP depends on it)."""
         if source in self._stats_states:
             return self._stats_states[source]
         if self.table_stats is not None:
@@ -459,42 +379,78 @@ class QueryRuntime:
         self._stats_states[source] = state
         return state
 
-    def _new_stats_sink(self, source: str, fields, split=None):
-        """A stats recorder for one scan (or morsel), covering only what
-        the shared registry doesn't already know; None when nothing new
-        would be learned (steady state: scans carry no stats overhead)."""
-        state = self._stats_state(source)
-        if state is None:
+    def _request_byproducts(self, source: str, split, stat_fields=None,
+                            index_fields: tuple = (), posmap_of=None):
+        """The by-products one scan (or morsel) of ``source`` should leave
+        behind, or None: a detached positional-map partial for a cold pass
+        of CSV plugin ``posmap_of``, a value-index partial over
+        ``index_fields`` when indexes are on, and a statistics partial over
+        whichever ``stat_fields`` (None = collect none) the shared registry
+        doesn't know yet — in the steady state scans carry none of it."""
+        self.touch_generation(source)
+        posmap = index = stats = None
+        if posmap_of is not None and (
+                split is None or split.kind in ("all", "bytes")):
+            posmap = posmap_of.new_posmap_partial()
+            if split is None:
+                self._posmap_expect[source] = posmap_of.posmap
+        if index_fields and self.indexes is not None:
+            # byte morsels count rows from 0; adoption shifts them
+            index = IndexPartial(index_fields, local_rows=split is not None
+                                 and split.kind == "bytes")
+        state = self._stats_state(source) if stat_fields is not None else None
+        if state is not None:
+            have_rows, known = state
+            needed = tuple(f for f in stat_fields if f not in known)
+            if needed or not have_rows:
+                stats = StatsPartial(needed)
+        if posmap is None and index is None and stats is None:
             return None
-        have_rows, known = state
-        needed = tuple(f for f in fields if f not in known)
-        if not needed and have_rows:
-            return None
-        return StatsPartial(needed)
+        return ScanByproducts(posmap, index, stats)
 
-    def _adopt_stats_partials(self, source: str, partials: list,
-                              complete: bool) -> None:
-        """Atomic adopt-or-discard of scan-byproduct statistics partials.
+    def _adopt_byproducts(self, source: str, parts: dict, splits: list) -> None:
+        """The one adopt-or-discard gate: merge a finished scan's by-products
+        (``parts``: Morsel → ScanByproducts) in ``splits`` order and install
+        every kind its coverage rule lets through — or none of them.
 
-        ``complete`` asserts full row coverage (serial exhaustion, or every
-        parallel split present) — only then may ``row_count`` be learned.
-        A LIMIT-truncated execution saw a prefix, so it never adopts.
+        One decision under the source lock: the generation token captured at
+        scan start must still be the catalog's and the file's stat must still
+        match it (a scan over since-mutated bytes poisons nothing). The map
+        adopts only into the map object seen at scan start (one winner per
+        concurrent cold race); indexes and statistics merge idempotently.
         """
-        if self.table_stats is None or not partials or self.truncated:
+        posmaps, indexes, stats = ScanByproducts.merge(
+            parts, splits, untruncated=not self.truncated)
+        if self.indexes is None:
+            indexes = []
+        if self.table_stats is None:
+            stats = None
+        if not (posmaps or indexes or stats is not None):
             return
-        merged = partials[0]
-        for p in partials[1:]:
-            merged.merge(p)
+        entry = self.catalog.get(source)
+        mapped = grown = learned = False
         with self.catalog.source_lock(source):
-            if not self._generation_current(source):
-                self._count_engine(stats_discards=1)
-                return
-            entry = self.catalog.get(source)
-            changed = self.table_stats.adopt(
-                source, entry.generation, merged, complete
-            )
-        if changed:
-            self._count_engine(stats_adoptions=1)
+            current = self._generation_current(source)
+            if current:
+                if posmaps:
+                    mapped = entry.plugin.adopt_posmap_partials(
+                        posmaps, expect=self._posmap_expect.get(source))
+                if indexes:
+                    grown = self.indexes.adopt(source, entry.generation,
+                                               indexes)
+                if stats is not None:
+                    learned = self.table_stats.adopt(
+                        source, entry.generation, stats, True)
+        if grown:
+            with self._lock:
+                self.stats.index_builds += grown
+        self._count_engine(
+            posmap_adoptions=int(mapped),
+            posmap_discards=int(bool(posmaps) and not mapped),
+            index_adoptions=int(bool(grown)),
+            index_discards=int(bool(indexes) and not current),
+            stats_adoptions=int(learned),
+            stats_discards=int(stats is not None and not current))
 
     def _stats_spec(self) -> tuple:
         """Per-source collection state shipped to worker processes: each
@@ -509,33 +465,6 @@ class QueryRuntime:
                 have_rows, known = state
                 out.append((source, bool(have_rows), tuple(sorted(known))))
         return tuple(out)
-
-    def _instrument(self, chunks, source: str, fmt: str, access: str,
-                    nfields: int):
-        """Wrap a serial scan's chunk stream, measuring wall-clock spent
-        *inside* the plugin iterator (consumer time excluded). On
-        exhaustion the timing is recorded for cost-model calibration; an
-        abandoned scan (LIMIT) records nothing."""
-        rows = 0
-        nchunks = 0
-        elapsed = 0.0
-        it = iter(chunks)
-        while True:
-            t0 = perf_counter()
-            try:
-                chunk = next(it)
-            except StopIteration:
-                elapsed += perf_counter() - t0
-                break
-            elapsed += perf_counter() - t0
-            rows += chunk.scanned if chunk.scanned is not None \
-                else chunk.selected_length
-            nchunks += 1
-            yield chunk
-        timing = ScanTiming(source, fmt, access, rows, nfields, nchunks,
-                            elapsed)
-        with self._lock:
-            self.scan_timings.append(timing)
 
     def _cache_scan_once(self, source: str, fields: tuple, whole: bool):
         key = (source, fields, bool(whole))
@@ -800,11 +729,77 @@ class QueryRuntime:
         length = len(data[0]) if data else 0
         return [Chunk(tuple(fields), tuple(data), length)]
 
+    def _scan(self, source: str, chunks, split=None, byproducts=None,
+              counts: ExecStats | None = None, timing: tuple | None = None,
+              own: bool = False):
+        """The one body of a raw scan: what every ``*_chunks`` does around
+        its plugin call.
+
+        A serial scan (``split`` None) is the one-morsel case of a parallel
+        one: it charges the file's bytes itself (a morsel leaves that to the
+        coordinator's :meth:`account_raw`), records the wall-clock spent
+        *inside* the plugin iterator for cost calibration (``timing``:
+        format, access, field count; consumer time excluded, and morsels
+        overlap, so theirs isn't wall-clock) and, being the whole scan — as
+        is a morsel that is ``own`` — puts its by-products through the
+        adopt-or-discard gate when it runs to the end; any other morsel
+        stashes them for :meth:`finish_scan`. An abandoned scan (LIMIT)
+        records and adopts nothing. Row and cleaning counters (``counts``,
+        filled by a :class:`_CountingPolicy`) accumulate scan-locally and
+        flush once under the runtime lock — rows the policy dropped were
+        still physically scanned. A plugin without a file behind it (a DBMS
+        store) serves already-loaded rows: they count as ``cache_rows``.
+        """
+        own = own or split is None
+        path = getattr(self.catalog.get(source).plugin, "path", None)
+        if split is None and path is not None:
+            with self._lock:
+                self.stats.raw_sources.add(source)
+                self.stats.raw_bytes += os.path.getsize(path)
+        count = nchunks = 0
+        elapsed = 0.0
+        it = iter(chunks)
+        while True:
+            t0 = perf_counter()
+            chunk = next(it, None)
+            elapsed += perf_counter() - t0
+            if chunk is None:
+                break
+            count += chunk.scanned if chunk.scanned is not None \
+                else chunk.selected_length
+            nchunks += 1
+            yield chunk
+        with self._lock:
+            if split is None and timing is not None:
+                fmt, access, nfields = timing
+                self.scan_timings.append(ScanTiming(
+                    source, fmt, access, count, nfields, nchunks, elapsed))
+            if counts is not None:
+                count += counts.skipped_rows
+                self.stats.cleaned_rows += counts.cleaned_rows
+                self.stats.skipped_rows += counts.skipped_rows
+            if path is None:
+                self.stats.cache_rows += count
+            else:
+                self.stats.raw_rows += count
+            if byproducts is not None and not own:
+                self._byproducts.setdefault(source, {})[split] = byproducts
+        if byproducts is not None and own:
+            key = split if split is not None else MORSEL_ALL
+            self._adopt_byproducts(source, {key: byproducts}, [key])
+
+    def _unpinnable(self, source: str) -> None:
+        if source in self.as_of:
+            raise GenerationError(
+                f"source {source!r} has format "
+                f"{self.catalog.get(source).format!r}, which does not "
+                "support AS OF generation pinning")
+
     def csv_chunks(
         self,
         source: str,
         fields: tuple,
-        access: str = "cold",
+        access: str | None = None,
         batch_size: int = DEFAULT_BATCH_SIZE,
         whole: bool = False,
         split=None,
@@ -814,108 +809,46 @@ class QueryRuntime:
     ):
         """Batched CSV scan: converted column chunks with piggybacked
         positional-map population (cold) and batch-level cleaning.
+        ``access`` defaults to the map's state (warm once it is complete).
 
-        ``index_fields`` requests value-index byproduct emission: the plugin
-        records those columns' converted values into an
-        :class:`~repro.indexing.IndexPartial` while scanning, and the
-        partial is adopted into the session registry when the scan (or, for
-        morsels, the coordinator's :meth:`finish_scan`) completes. Emission
-        is suppressed under cleaning policies — repaired/skipped rows would
-        desynchronise value runs from physical rows.
-
-        With ``split`` the scan covers one morsel: file-level accounting is
-        the coordinator's job (:meth:`account_raw`), row/cleaning counters
-        accumulate locally and flush under the runtime lock once.
+        ``index_fields`` requests value-index by-product emission: the
+        plugin records those columns' converted values while scanning, and
+        they are adopted into the session registry when the scan (or, for
+        morsels, the coordinator's :meth:`finish_scan`) completes. Index and
+        statistics emission is suppressed under cleaning policies —
+        repaired/skipped rows would desynchronise values from physical rows.
 
         ``pred_fields``/``pred_kernel`` forward a selection-pushdown filter
         to the plugin's warm navigated path (late materialization); chunks
         then arrive as dense predicate survivors with ``Chunk.scanned``
         carrying the physical row count for accounting."""
         if source in self.as_of:
-            yield from self._pinned_csv_chunks(source, tuple(fields),
-                                               batch_size, whole, split)
-            return
-        entry = self.catalog.get(source)
-        plugin = entry.plugin
-        self.touch_generation(source)
-        clean = self.cleaning.get(source)
-        if clean is None or not (fields or whole):
-            # a projection that touches no raw attribute cannot fail conversion
-            clean = None
-        sink = self._new_index_sink(index_fields, split) \
-            if clean is None else None
-        # stats byproducts cover the materialised columns (all columns on a
-        # whole-row binding); suppressed under cleaning like index emission
+            return self._pinned_csv_chunks(source, tuple(fields),
+                                           batch_size, whole, split)
+        plugin = self.catalog.get(source).plugin
+        if access is None:
+            access = "warm" if plugin.posmap.complete else "cold"
+        # a projection that touches no raw attribute cannot fail conversion
+        clean = self.cleaning.get(source) if (fields or whole) else None
+        # statistics cover the materialised columns (all of them on a
+        # whole-row binding)
         sfields = tuple(fields) if fields \
             else (tuple(plugin.columns) if whole else ())
-        ssink = self._new_stats_sink(source, sfields, split) \
-            if clean is None else None
-        if split is None:
-            self.stats.raw_sources.add(source)
-            self.stats.raw_bytes += os.path.getsize(plugin.path)
-            if clean is not None:
-                clean = _CountingPolicy(clean, self.stats)
-            # cold population records into a detached partial map, adopted
-            # atomically below — concurrent sessions cold-scanning the same
-            # file each build their own; exactly one wins, none corrupts
-            pm_expect = pm_partial = None
-            if access == "cold":
-                pm_expect = plugin.posmap
-                pm_partial = plugin.new_posmap_partial()
-            count = 0
-            skipped_before = self.stats.skipped_rows
-            for chunk in self._instrument(
-                plugin.scan_chunks(
-                    fields, batch_size=batch_size,
-                    device=self.device_for(source),
-                    clean=clean, whole=whole, access=access,
-                    posmap_partial=pm_partial,
-                    pred_fields=pred_fields, pred_kernel=pred_kernel,
-                    index_sink=sink, stats_sink=ssink,
-                ),
-                source, "csv", access, len(sfields),
-            ):
-                count += chunk.scanned if chunk.scanned is not None \
-                    else chunk.selected_length
-                yield chunk
-            # rows the cleaning policy dropped were still physically scanned
-            self.stats.raw_rows += count + (self.stats.skipped_rows - skipped_before)
-            if pm_partial is not None:
-                self._adopt_posmap(source, [pm_partial], expect=pm_expect)
-            if sink is not None:
-                self._adopt_index_partials(source, [sink])
-            if ssink is not None:
-                self._adopt_stats_partials(source, [ssink], complete=True)
-            return
-        local = ExecStats()
+        byproducts = self._request_byproducts(
+            source, split, sfields if clean is None else None,
+            index_fields if clean is None else (),
+            posmap_of=plugin if access == "cold" else None)
+        counts = None
         if clean is not None:
-            clean = _CountingPolicy(clean, local, lock=self._lock)
-        partial = None
-        if split.kind == "bytes" and access == "cold":
-            # sharded positional-map population piggybacks on the morsel;
-            # finish_scan merges the partials in morsel order
-            partial = plugin.new_posmap_partial()
-        count = 0
-        for chunk in plugin.scan_chunks(
+            counts = ExecStats()
+            clean = _CountingPolicy(clean, counts, self._lock)
+        chunks = plugin.scan_chunks(
             fields, batch_size=batch_size, device=self.device_for(source),
             clean=clean, whole=whole, access=access, split=split,
-            posmap_partial=partial,
             pred_fields=pred_fields, pred_kernel=pred_kernel,
-            index_sink=sink, stats_sink=ssink,
-        ):
-            count += chunk.scanned if chunk.scanned is not None \
-                else chunk.selected_length
-            yield chunk
-        with self._lock:
-            self.stats.raw_rows += count + local.skipped_rows
-            self.stats.cleaned_rows += local.cleaned_rows
-            self.stats.skipped_rows += local.skipped_rows
-            if partial is not None:
-                self._posmap_parts.setdefault(source, {})[split] = partial
-            if sink is not None:
-                self._index_parts.setdefault(source, {})[split] = sink
-            if ssink is not None:
-                self._stats_parts.setdefault(source, {})[split] = ssink
+            byproducts=byproducts)
+        return self._scan(source, chunks, split, byproducts, counts,
+                          timing=("csv", access, len(sfields)))
 
     def json_chunks(
         self,
@@ -928,46 +861,22 @@ class QueryRuntime:
     ):
         """Batched JSON scan: dotted-path column chunks and/or whole objects.
 
-        ``index_fields`` requests value-index byproduct emission over those
+        ``index_fields`` requests value-index by-product emission over those
         dotted paths (JSON rows are semi-index span numbers, always global,
         so morsel partials never need shifting)."""
         if source in self.as_of:
-            yield from self._pinned_json_chunks(source, tuple(paths),
-                                                batch_size, whole, split)
-            return
-        entry = self.catalog.get(source)
-        plugin = entry.plugin
-        self.touch_generation(source)
-        sink = self._new_index_sink(index_fields, split)
-        ssink = self._new_stats_sink(source, tuple(paths), split)
+            return self._pinned_json_chunks(source, tuple(paths),
+                                            batch_size, whole, split)
+        plugin = self.catalog.get(source).plugin
+        byproducts = self._request_byproducts(source, split, tuple(paths),
+                                              index_fields)
         access = "warm" if plugin.has_semi_index() else "cold"
-        if split is None:
-            self.stats.raw_sources.add(source)
-            self.stats.raw_bytes += os.path.getsize(plugin.path)
-        count = 0
         chunks = plugin.scan_chunks(paths, batch_size=batch_size,
                                     device=self.device_for(source),
                                     whole=whole, split=split,
-                                    index_sink=sink, stats_sink=ssink)
-        if split is None:
-            chunks = self._instrument(chunks, source, "json", access,
-                                      len(paths))
-        for chunk in chunks:
-            count += chunk.selected_length
-            yield chunk
-        if split is None:
-            self.stats.raw_rows += count
-            if sink is not None:
-                self._adopt_index_partials(source, [sink])
-            if ssink is not None:
-                self._adopt_stats_partials(source, [ssink], complete=True)
-        else:
-            with self._lock:
-                self.stats.raw_rows += count
-                if sink is not None:
-                    self._index_parts.setdefault(source, {})[split] = sink
-                if ssink is not None:
-                    self._stats_parts.setdefault(source, {})[split] = ssink
+                                    byproducts=byproducts)
+        return self._scan(source, chunks, split, byproducts,
+                          timing=("json", access, len(paths)))
 
     def index_chunks(
         self,
@@ -1079,32 +988,17 @@ class QueryRuntime:
                          whole: bool, batch_size: int, emit_fields: tuple,
                          device):
         """Full scan of one uncovered row range during an index-served scan,
-        emitting byproducts so the range is covered next time."""
+        emitting index by-products so the range is covered next time."""
         plugin = entry.plugin
-        source = entry.name
-        if entry.format == "csv":
-            split = Morsel("rows", lo, hi, start_row=lo)
-        else:
-            split = Morsel("spans", lo, hi, start_row=lo)
-        sink = self._new_index_sink(emit_fields, split)
-        count = 0
-        if entry.format == "csv":
-            chunks = plugin.scan_chunks(
-                fields, batch_size=batch_size, device=device, whole=whole,
-                access="warm", split=split, index_sink=sink,
-            )
-        else:
-            chunks = plugin.scan_chunks(
-                fields, batch_size=batch_size, device=device, whole=whole,
-                split=split, index_sink=sink,
-            )
-        for chunk in chunks:
-            count += chunk.scanned if chunk.scanned is not None \
-                else chunk.selected_length
-            yield chunk
-        self.stats.raw_rows += count
-        if sink is not None:
-            self._adopt_index_partials(source, [sink])
+        csv = entry.format == "csv"
+        split = Morsel("rows" if csv else "spans", lo, hi, start_row=lo)
+        byproducts = self._request_byproducts(entry.name, split,
+                                              index_fields=emit_fields)
+        kwargs = {"access": "warm"} if csv else {}
+        chunks = plugin.scan_chunks(
+            fields, batch_size=batch_size, device=device, whole=whole,
+            split=split, byproducts=byproducts, **kwargs)
+        return self._scan(entry.name, chunks, split, byproducts, own=True)
 
     def array_chunks(
         self,
@@ -1115,36 +1009,13 @@ class QueryRuntime:
         split=None,
     ):
         """Batched binary-array scan (fused-struct batch decode)."""
-        if source in self.as_of:
-            raise GenerationError(
-                f"source {source!r} has format 'array', which does not "
-                "support AS OF generation pinning")
-        entry = self.catalog.get(source)
-        self.touch_generation(source)
-        ssink = self._new_stats_sink(source, tuple(fields), split)
-        if split is None:
-            self.stats.raw_sources.add(source)
-            self.stats.raw_bytes += os.path.getsize(entry.plugin.path)
-        count = 0
-        chunks = entry.plugin.scan_chunks(fields, batch_size=batch_size,
-                                          device=self.device_for(source),
-                                          whole=whole, split=split,
-                                          stats_sink=ssink)
-        if split is None:
-            chunks = self._instrument(chunks, source, "array", "cold",
-                                      len(fields))
-        for chunk in chunks:
-            count += chunk.selected_length
-            yield chunk
-        if split is None:
-            self.stats.raw_rows += count
-            if ssink is not None:
-                self._adopt_stats_partials(source, [ssink], complete=True)
-        else:
-            with self._lock:
-                self.stats.raw_rows += count
-                if ssink is not None:
-                    self._stats_parts.setdefault(source, {})[split] = ssink
+        self._unpinnable(source)
+        byproducts = self._request_byproducts(source, split, tuple(fields))
+        chunks = self.catalog.get(source).plugin.scan_chunks(
+            fields, batch_size=batch_size, device=self.device_for(source),
+            whole=whole, split=split, byproducts=byproducts)
+        return self._scan(source, chunks, split, byproducts,
+                          timing=("array", "cold", len(fields)))
 
     def xls_chunks(
         self,
@@ -1154,72 +1025,13 @@ class QueryRuntime:
         whole: bool = False,
     ):
         """Batched workbook scan of the source's registered sheet."""
+        self._unpinnable(source)
         entry = self.catalog.get(source)
-        sheet = entry.description.options.get("sheet")
-        self.stats.raw_sources.add(source)
-        self.stats.raw_bytes += os.path.getsize(entry.plugin.path)
-        count = 0
-        for chunk in entry.plugin.scan_chunks(sheet, fields,
-                                              batch_size=batch_size,
-                                              device=self.device_for(source),
-                                              whole=whole):
-            count += chunk.selected_length
-            yield chunk
-        self.stats.raw_rows += count
-
-    # -- JSON -----------------------------------------------------------
-
-    def json_objects(self, source: str):
-        if source in self.as_of:
-            for chunk in self.json_chunks(source, (), whole=True):
-                yield from chunk.iter_whole()
-            return
-        entry = self.catalog.get(source)
-        plugin = entry.plugin
-        self.stats.raw_sources.add(source)
-        self.stats.raw_bytes += os.path.getsize(plugin.path)
-        count = 0
-        for obj in plugin.scan_objects(device=self.device_for(source)):
-            yield obj
-            count += 1
-        self.stats.raw_rows += count
-
-    def json_spans(self, source: str):
-        if source in self.as_of:
-            raise GenerationError(
-                f"positional span access cannot serve {source!r} AS OF a "
-                "pinned generation")
-        plugin = self.catalog.get(source).plugin
-        self.stats.raw_sources.add(source)
-        return plugin.scan_positions()
-
-    def json_assemble(self, source: str, spans):
-        plugin = self.catalog.get(source).plugin
-        return plugin.assemble(spans, device=self.device_for(source))
-
-    # -- array / xls -----------------------------------------------------------
-
-    def array_scan(self, source: str):
-        entry = self.catalog.get(source)
-        self.stats.raw_sources.add(source)
-        self.stats.raw_bytes += os.path.getsize(entry.plugin.path)
-        count = 0
-        for tup in entry.plugin.scan(device=self.device_for(source)):
-            yield tup
-            count += 1
-        self.stats.raw_rows += count
-
-    def xls_rows(self, source: str, fields: tuple):
-        entry = self.catalog.get(source)
-        sheet = entry.description.options.get("sheet")
-        self.stats.raw_sources.add(source)
-        self.stats.raw_bytes += os.path.getsize(entry.plugin.path)
-        count = 0
-        for tup in entry.plugin.scan(sheet, list(fields) or None,
-                                     device=self.device_for(source)):
-            yield tup
-            count += 1
-        self.stats.raw_rows += count
+        chunks = entry.plugin.scan_chunks(
+            entry.description.options.get("sheet"), fields,
+            batch_size=batch_size, device=self.device_for(source),
+            whole=whole)
+        return self._scan(source, chunks)
 
     # -- DBMS sources -----------------------------------------------------------
 
@@ -1231,14 +1043,12 @@ class QueryRuntime:
         whole: bool = False,
     ):
         """Batched scan of a registered DBMS source (full scans only; index
-        lookups stay row-at-a-time via :meth:`dbms_rows`)."""
-        plugin = self.catalog.get(source).plugin
-        count = 0
-        for chunk in plugin.scan_chunks(fields or None, batch_size=batch_size,
-                                        whole=whole):
-            count += chunk.selected_length
-            yield chunk
-        self.stats.cache_rows += count
+        lookups stay row-at-a-time via :meth:`dbms_rows`). The store is not
+        a raw file: its rows count as already-loaded (``cache_rows``)."""
+        self._unpinnable(source)
+        chunks = self.catalog.get(source).plugin.scan_chunks(
+            fields or None, batch_size=batch_size, whole=whole)
+        return self._scan(source, chunks)
 
     def dbms_rows(self, source: str, fields: tuple, index_eq: tuple | None):
         """Scan a registered DBMS source; uses the store index when the
@@ -1265,57 +1075,22 @@ class QueryRuntime:
                 count += 1
         self.stats.cache_rows += count
 
-    # -- generic row iterator (subqueries, interpreter) ------------------------
+    # -- generic element iterator (sub-queries, interpreter) -------------------
 
     def iter_source(self, source: str):
-        """Yield every element of a source as a record-like value.
-
-        CSV/array/xls rows surface as dicts so path navigation works
-        uniformly; JSON objects and memory elements pass through.
-        """
+        """Yield every element of a source as a record-like value, over the
+        same chunked scans top-level plans use (``whole=True``): CSV, array
+        and xls rows surface as dicts so path navigation works uniformly;
+        JSON objects, DBMS records and memory elements pass through."""
         entry = self.catalog.get(source)
-        fmt = entry.format
         if entry.data is not None:
-            self.stats.cache_rows += len(entry.data)
-            yield from entry.data
+            yield from self.memory(source)
             return
-        if fmt == "csv":
-            if source in self.as_of:
-                for chunk in self.csv_chunks(source, (), whole=True):
-                    yield from chunk.iter_whole()
-                return
-            plugin = entry.plugin
-            columns = plugin.columns
-            self.stats.raw_sources.add(source)
-            self.stats.raw_bytes += os.path.getsize(plugin.path)
-            count = 0
-            for tup in plugin.scan(None, device=self.device_for(source),
-                                   clean=self.cleaning.get(source)):
-                yield dict(zip(columns, tup))
-                count += 1
-            self.stats.raw_rows += count
-            return
-        if fmt == "json":
-            yield from self.json_objects(source)
-            return
-        if source in self.as_of:
-            raise GenerationError(
-                f"source {source!r} has format {fmt!r}, which does not "
-                "support AS OF generation pinning")
-        if fmt == "array":
-            plugin = entry.plugin
-            names = list(plugin.dim_names) + [n for n, _t in plugin.header.fields]
-            for tup in self.array_scan(source):
-                yield dict(zip(names, tup))
-            return
-        if fmt == "xls":
-            sheet = entry.description.options.get("sheet")
-            columns = entry.plugin.sheets[sheet].columns
-            for tup in self.xls_rows(source, tuple(columns)):
-                yield dict(zip(columns, tup))
-            return
-        if fmt == "dbms":
-            yield from self.dbms_rows(source, (), None)
-            return
-        raise ExecutionError(f"cannot iterate source of format {fmt!r}")
-
+        scans = {"csv": self.csv_chunks, "json": self.json_chunks,
+                 "array": self.array_chunks, "xls": self.xls_chunks,
+                 "dbms": self.dbms_chunks}
+        if entry.format not in scans:
+            raise ExecutionError(
+                f"cannot iterate source of format {entry.format!r}")
+        for chunk in scans[entry.format](source, (), whole=True):
+            yield from chunk.iter_whole()

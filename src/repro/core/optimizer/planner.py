@@ -173,7 +173,6 @@ class Planner:
         parallelism: int = 1,
         serial_sources: frozenset | set | None = None,
         cleaning_sources: frozenset | set | None = None,
-        vector_filters: bool = True,
         backend: str = "thread",
         cleaning_policies: dict | None = None,
         indexes=None,
@@ -196,8 +195,6 @@ class Planner:
         #: sources with a scan-time cleaning policy (no selection pushdown:
         #: the predicate must see repaired values, so filters stay in-engine)
         self.cleaning_sources = frozenset(cleaning_sources or ())
-        #: selection-vector execution on (session flag); gates sel_push
-        self.vector_filters = vector_filters
         #: session-requested morsel substrate ("thread" | "process"); the
         #: per-scan choice still runs through the cost model and the
         #: kernel-spec shippability gates
@@ -800,7 +797,6 @@ class Planner:
                 pred=pred, index_eq=index_eq, batch_size=u.batch_size,
                 index_lookup=u.index_lookup, index_emit=u.index_emit,
                 sel_push=sel_push,
-                vec_filter=self.vector_filters,
                 est_rows=u.est_rows, est_cost=u.est_cost,
             )
             if u.node.source in self.as_of:
@@ -837,8 +833,7 @@ class Planner:
         predicate columns — the caller then drops the population instead
         (survivors-only columns must not be cached as complete)."""
         if not (
-            self.vector_filters
-            and pred is not None
+            pred is not None
             and entry.format == "csv"
             and u.access == "warm"
             and not u.whole

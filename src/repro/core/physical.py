@@ -156,10 +156,6 @@ class PhysScan(PhysNode):
     #: materialises the remaining columns only for surviving rows. Planner
     #: sets it for warm CSV scans with no cleaning/population/whole-binding.
     sel_push: bool = False
-    #: session-level vectorized-filter switch, recorded by the planner so
-    #: EXPLAIN reflects the strategy that will actually run
-    #: (``ViDa(vector_filters=False)`` compiles row-at-a-time tests)
-    vec_filter: bool = True
     #: planner estimates (output rows after pushed predicates, total cost
     #: units) — informational, surfaced by EXPLAIN; 0.0 = not estimated
     est_rows: float = 0.0
@@ -195,7 +191,7 @@ class PhysScan(PhysNode):
         """True when the pushed-down predicate runs as a per-chunk
         selection-vector kernel instead of a per-row test (EXPLAIN's
         ``filter=vec``)."""
-        return self.pred is not None and self.chunked() and self.vec_filter
+        return self.pred is not None and self.chunked()
 
 
 @dataclass

@@ -133,7 +133,6 @@ class ViDa:
         batch_size: int | None = None,
         parallelism: int = 1,
         backend: str = "thread",
-        vector_filters: bool = True,
         enable_indexes: bool = True,
         adaptive_stats: bool = True,
         context: EngineContext | None = None,
@@ -203,10 +202,6 @@ class ViDa:
         #: baseline). The planner still falls back per scan via the cost
         #: model and kernel-spec shippability gates.
         self.backend = backend
-        #: selection-vector filter kernels + vectorized join build/probe in
-        #: generated code (True); False keeps row-at-a-time evaluation — the
-        #: differential baseline bench_filtered_scan measures against
-        self.vector_filters = vector_filters
         #: JIT secondary indexes: value-based access paths built as scan
         #: byproducts (arXiv 1901.07627 extends the paper's positional maps
         #: to value indexes the same just-in-time way). False disables both
@@ -434,8 +429,7 @@ class ViDa:
             code = ""
             t0 = time.perf_counter()
             if engine == "jit":
-                compiled = self._jit.compile(plan,
-                                             vector_filters=self.vector_filters)
+                compiled = self._jit.compile(plan)
                 code = compiled.source
                 stats.codegen_ms = (time.perf_counter() - t0) * 1e3
                 t0 = time.perf_counter()
@@ -550,7 +544,6 @@ class ViDa:
                        parallelism=parallelism,
                        serial_sources=frozenset(self.devices),
                        cleaning_sources=frozenset(self.cleaning),
-                       vector_filters=self.vector_filters,
                        backend=self.backend,
                        cleaning_policies=self.cleaning,
                        indexes=self.indexes if self.enable_indexes else None,
@@ -567,7 +560,7 @@ class ViDa:
         this whole tuple is unchanged."""
         return self._engine.plan_epoch() + (
             self.enable_cache, self.enable_posmap, self.batch_size,
-            self.parallelism, self.backend, self.vector_filters,
+            self.parallelism, self.backend,
             self.enable_indexes, self.adaptive_stats,
             tuple(sorted(self.cleaning)), tuple(sorted(self.devices)),
         )
@@ -582,7 +575,7 @@ class ViDa:
         """
         from .optimizer import cost as C
 
-        if self._jit.is_cached(plan, vector_filters=self.vector_filters):
+        if self._jit.is_cached(plan):
             decisions.engine_choice = "jit (compiled plan cached)"
             return "jit"
         if decisions.total_est_cost >= C.COMPILE_COST:

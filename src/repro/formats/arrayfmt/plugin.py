@@ -195,16 +195,10 @@ class ArraySource:
         )
 
     def scan(self, device=None) -> Iterator[tuple]:
-        """Row-major full scan yielding (coords..., fields...) tuples."""
-        esize = self.header.element_size
-        dims = self.header.dims
-        with RawFile(self.path, device=device) as raw:
-            raw.seek(self.header.payload_offset)
-            for coords in itertools.product(*(range(d) for d in dims)):
-                payload = raw.read(esize)
-                if len(payload) != esize:
-                    raise DataFormatError(f"{self.path}: truncated array payload")
-                yield coords + self._unpack(payload, 0)
+        """Row-major full scan yielding (coords..., fields...) tuples: the
+        element-at-a-time view of :meth:`scan_chunks`."""
+        for chunk in self.scan_chunks(device=device):
+            yield from chunk.iter_rows()
 
     def scan_splits(self, dop: int) -> list:
         """Independently scannable morsels: linear element ranges.
@@ -265,7 +259,7 @@ class ArraySource:
         device=None,
         whole: bool = False,
         split=None,
-        stats_sink=None,
+        byproducts=None,
     ):
         """Batched scan yielding :class:`~repro.core.chunk.Chunk` objects.
 
@@ -274,9 +268,8 @@ class ArraySource:
         ``split`` restricts the scan to one element-range morsel from
         :meth:`scan_splits`.
 
-        ``stats_sink`` (a :class:`~repro.stats.StatsPartial`) requests
-        table-statistics byproduct emission over its named components,
-        advanced once per batch.
+        ``byproducts`` (a :class:`~repro.core.byproducts.ScanByproducts`)
+        is advanced once per batch and handed its ``wanted`` components.
         """
         from ...core.chunk import Chunk
 
@@ -296,18 +289,16 @@ class ArraySource:
                     f"{self.path}: array source has no component {f!r}"
                 )
         picks = [names.index(f) for f in field_list]
-        spicks = []
-        if stats_sink is not None:
-            spicks = [(f, names.index(f)) for f in stats_sink.fields
-                      if f in names]
+        wanted = [(f, names.index(f)) for f in byproducts.wanted
+                  if f in names] if byproducts is not None else []
+        row = element_range[0] if element_range is not None else 0
         for batch in self.scan_batches(batch_size, device=device,
                                        element_range=element_range):
-            if stats_sink is not None:
-                stats_sink.advance(0, len(batch))
-                if spicks:
-                    stats_sink.record(0, {
-                        f: [t[i] for t in batch] for f, i in spicks
-                    })
+            if byproducts is not None:
+                byproducts.advance(row, len(batch))
+                byproducts.record(row, {
+                    f: [t[i] for t in batch] for f, i in wanted})
+                row += len(batch)
             if not picks and not whole:
                 yield Chunk((), (), len(batch))
                 continue

@@ -191,102 +191,11 @@ class CSVSource:
         device=None,
         clean=None,
     ) -> Iterator[tuple]:
-        """Yield tuples of converted values for ``fields`` (None = all).
-
-        Dispatches to the warm (map-navigated) or cold (map-building) scan.
-        ``clean`` is an optional :class:`repro.cleaning.CleaningPolicy`.
-        """
-        field_list = list(fields) if fields is not None else list(self.columns)
-        cols = self.field_indexes(field_list)
-        if self.posmap.complete:
-            return self._warm_scan(cols, device, clean)
-        return self._cold_scan(cols, device, clean)
-
-    def _cold_scan(self, cols: list[int], device, clean) -> Iterator[tuple]:
-        """Full tokenizing scan; piggybacks positional-map population.
-
-        Population is recorded into a *detached* partial map and adopted
-        atomically at scan end (adopt-or-discard): concurrent cold scans of
-        the same source each build their own partial, exactly one installs.
-        """
-        target = self.posmap
-        partial = self.new_posmap_partial()
-        anchors = target.anchor_columns(cols)
-        partial.begin_population(anchors)
-        convs = [self.converter(c) for c in cols]
-        delim = self.options.delimiter
-        encoding = self.options.encoding
-        validate = clean is not None and getattr(clean, "validate_always", False)
-        with RawFile(self.path, device=device) as raw:
-            row = 0
-            for offset, line_bytes in raw.iter_lines():
-                if offset < self._data_start:
-                    continue
-                line = line_bytes.decode(encoding)
-                if not line:
-                    continue
-                partial.record_row(offset, line, anchors)
-                cells = line.split(delim)
-                if validate:
-                    values = clean.repair(self, row, cells, cols)
-                    row += 1
-                    if values is None:
-                        continue
-                    yield values
-                    continue
-                try:
-                    values = tuple(conv(cells[c]) for c, conv in zip(cols, convs))
-                except (DataFormatError, IndexError) as exc:
-                    if clean is not None:
-                        repaired = clean.handle_row(row, cells, cols, convs, self, exc)
-                        if repaired is None:
-                            row += 1
-                            continue
-                        values = repaired
-                    else:
-                        raise
-                yield values
-                row += 1
-        self.adopt_posmap_partials([partial], expect=target)
-
-    def _warm_scan(self, cols: list[int], device, clean) -> Iterator[tuple]:
-        """Map-navigated scan: jump to recorded field offsets, no full split."""
-        convs = [self.converter(c) for c in cols]
-        pm = self.posmap
-        encoding = self.options.encoding
-        validate = clean is not None and getattr(clean, "validate_always", False)
-        with RawFile(self.path, device=device) as raw:
-            row = 0
-            for offset, line_bytes in raw.iter_lines():
-                if offset < self._data_start:
-                    continue
-                line = line_bytes.decode(encoding)
-                if not line:
-                    continue
-                if validate:
-                    values = clean.repair(self, row, line.split(self.options.delimiter), cols)
-                    row += 1
-                    if values is None:
-                        continue
-                    yield values
-                    continue
-                try:
-                    values = tuple(
-                        conv(pm.field_in_line(line, row, c))
-                        for c, conv in zip(cols, convs)
-                    )
-                except DataFormatError as exc:
-                    if clean is not None:
-                        cells = line.split(self.options.delimiter)
-                        repaired = clean.handle_row(row, cells, cols, convs, self, exc)
-                        if repaired is None:
-                            row += 1
-                            continue
-                        values = repaired
-                    else:
-                        raise
-                yield values
-                row += 1
+        """Yield tuples of converted values for ``fields`` (None = all): the
+        row-at-a-time view of :meth:`scan_chunks`. ``clean`` is an optional
+        :class:`repro.cleaning.CleaningPolicy`."""
+        for chunk in self.scan_chunks(fields, device=device, clean=clean):
+            yield from chunk.iter_rows()
 
     # -- batched access path (chunk pipeline) ----------------------------------
 
@@ -426,25 +335,17 @@ class CSVSource:
         whole: bool = False,
         access: str | None = None,
         split=None,
-        posmap_partial: PositionalMap | None = None,
         pred_fields: Sequence[str] | None = None,
         pred_kernel=None,
-        index_sink=None,
-        stats_sink=None,
+        byproducts=None,
     ):
         """Batched scan: yield :class:`~repro.core.chunk.Chunk` objects.
 
-        The vectorized analogue of :meth:`scan`: rows are tokenized and
-        converted a batch at a time with per-column kernels, and positional
-        map population piggybacks on cold passes exactly as in the row path.
-        ``whole`` additionally materialises full row dicts (``chunk.whole``).
-        ``access`` forces ``"cold"``/``"warm"``; default picks by map state.
-
-        ``split`` restricts the scan to one :class:`~repro.core.chunk.Morsel`
-        from :meth:`scan_splits` (parallel workers). Cold byte-range morsels
-        piggyback population into ``posmap_partial`` (a fresh per-worker map
-        from :meth:`new_posmap_partial`); the scan coordinator merges the
-        partials in morsel order via :meth:`adopt_posmap_partials`.
+        Rows are tokenized and converted a batch at a time with per-column
+        kernels. ``whole`` additionally materialises full row dicts
+        (``chunk.whole``). ``access`` forces ``"cold"``/``"warm"``; default
+        picks by map state. ``split`` restricts the scan to one
+        :class:`~repro.core.chunk.Morsel` from :meth:`scan_splits`.
 
         ``pred_kernel`` + ``pred_fields`` push the selection vector into the
         scan (late materialization, warm navigated path only): the kernel —
@@ -454,20 +355,19 @@ class CSVSource:
         *only at the surviving indexes*. Yielded chunks are dense survivors;
         ``Chunk.scanned`` preserves the physical row count for accounting.
 
-        ``index_sink`` (an :class:`~repro.indexing.IndexPartial`) requests
-        value-index byproduct emission: for each of its fields, the scan
-        records the column's converted values for *every* physical row of
-        each batch — predicate columns are navigated densely before the
-        selection kernel narrows them, so pushed-down scans emit full
-        coverage for free. Batches a cleaning policy touched are skipped
-        (repairs desynchronise values from physical rows), but the sink's
-        row cursor still advances so morsel partials merge exactly.
+        ``byproducts`` (a :class:`~repro.core.byproducts.ScanByproducts`)
+        is what the scan leaves behind for its caller to adopt or discard.
+        A cold full-file or byte-morsel pass records row and anchor offsets
+        into its detached ``posmap`` partial — never into the shared map.
+        Every batch is ``advance``d, and ``record``ed with the converted
+        values of the ``wanted`` fields for *every* physical row: predicate
+        columns are navigated densely before the selection kernel narrows
+        them, so pushed-down scans give full coverage for free. Batches a
+        cleaning policy touched are advanced but not recorded.
 
-        ``stats_sink`` (a :class:`~repro.stats.StatsPartial`) requests
-        table-statistics byproduct emission under the same coverage rules
-        as ``index_sink``: dense per-batch values for each of its fields,
-        plus an ``advance`` per batch so the partial's row count is exact
-        even when a batch records nothing.
+        Without ``byproducts`` a cold full-file scan still builds a detached
+        partial and adopts it itself when it runs to the end
+        (:meth:`adopt_posmap_partials`: one winner per concurrent race).
         """
         from ...core.chunk import Chunk
 
@@ -495,29 +395,21 @@ class CSVSource:
                 )
         all_cols = list(range(len(self.columns))) if whole else None
         conv_cols = all_cols if whole else cols
+        pm = self.posmap  # one map per scan: a refresh swaps, never mutates
+        record_map = byproducts.posmap if byproducts is not None else None
+        standalone = byproducts is None and access == "cold" \
+            and byte_range is None
+        if standalone:
+            record_map = self.new_posmap_partial()
         record_anchors = None
-        record_map = None
-        if access == "cold" and byte_range is None:
-            record_anchors = self.posmap.anchor_columns(cols)
-            if posmap_partial is not None:
-                # detached population (adopt-or-discard by the caller):
-                # concurrent cold scans never write the shared map in place
-                posmap_partial.begin_population(record_anchors)
-                record_map = posmap_partial
-            else:
-                self.posmap.begin_population(record_anchors)
-        elif access == "cold" and posmap_partial is not None \
-                and split is not None and split.kind == "bytes":
-            # sharded population: record into the worker's partial map
-            record_anchors = self.posmap.anchor_columns(cols)
-            posmap_partial.begin_population(record_anchors)
-            record_map = posmap_partial
+        if record_map is not None:
+            record_anchors = pm.anchor_columns(cols)
+            record_map.begin_population(record_anchors)
         delim = self.options.delimiter
         validate = clean is not None and getattr(clean, "validate_always", False)
         # Warm narrow projections navigate with the positional map: one jump
         # per requested field instead of tokenizing the whole (possibly very
         # wide) line. Whole-row binding and cleaning need the full cell list.
-        pm = self.posmap  # one map per scan: a refresh swaps, never mutates
         navigate = (access == "warm" and pm.complete and not whole
                     and bool(cols) and clean is None)
         push = navigate and pred_kernel is not None and pred_fields
@@ -530,57 +422,31 @@ class CSVSource:
         if navigate:
             scan_cols = pred_cols if push else cols
             fetch = self._column_kernel(pm, scan_cols)
-        sink = index_sink
-        sink_cols: dict[str, int] = {}
-        if sink is not None:
-            for f in sink.fields:
-                c = self.col_index.get(f)
-                if c is not None:
-                    sink_cols[f] = c
-            if not sink_cols:
-                sink = None
-        ssink = stats_sink
-        ssink_cols: dict[str, int] = {}
-        if ssink is not None:
-            for f in ssink.fields:
-                c = self.col_index.get(f)
-                if c is not None:
-                    ssink_cols[f] = c
-        record_navigated = None
-        if navigate and (sink is not None or ssink_cols):
-            # the sinks get the column lists the scan navigates anyway;
-            # a sink column outside them (normally none) is navigated once
-            # per batch and shared by both sinks
-            extra_cols = sorted({*sink_cols.values(), *ssink_cols.values()}
-                                .difference(scan_cols))
+        # by-product fields this file has, by column; recorded from the
+        # column lists the scan materialises anyway
+        wanted = {f: self.col_index[f] for f in byproducts.wanted
+                  if f in self.col_index} if byproducts is not None else {}
+        if navigate and wanted:
+            # a wanted column outside the navigated ones (normally none) is
+            # navigated once per batch
+            extra_cols = sorted(set(wanted.values()).difference(scan_cols))
             fetch_extra = self._column_kernel(pm, extra_cols)
-
-            def record_navigated(navigated, lines, rows):
-                have = dict(zip(scan_cols, navigated))
-                if extra_cols:
-                    have.update(zip(extra_cols, fetch_extra(lines, rows)))
-                if sink is not None:
-                    sink.record(rows.start,
-                                {f: have[c] for f, c in sink_cols.items()})
-                if ssink_cols:
-                    ssink.record(rows.start,
-                                 {f: have[c] for f, c in ssink_cols.items()})
         for start, lines in self.iter_line_batches(batch_size, device=device,
                                                    record_anchors=record_anchors,
                                                    byte_range=byte_range,
                                                    start_row=start_row,
                                                    record_map=record_map):
-            if sink is not None:
-                # the row cursor advances whether or not this batch records,
-                # so byte-morsel partials always know their exact row count
-                sink.advance(start, len(lines))
-            if ssink is not None:
-                ssink.advance(start, len(lines))
+            if byproducts is not None:
+                byproducts.advance(start, len(lines))
             if navigate:
                 rows = range(start, start + len(lines))
                 navigated = fetch(lines, rows)
-                if record_navigated is not None:
-                    record_navigated(navigated, lines, rows)
+                if wanted:
+                    have = dict(zip(scan_cols, navigated))
+                    if extra_cols:
+                        have.update(zip(extra_cols, fetch_extra(lines, rows)))
+                    byproducts.record(
+                        start, {f: have[c] for f, c in wanted.items()})
                 if not push:
                     yield Chunk.from_columns(field_list, navigated)
                     continue
@@ -610,16 +476,10 @@ class CSVSource:
             columns, selection = self._convert_clean_batch(
                 conv_cols, cells_rows, start, clean, validate
             )
-            if sink is not None and selection is None and clean is None:
-                vals = {f: columns[conv_cols.index(c)]
-                        for f, c in sink_cols.items() if c in conv_cols}
-                if vals:
-                    sink.record(start, vals)
-            if ssink_cols and selection is None and clean is None:
-                svals = {f: columns[conv_cols.index(c)]
-                         for f, c in ssink_cols.items() if c in conv_cols}
-                if svals:
-                    ssink.record(start, svals)
+            if wanted and clean is None:
+                byproducts.record(start, {
+                    f: columns[conv_cols.index(c)]
+                    for f, c in wanted.items() if c in conv_cols})
             if whole:
                 names = self.columns
                 whole_rows = [dict(zip(names, vals)) for vals in zip(*columns)] \
@@ -637,8 +497,8 @@ class CSVSource:
                 # kernels), so the chunk crosses the boundary uncompacted
                 chunk.selection = selection
             yield chunk
-        if record_anchors is not None and record_map is None:
-            self.posmap.finish_population()
+        if standalone:
+            self.adopt_posmap_partials([record_map], expect=pm)
 
     def _column_kernel(self, pm: PositionalMap, cols: list[int]):
         """The positional column kernel: ``fetch(lines, rows) -> columns``.

@@ -335,8 +335,7 @@ class JSONSource:
         device=None,
         whole: bool = False,
         split=None,
-        index_sink=None,
-        stats_sink=None,
+        byproducts=None,
     ):
         """Batched scan yielding :class:`~repro.core.chunk.Chunk` objects.
 
@@ -344,14 +343,10 @@ class JSONSource:
         on ``chunk.whole`` for scans that bind the full element. ``split``
         restricts the scan to one span-range morsel from :meth:`scan_splits`.
 
-        ``index_sink`` (an :class:`~repro.indexing.IndexPartial`) requests
-        value-index byproduct emission over its dotted paths; rows are
-        global semi-index span numbers, so partials merge without shifting.
-
-        ``stats_sink`` (a :class:`~repro.stats.StatsPartial`) requests
-        table-statistics byproduct emission over its dotted paths, with an
-        explicit ``advance`` per batch so row counts stay exact even for
-        sinks that record no columns.
+        ``byproducts`` (a :class:`~repro.core.byproducts.ScanByproducts`)
+        is advanced once per batch and handed the projected columns of its
+        ``wanted`` dotted paths; rows are global semi-index span numbers,
+        so morsel partials merge without shifting.
         """
         from ...core.chunk import Chunk
 
@@ -366,25 +361,19 @@ class JSONSource:
             span_range = (split.lo, split.hi)
             row = split.lo
         paths = tuple(paths)
-        # sink fields are normally a subset of ``paths``: project each
-        # distinct path once per batch and hand the sinks the same lists
-        sink_fields = tuple(f for sink in (index_sink, stats_sink)
-                            if sink is not None for f in sink.fields)
-        extra = tuple(dict.fromkeys(f for f in sink_fields if f not in paths))
+        # wanted fields are normally a subset of ``paths``: project each
+        # distinct path once per batch
+        wanted = byproducts.wanted if byproducts is not None else ()
+        extra = tuple(f for f in wanted if f not in paths)
         for objs in self.scan_object_chunks(batch_size, device=device,
                                             span_range=span_range):
             columns = self.project_paths(objs, paths) if paths else []
-            if sink_fields:
-                have = dict(zip(paths, columns))
-                if extra:
+            if byproducts is not None:
+                byproducts.advance(row, len(objs))
+                if wanted:
+                    have = dict(zip(paths, columns))
                     have.update(zip(extra, self.project_paths(objs, extra)))
-            if index_sink is not None:
-                index_sink.record(row, {f: have[f] for f in index_sink.fields})
-            if stats_sink is not None:
-                stats_sink.advance(row, len(objs))
-                if stats_sink.fields:
-                    stats_sink.record(
-                        row, {f: have[f] for f in stats_sink.fields})
+                    byproducts.record(row, have)
             row += len(objs)
             yield Chunk.from_columns(paths, columns,
                                      whole=objs if whole or not paths else None)

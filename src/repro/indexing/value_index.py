@@ -220,9 +220,10 @@ class ValueIndex:
 class IndexPartial:
     """Per-scan (or per-morsel) recorder of emitted column runs.
 
-    Mirrors the posmap-partial lifecycle: a scan records converted column
-    values batch by batch; the coordinator merges partials in morsel order
-    via :meth:`IndexRegistry.adopt`. ``local_rows`` marks partials whose
+    Rides in a scan's :class:`~repro.core.byproducts.ScanByproducts` next
+    to the posmap and statistics partials: the plugin records converted
+    column values batch by batch; the coordinator merges partials in morsel
+    order via :meth:`IndexRegistry.adopt`. ``local_rows`` marks partials whose
     row numbers are morsel-local (cold byte-range morsels start counting
     at 0); adoption shifts them by the preceding morsels' ``rows_seen``.
     """

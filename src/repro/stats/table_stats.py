@@ -2,10 +2,12 @@
 
 ViDa's creed is that auxiliary structures arrive just-in-time, as side
 effects of queries the user was going to run anyway (paper §2.1: positional
-maps; PR 7: value indexes). Statistics are no different: format plugins are
-handed a :class:`StatsPartial` ``stats_sink`` alongside the existing
-``index_sink`` and record the values they already materialised. Partials
-merge in the parent under the generation-token adopt-or-discard protocol.
+maps; PR 7: value indexes). Statistics are no different: the
+:class:`~repro.core.byproducts.ScanByproducts` a format plugin is handed
+carries a :class:`StatsPartial` next to the index partial, and the plugin's
+one ``record`` per batch feeds both the values it already materialised.
+Partials merge in the parent under the generation-token adopt-or-discard
+gate.
 
 Everything here is **order-independent** so morsel-parallel collection is
 bit-identical to serial collection at any DoP on either backend:
@@ -282,14 +284,15 @@ class TableStats:
 
 
 class StatsPartial:
-    """Per-scan (or per-morsel) statistics accumulator handed to plugins.
+    """Per-scan (or per-morsel) statistics accumulator, driven through
+    :class:`~repro.core.byproducts.ScanByproducts`.
 
-    Mirrors the ``IndexPartial`` sink protocol (``record``/``advance``)
-    but with **count semantics**: ``advance`` adds row counts (each batch
-    is advanced exactly once), and ``record`` never advances — so a split
-    partial's ``rows_seen`` is the number of rows *it* scanned, and the
-    parent can sum splits to a total row count. Picklable, so process
-    morsel workers ship partials home like posmap deltas.
+    Same ``record``/``advance`` shape as ``IndexPartial`` but with **count
+    semantics**: ``advance`` adds row counts (each batch is advanced
+    exactly once), and ``record`` never advances — so a split partial's
+    ``rows_seen`` is the number of rows *it* scanned, and the parent can
+    sum splits to a total row count. Picklable, so process morsel workers
+    ship partials home like posmap deltas.
     """
 
     __slots__ = ("fields", "rows_seen", "columns", "_seen")

@@ -12,6 +12,7 @@ import pytest
 
 from repro import EngineContext, ViDa, ViDaError
 from repro.caching import DataCache
+from repro.core.chunk import MORSEL_ALL
 from repro.core.executor.runtime import QueryRuntime
 
 ROWS = 4000
@@ -154,15 +155,16 @@ def test_stale_posmap_partial_discarded(csv_path):
     db.register_csv("T", csv_path)
     plugin = ctx.catalog.get("T").plugin
     rt = QueryRuntime(ctx.catalog, DataCache(0), engine=ctx)
-    rt.touch_generation("T")
-    old_map = plugin.posmap
-    partial = plugin.new_posmap_partial()
+    # what a cold scan holds at its start: the generation token, the map
+    # object it expects to adopt into, a detached partial
+    byproducts = rt._request_byproducts("T", None, posmap_of=plugin)
 
     _mutate(csv_path)
     assert ctx.catalog.check_freshness("T") is False
 
-    assert rt._adopt_posmap("T", [partial], expect=old_map) is False
+    rt._adopt_byproducts("T", {MORSEL_ALL: byproducts}, [MORSEL_ALL])
     assert ctx.stats.posmap_discards == 1
+    assert ctx.stats.posmap_adoptions == 0
     assert not plugin.posmap.complete  # the fresh map stayed pristine
     db.close()
 
@@ -274,19 +276,6 @@ def test_compile_cache_shared_across_tenants(csv_path):
     hits_before = ctx.jit.stats.cache_hits
     b.query(SUM_Q)  # same warm plan shape → b rides a's compilation
     assert ctx.jit.stats.cache_hits > hits_before
-    a.close()
-    b.close()
-
-
-def test_vector_filter_modes_do_not_cross_serve(csv_path):
-    expected = serial_answer(csv_path, BAG_Q)
-    ctx = EngineContext()
-    a = ViDa(context=ctx, vector_filters=True)
-    b = ViDa(context=ctx, vector_filters=False)
-    a.register_csv("T", csv_path)
-    assert a.query(BAG_Q).value == expected
-    assert b.query(BAG_Q).value == expected
-    assert a.query(BAG_Q).value == expected
     a.close()
     b.close()
 

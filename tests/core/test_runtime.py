@@ -113,14 +113,6 @@ def test_monoid_lookup(catalog):
     assert rt.monoid("topk", (2,)).fold([3, 1, 5]) == [5, 3]
 
 
-def test_json_spans_and_assemble(catalog):
-    rt = make_rt(catalog)
-    spans = list(rt.json_spans("Brain"))
-    assert len(spans) == 60
-    objs = rt.json_assemble("Brain", spans[:3])
-    assert [o["id"] for o in objs] == [0, 1, 2]
-
-
 def test_device_routing(catalog):
     from repro.storage import StorageDevice
 

@@ -8,9 +8,9 @@ Contracts under test:
 - ``Chunk.from_rows`` rejects ragged input instead of silently truncating;
 - both engines evaluate pushed-down predicates as selection kernels
   (``filter=vec`` in EXPLAIN; warm CSV gets ``filter=vec+push`` late
-  materialization) with answers identical to row-at-a-time evaluation
-  (``ViDa(vector_filters=False)``) at every DoP;
-- vectorized hash-join build/probe returns exactly the row path's answers;
+  materialization) with answers identical to the static interpreter's and
+  to a plain-Python evaluation of the same files, at every DoP;
+- vectorized hash-join build/probe returns exactly those answers too;
 - a satisfied SQL LIMIT under ``ViDa(parallelism=N)`` cancels pending
   morsels (observable via ``stats.morsels_cancelled``) without changing
   the returned rows, and suppresses partial cache admissions.
@@ -18,6 +18,7 @@ Contracts under test:
 
 from __future__ import annotations
 
+import csv
 import math
 import random
 
@@ -110,11 +111,10 @@ def sel_dir(tmp_path_factory):
     return d
 
 
-def _session(d, *, vec=True, dop=1, cache=False, clean=False):
+def _session(d, *, dop=1, cache=False, clean=False):
     # filter-kernel behaviour on full scans is the subject throughout this
     # file; value indexes would bypass the scans under test on warm repeats
-    db = ViDa(vector_filters=vec, parallelism=dop, enable_cache=cache,
-              enable_indexes=False)
+    db = ViDa(parallelism=dop, enable_cache=cache, enable_indexes=False)
     db.register_csv("T", str(d / "t.csv"))
     db.register_csv("U", str(d / "u.csv"))
     db.register_csv("Dirty", str(d / "dirty.csv"),
@@ -124,37 +124,60 @@ def _session(d, *, vec=True, dop=1, cache=False, clean=False):
     return db
 
 
-QUERIES = [
-    # selective filter, bag output (row-loop consumer in vec-off mode)
-    'for { t <- T, t.age > 92 } yield bag (id := t.id, s := t.score)',
+#: (query, the same thing in plain Python over the files' rows)
+ORACLES = [
+    # selective filter, bag output (row-loop consumer)
+    ('for { t <- T, t.age > 92 } yield bag (id := t.id, s := t.score)',
+     lambda T, U: [{"id": t["id"], "s": t["score"]}
+                   for t in T if t["age"] > 92]),
     # selective filter + set monoid (never a fused fold — row consumer)
-    'for { t <- T, t.age > 92 } yield set t.age',
+    ('for { t <- T, t.age > 92 } yield set t.age',
+     lambda T, U: {t["age"] for t in T if t["age"] > 92}),
     # filter + vectorized hash join, fused sum over survivors
-    'for { t <- T, u <- U, t.id = u.id, t.age > 92 } yield sum u.val',
+    ('for { t <- T, u <- U, t.id = u.id, t.age > 92 } yield sum u.val',
+     lambda T, U: sum(u["val"] for t in T if t["age"] > 92
+                      for u in U if u["id"] == t["id"])),
     # join with no scan filter: pure build/probe vectorization
-    'for { t <- T, u <- U, t.id = u.id } yield count 1',
+    ('for { t <- T, u <- U, t.id = u.id } yield count 1',
+     lambda T, U: len({t["id"] for t in T} & {u["id"] for u in U})),
     # empty selection on every chunk: predicate matches nothing
-    'for { t <- T, t.age > 1000 } yield bag t.id',
+    ('for { t <- T, t.age > 1000 } yield bag t.id',
+     lambda T, U: []),
 ]
+QUERIES = [q for q, _ in ORACLES]
+
+
+def _rows(path, **types):
+    with open(path, newline="") as fh:
+        return [{k: types[k](v) for k, v in row.items()}
+                for row in csv.DictReader(fh)]
+
+
+def _same(value, expected):
+    if isinstance(expected, set):
+        return set(value) == expected and len(value) == len(expected)
+    return value == expected
 
 
 @pytest.mark.parametrize("engine", ENGINES)
-def test_vectorized_filters_and_joins_match_row_mode(sel_dir, engine):
-    """vec on/off × cold/warm × both engines: identical answers."""
-    row = _session(sel_dir, vec=False)
-    vec = _session(sel_dir, vec=True)
-    for q in QUERIES:
-        for db in (row, vec):  # first run cold, second run warm (posmap)
-            db.query(q, engine=engine)
-        assert vec.query(q, engine=engine).value == \
-            row.query(q, engine=engine).value, q
+def test_vectorized_filters_and_joins_match_oracle(sel_dir, engine):
+    """cold/warm × both engines: the plain-Python answer, every time."""
+    T = _rows(sel_dir / "t.csv", id=int, age=int, score=float)
+    U = _rows(sel_dir / "u.csv", id=int, val=int)
+    db = _session(sel_dir)
+    for q, oracle in ORACLES:
+        expected = oracle(T, U)
+        # first run cold, second run warm (posmap)
+        assert _same(db.query(q, engine=engine).value, expected), q
+        assert _same(db.query(q, engine=engine).value, expected), q
+    db.close()
 
 
 @pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("dop", (2, 4))
 def test_selection_filters_parallel_differential(sel_dir, engine, dop):
-    serial = _session(sel_dir, vec=True)
-    par = _session(sel_dir, vec=True, dop=dop)
+    serial = _session(sel_dir)
+    par = _session(sel_dir, dop=dop)
     for q in QUERIES:
         if "sum u.val" in q:  # int sums: still exact
             pass
@@ -183,8 +206,8 @@ def test_cleaning_selection_chunks_never_leak_dropped_rows(sel_dir, engine, dop)
     q = ('for { d <- Dirty, u <- U, d.id = u.id, d.age >= 0 } '
          'yield count 1')
     j = db.query(q, engine=engine).value
-    ref = _session(sel_dir, vec=False, clean=True)
-    assert j == ref.query(q, engine=engine).value
+    ref = _session(sel_dir, clean=True)
+    assert j == ref.query(q, engine="static").value
     assert j == len([i for i in range(0, 6000, 3) if i not in set(dropped)])
 
 
@@ -210,24 +233,20 @@ def test_explain_shows_filter_kinds(sel_dir):
     # memory scans stay row-at-a-time
     db.register_memory("M", [{"x": 1}, {"x": 5}])
     assert "filter=row" in db.explain('for { m <- M, m.x > 2 } yield count 1')
-    # a vector_filters=False session compiles row tests — EXPLAIN says so
-    rowdb = _session(sel_dir, vec=False)
-    text = rowdb.explain('for { t <- T, t.age > 92 } yield count 1')
-    assert "filter=row" in text and "filter=vec" not in text
 
 
 def test_selection_pushdown_preserves_stats_and_values(sel_dir):
     """Late materialization: same answers, same raw-row accounting."""
-    q = 'for { t <- T, t.age > 92 } yield bag (id := t.id, s := t.score)'
-    vec = _session(sel_dir, vec=True)
-    row = _session(sel_dir, vec=False)
-    for db in (vec, row):
-        db.query(q)  # cold pass builds the positional map
-    rv, rr = vec.query(q), row.query(q)
-    assert rv.value == rr.value
-    assert rv.stats.raw_rows == rr.stats.raw_rows  # dropped rows still scanned
-    assert "pred_kernel" in rv.code
-    assert "pred_kernel" not in rr.code
+    q, oracle = ORACLES[0]
+    T = _rows(sel_dir / "t.csv", id=int, age=int, score=float)
+    db = _session(sel_dir)
+    db.query(q)  # cold pass builds the positional map
+    pushed, static = db.query(q), db.query(q, engine="static")
+    assert pushed.value == static.value == oracle(T, None)
+    # rows the pushed-down kernel dropped were still scanned
+    assert pushed.stats.raw_rows == static.stats.raw_rows == len(T)
+    assert "pred_kernel" in pushed.code
+    db.close()
 
 
 def test_empty_selection_short_circuits_generated_code(sel_dir):
