@@ -149,6 +149,33 @@ class DataCache:
                     return True
             return False
 
+    def can_add_columns(self, source: str, fields: Sequence[str],
+                        rows: int, source_width: int) -> bool:
+        """Dry run of :meth:`put_columns` for columns no scan has produced
+        yet: would ``rows``-long columns for those of ``fields`` that
+        ``source`` does not hold merge into its resident entry, pass the
+        policy and evict nothing — and would the entry still pass with all
+        ``source_width`` columns of the source merged into it? (Columns of
+        one source merge into one entry, and a merged entry the policy
+        refuses takes its resident columns with it.)
+
+        Their size is unknown before the scan, so a column is charged the
+        mean of the resident ones it would merge with; with none resident
+        there is nothing to price by and the answer is no."""
+        with self._mutex:
+            resident = [self._entries[k].cached
+                        for k in self._aligned(source, rows)]
+            held = {f for c in resident for f in c.fields}
+            if not held:
+                return False
+            nbytes = sum(c.nbytes for c in resident)
+            column = nbytes // len(held)
+            added = len(set(fields) - held) * column
+            return (self._used_bytes + added <= self.budget_bytes
+                    and self.policy.admit(
+                        max(nbytes + added, source_width * column),
+                        self.budget_bytes))
+
     # -- admission ---------------------------------------------------------------
 
     def put(
@@ -203,23 +230,28 @@ class DataCache:
             self._evict_to_budget(protected=entry.key)
             return self._entries.get(entry.key)
 
+    def _aligned(self, source: str, count: int) -> list[tuple]:
+        """Keys of ``source``'s columnar entries a ``count``-row columnar
+        admission merges with; any other count is a different row universe
+        (e.g. cleaning skipped rows)."""
+        return [key for key, entry in self._entries.items()
+                if entry.source == source
+                and entry.cached.layout == "columns"
+                and entry.cached.count == count]
+
     def _merge_columns(self, source: str, cached: CachedData) -> CachedData:
         """Fold existing aligned columnar entries of ``source`` into ``cached``."""
-        victims = []
-        columns: dict = dict(cached.data)  # type: ignore[arg-type]
-        nbytes = cached.nbytes
-        for key, entry in self._entries.items():
-            if entry.source != source or entry.cached.layout != "columns":
-                continue
-            if entry.cached.count != cached.count:
-                continue  # different row universe (e.g. cleaning skipped rows)
-            for f, col in entry.cached.data.items():  # type: ignore[union-attr]
-                if f not in columns:
-                    columns[f] = col
-            nbytes += entry.cached.nbytes
-            victims.append(key)
+        victims = self._aligned(source, cached.count)
         if not victims:
             return cached
+        columns: dict = dict(cached.data)  # type: ignore[arg-type]
+        nbytes = cached.nbytes
+        for key in victims:
+            resident = self._entries[key].cached
+            for f, col in resident.data.items():  # type: ignore[union-attr]
+                if f not in columns:
+                    columns[f] = col
+            nbytes += resident.nbytes
         for key in victims:
             self._remove(key)
         fields = tuple(sorted(columns))

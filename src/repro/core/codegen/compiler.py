@@ -863,8 +863,12 @@ class QueryCompiler:
     def _emit_cache_scan(self, node: PhysScan, consume) -> None:
         w = self.w
         var = _sanitize(node.var)
+        # with a probe: candidates gathered from the cached columns; the
+        # predicate stays as the recheck (partial coverage, hash twins)
+        lookup = f", lookup={node.index_lookup!r}" \
+            if node.index_lookup is not None else ""
         call = (f"_rt.cache_chunks({node.source!r}, {node.fields!r}, "
-                f"whole={node.bind_whole!r})")
+                f"whole={node.bind_whole!r}{lookup})")
         if node.bind_whole:
             local = f"_{var}_obj"
             self.ctx.bindings[node.var] = ObjectBinding(local)

@@ -120,6 +120,12 @@ class QuotaCacheView:
             return None
         return self._charge(self._cache.put_cached(*args, **kwargs))
 
+    def can_add_columns(self, *args, **kwargs) -> bool:
+        with self._quota_lock:
+            if self.admitted_bytes >= self.quota_bytes:
+                return False
+        return self._cache.can_add_columns(*args, **kwargs)
+
     def __getattr__(self, name):
         return getattr(self._cache, name)
 
@@ -266,9 +272,12 @@ class EngineContext:
             aux = (self.stats.posmap_adoptions, self.stats.index_adoptions,
                    self.stats.stats_adoptions)
         cs = self.cache.stats
+        # buys_due: an index plan prepared while renting was cheaper must be
+        # re-planned once the rent tally says buy, or it rents forever
         return (self.catalog.version, self.table_stats.version,
                 self.calibration.version,
-                cs.admissions, cs.evictions, cs.invalidations) + aux
+                cs.admissions, cs.evictions, cs.invalidations,
+                self.indexes.buys_due) + aux
 
     # -- generation-aware refresh --------------------------------------------
 

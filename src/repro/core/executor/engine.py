@@ -10,6 +10,7 @@ so one tenant's compilation warms the next tenant's identical query shape.
 
 from __future__ import annotations
 
+import re
 import threading
 from dataclasses import dataclass
 
@@ -17,9 +18,19 @@ from ..codegen.compiler import CompiledQuery, QueryCompiler
 from ..physical import PhysReduce, explain_physical
 
 
-def plan_fingerprint(plan: PhysReduce) -> str:
-    """A structural key identifying a physical plan (for the compile cache)."""
-    return explain_physical(plan)
+#: a scan line's row and cost estimates as EXPLAIN renders them
+_ESTIMATES = re.compile(r", est_rows=~\S+ est_cost=~[^\s,)]+")
+
+
+def plan_fingerprint(plan: PhysReduce, plan_text: str | None = None) -> str:
+    """A structural key identifying a physical plan (for the compile cache):
+    its EXPLAIN rendering (``plan_text`` when the caller already holds it)
+    without the scans' row and cost estimates. Generated code reads neither,
+    and both move whenever a file grows — with them in the key every query
+    after a delta refresh recompiled the function it already had."""
+    if plan_text is None:
+        plan_text = explain_physical(plan)
+    return _ESTIMATES.sub("", plan_text)
 
 
 @dataclass
@@ -47,8 +58,12 @@ class JITExecutor:
         self._mutex = threading.Lock()
         self.stats = JITStats()
 
-    def compile(self, plan: PhysReduce) -> CompiledQuery:
-        key = plan_fingerprint(plan)
+    def compile(self, plan: PhysReduce,
+                plan_text: str | None = None) -> CompiledQuery:
+        """Compiled function for ``plan``. ``plan_text`` is the plan's
+        EXPLAIN rendering when the caller already holds it (the session
+        keeps it beside the prepared plan)."""
+        key = plan_fingerprint(plan, plan_text)
         with self._mutex:
             hit = self._compiled.pop(key, None)
             if hit is not None:
@@ -65,13 +80,14 @@ class JITExecutor:
             self._compiled[key] = compiled
         return compiled
 
-    def is_cached(self, plan: PhysReduce) -> bool:
+    def is_cached(self, plan: PhysReduce,
+                  plan_text: str | None = None) -> bool:
         """True when this plan is already compiled (no compile cost to pay).
 
         A pure probe: no LRU move, no stats bump — the auto engine chooser
         asks before deciding whether JIT's compile latency is sunk.
         """
-        key = plan_fingerprint(plan)
+        key = plan_fingerprint(plan, plan_text)
         with self._mutex:
             return key in self._compiled
 

@@ -14,6 +14,7 @@ import os
 import pickle
 import threading
 from dataclasses import dataclass, field
+from operator import itemgetter
 from time import perf_counter
 
 from ...caching import DataCache
@@ -42,9 +43,10 @@ class ExecStats:
     morsels_cancelled: int = 0
     #: value indexes created or extended as scan byproducts this query
     index_builds: int = 0
-    #: scans served through a JIT value index (access=index)
+    #: scans served through a JIT value index (access=index, or a probe
+    #: gathering from cached columns)
     index_hits: int = 0
-    #: rows resolved positionally through an index instead of scanned
+    #: candidate rows resolved through an index instead of scanned
     index_rows_served: int = 0
 
     @property
@@ -685,6 +687,7 @@ class QueryRuntime:
                 self._count_engine(stale_admissions_dropped=1)
                 return
             self.cache.put_columns(source, fields, columns)
+            self._settle_rent(source)
 
     def admit_elements(self, source: str, layout: str, elements: list) -> None:
         if self.truncated or source in self.as_of:
@@ -694,11 +697,19 @@ class QueryRuntime:
                 self._count_engine(stale_admissions_dropped=1)
                 return
             self.cache.put(source, layout, (), elements)
+            self._settle_rent(source)
+
+    def _settle_rent(self, source: str) -> None:
+        """A full scan of ``source`` just offered its columns to the cache:
+        what index fetches were renting has been bought — or refused, and
+        then the next offer waits for another scan's worth of rent."""
+        if self.indexes is not None:
+            self.indexes.settle(source)
 
     # -- chunked scan protocol (shared by both engines) ------------------------
 
     def cache_chunks(self, source: str, fields: tuple, whole: bool,
-                     split=None):
+                     split=None, lookup: tuple | None = None):
         """Serve a cached scan as one zero-copy chunk view.
 
         Columnar entries are wrapped without copying a value; row/object
@@ -706,13 +717,28 @@ class QueryRuntime:
         uniform chunk stream regardless of access path. ``split`` serves a
         row-range chunk view of the (memoised, shared) lookup instead —
         morsel workers each slice their rows off one cache entry.
+
+        ``lookup`` is the planner's value-index probe for this scan: when
+        the index can serve it, only its candidates (and whatever rows it
+        has not covered) are handed over, gathered from the cached columns
+        (:meth:`_gathered_chunks`); otherwise the full view is.
         """
         if source in self.as_of:
             raise GenerationError(
                 f"live cache entries cannot serve {source!r} AS OF a pinned "
                 "generation")
         if split is None:
-            data, _layout = self.cache_data(source, fields, whole)
+            if lookup is not None:
+                # before the snapshot: an index peeked at this token then
+                # describes the snapshot's rows or an append's extension of
+                # them, never the rows of a file rewritten in between
+                self.touch_generation(source)
+            data, layout = self.cache_data(source, fields, whole)
+            if lookup is not None and layout == "columns":
+                chunks = self._gathered_chunks(source, tuple(fields), data,
+                                               lookup)
+                if chunks is not None:
+                    return chunks
         else:
             data, _layout = self._cache_scan_once(source, tuple(fields), whole)
             if split.kind == "rows":
@@ -728,6 +754,96 @@ class QueryRuntime:
             return [Chunk((), (), len(data), whole=data)]
         length = len(data[0]) if data else 0
         return [Chunk(tuple(fields), tuple(data), length)]
+
+    def _probe(self, source: str, lookup: tuple | None, total: int):
+        """Resolve an index probe over rows ``[0, total)`` of ``source``:
+        ``(candidate rows, uncovered ranges)``, or None when the probe
+        cannot be served (no index at the generation captured for this
+        query, or a probe type it has no ordered run for). Coverage is read
+        before the candidates: a concurrent adoption files its keys before
+        it widens the coverage, so every row of a range seen covered here is
+        among the candidates."""
+        if self.indexes is None or lookup is None:
+            return None
+        idx = self.indexes.peek(source, self.touch_generation(source),
+                                lookup[1])
+        if idx is None:
+            return None
+        holes = idx.uncovered_ranges(total)
+        rows = idx.lookup(lookup)
+        if rows is None:
+            return None
+        return rows, holes
+
+    @staticmethod
+    def _file_rows(entry) -> int | None:
+        """How many rows (top-level objects) ``entry``'s file holds, read off
+        its positional structure; None while that is not built — this never
+        reads the file."""
+        plugin = entry.plugin
+        if entry.format == "csv":
+            posmap = plugin.posmap
+            return len(posmap.row_offsets) if posmap.complete else None
+        if entry.format == "json" and plugin.has_semi_index():
+            return plugin.object_count()
+        return None
+
+    @staticmethod
+    def _row_order(rows: list, holes: list, total: int):
+        """Walk candidates and holes in ascending row order: yields
+        ``(candidates before the hole, (lo, hi))`` per uncovered range and
+        once more for the candidates after the last one (``lo == hi``) —
+        the order a sequential scan would meet the same rows in."""
+        pos = 0
+        for lo, hi in holes + [(total, total)]:
+            j = bisect.bisect_left(rows, lo, pos)
+            yield rows[pos:j], (lo, hi)
+            # candidates can't live inside an uncovered hole; skip defensively
+            pos = bisect.bisect_left(rows, hi, j)
+
+    def _gathered_chunks(self, source: str, fields: tuple, data: list,
+                         lookup: tuple) -> list | None:
+        """An index probe over cached columns (``access=cache+index``).
+
+        ``data`` is the cached column snapshot the scan would otherwise
+        stream in full. Candidates are gathered per column and interleaved,
+        in ascending row order, with plain slices of the ranges the index
+        has not covered — the rows a full scan would filter down to, in the
+        order it would meet them, so the predicate recheck the engines keep
+        makes the answer bit-identical. Candidates at or past the snapshot's
+        length are dropped: a concurrent delta refresh extends the index in
+        place but *replaces* the cached entry."""
+        length = len(data[0]) if data else 0
+        if length != self._file_rows(self.catalog.get(source)):
+            # the cache is shared and keeps whatever row universe a scan
+            # admitted: a tenant whose cleaning policy skips rows leaves
+            # compacted columns, and position i of those is not file row i
+            return None
+        probe = self._probe(source, lookup, length)
+        if probe is None:
+            return None
+        rows, holes = probe
+        del rows[bisect.bisect_left(rows, length):]
+        chunks = []
+        for cand, (lo, hi) in self._row_order(rows, holes, length):
+            if len(cand) == 1:
+                chunks.append(Chunk(fields,
+                                    tuple([col[cand[0]]] for col in data), 1))
+            elif cand:
+                pick = itemgetter(*cand)
+                chunks.append(Chunk(fields,
+                                    tuple(list(pick(col)) for col in data),
+                                    len(cand)))
+            if hi > lo:
+                chunks.append(Chunk(fields,
+                                    tuple(col[lo:hi] for col in data),
+                                    hi - lo))
+        with self._lock:
+            self.stats.index_hits += 1
+            self.stats.index_rows_served += len(rows)
+            # cache_data counted the whole entry; only these were handed over
+            self.stats.cache_rows -= length - sum(c.length for c in chunks)
+        return chunks
 
     def _scan(self, source: str, chunks, split=None, byproducts=None,
               counts: ExecStats | None = None, timing: tuple | None = None,
@@ -915,14 +1031,12 @@ class QueryRuntime:
                                             batch_size=batch_size, whole=whole)
             return
         entry = self.catalog.get(source)
-        plugin = entry.plugin
         fmt = entry.format
         gen = self.touch_generation(source)
-        idx = None
-        if self.indexes is not None and lookup is not None:
-            idx = self.indexes.peek(source, gen, lookup[1])
-        rows = idx.lookup(lookup) if idx is not None else None
-        if rows is None:
+        total = self._file_rows(entry)
+        probe = None if total is None \
+            else self._probe(source, lookup, total)
+        if probe is None:
             if fmt == "csv":
                 yield from self.csv_chunks(
                     source, fields, access="warm", batch_size=batch_size,
@@ -934,30 +1048,26 @@ class QueryRuntime:
                     index_fields=emit_fields,
                 )
             return
+        rows, holes = probe
         self.stats.index_hits += 1
         self.stats.raw_sources.add(source)
         device = self.device_for(source)
-        if fmt == "csv":
-            total = len(plugin.posmap.row_offsets)
-        else:
-            total = plugin.object_count()
         served = 0
-        pos = 0
-        for lo, hi in idx.uncovered_ranges(total) + [(total, total)]:
-            j = bisect.bisect_left(rows, lo, pos)
-            for i in range(pos, j, batch_size):
-                batch = rows[i:min(j, i + batch_size)]
+        for cand, (lo, hi) in self._row_order(rows, holes, total):
+            for i in range(0, len(cand), batch_size):
+                batch = cand[i:i + batch_size]
                 yield self._fetch_rows_chunk(entry, batch, fields, whole,
                                              device)
                 served += len(batch)
-            # candidates can't live inside an uncovered hole; skip defensively
-            pos = bisect.bisect_left(rows, hi, j)
             if hi > lo:
                 yield from self._index_hole_scan(entry, lo, hi, fields, whole,
                                                  batch_size, emit_fields,
                                                  device)
         self.stats.index_rows_served += served
         self.stats.raw_rows += served
+        # rent: these rows were read from the file because their columns
+        # are not cached; the planner buys once the rent has paid for a scan
+        self.indexes.rent(source, gen, served, total)
 
     def _fetch_rows_chunk(self, entry, rows: list, fields: tuple,
                           whole: bool, device) -> Chunk:

@@ -547,7 +547,8 @@ class StaticExecutor:
                     yield from kept
                 return
             for chunk in rt.cache_chunks(node.source, node.fields, whole=False,
-                                         split=split):
+                                         split=split,
+                                         lookup=node.index_lookup):
                 kept = filter_batch(
                     [{var: _record_from_paths(node.fields, values)}
                      for values in chunk.iter_rows()])

@@ -84,6 +84,17 @@ INDEX_PROBE_COST = 25.0
 #: index-vs-scan comparison together instead of flipping it
 INDEX_RUN_CELLS = 4.5
 MIN_INDEX_COVERAGE = 0.5
+# The same probe over *cached* columns (``access=cache`` + ``index_lookup``)
+# is priced in the ("cache", "cache") cells of the full cached scan it
+# competes with — the same units on both sides. Measured over 20,000-row
+# columns: a candidate's cell (gathered with ``itemgetter``, then rechecked)
+# costs ~8 streamed cells, and every distinct key the probe opens ~30 more
+# (its bucket is a separate list somewhere in memory, then the candidate
+# rows are sorted) — so a range over near-unique keys wins below roughly a
+# twentieth of the rows, a few large buckets win up to an eighth, and a
+# dense probe loses.
+CACHE_GATHER_CELLS = 8.0
+CACHE_KEY_CELLS = 30.0
 
 # Process-backend fixed costs, in the same abstract units. Like JIT compile
 # time, process fan-out is a fixed tax that only pays off above a work
@@ -291,6 +302,25 @@ def estimate_index_scan(
     return (INDEX_PROBE_COST
             + (runs * INDEX_RUN_CELLS + (matches + uncovered) * nfields)
             * access_factor(fmt, "warm", calibration))
+
+
+def estimate_cache_index_scan(
+    rows: int,
+    nfields: int,
+    coverage: float,
+    keys: int,
+    matches: int,
+    calibration=None,
+) -> float:
+    """Cost of serving a cache-covered scan through a value index: probe +
+    ``keys`` buckets opened + ``matches`` candidates gathered from the
+    cached columns + the uncovered remainder streamed as plain slices, in
+    ("cache", "cache") cells."""
+    uncovered = rows * (1.0 - coverage)
+    return (INDEX_PROBE_COST
+            + (keys * CACHE_KEY_CELLS
+               + (matches * CACHE_GATHER_CELLS + uncovered) * max(1, nfields))
+            * access_factor("cache", "cache", calibration))
 
 
 def source_row_estimate(entry) -> int:

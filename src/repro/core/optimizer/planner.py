@@ -7,7 +7,10 @@ Decisions made here, all specific to querying *raw* data:
    with the positional map / semi-index when one exists ("warm"), else a
    cold scan that builds it ("the optimizer invokes the appropriate wrapper,
    which takes into account any auxiliary structures present and normalizes
-   access costs").
+   access costs"). Either way a value index then serves the scan when its
+   own candidate count says a probe beats the pass: positional fetches from
+   the file ("index"), or a gather from the cached columns
+   ("cache+index").
 2. **Projection pushdown into the raw parser** — each scan extracts only the
    attribute paths the query touches, because for raw formats every fetched
    attribute has a real tokenize/parse/convert cost (§5).
@@ -155,7 +158,8 @@ class _Unit:
     populate: tuple = ()
     populate_layout: str = "columns"
     batch_size: int = C.MAX_BATCH_SIZE
-    #: ACCESS_INDEX probe spec when the access-path chooser picked an index
+    #: probe spec when the access-path chooser picked a value index (over
+    #: the raw file: access=index; over cached columns: access stays cache)
     index_lookup: tuple | None = None
     #: conjunct fields the scan should emit value-index byproducts for
     index_emit: tuple = ()
@@ -379,6 +383,8 @@ class Planner:
         if scan.source in self.serial_sources or scan.source in self.as_of:
             return 1
         if scan.access == "cache":
+            if scan.index_lookup is not None:
+                return 1  # a gathered scan hands over candidates, not ranges
             cost_fmt = "cache"
         elif scan.format in self._SPLITTABLE and scan.access in ("cold", "warm"):
             cost_fmt = scan.format
@@ -694,8 +700,10 @@ class Planner:
         u.est_rows = max(1.0, est.output_rows)
         u.est_cost = est.total_cost
 
-        if fmt in ("csv", "json") and u.access in ("cold", "warm") \
-                and entry.name not in self.cleaning_sources and not pinned:
+        if fmt in ("csv", "json") and not pinned \
+                and entry.name not in self.cleaning_sources \
+                and (u.access in ("cold", "warm")
+                     or (u.access == "cache" and u.fields and not u.whole)):
             self._choose_index_access(u, entry, fmt, rows, decisions)
 
         decisions.access[u.var] = u.access
@@ -885,7 +893,10 @@ class Planner:
         ``(field, spec)`` pairs, where ``field`` is a
         top-level column for CSV/DBMS sources and a dotted path for JSON,
         and ``spec`` is the lookup-tuple contract of
-        :class:`~repro.indexing.ValueIndex`.
+        :class:`~repro.indexing.ValueIndex`. Range conjuncts on one field
+        arrive intersected into one bounded spec (``a >= x and a < y`` is
+        one probe of the rows between, not two open-ended ones that each
+        lose to the scan).
         """
         out: list[tuple] = []
         for p in u.pushed:
@@ -920,29 +931,48 @@ class Planner:
                     spec = ("range", fname, value, None, op == ">=", False)
                 out.append((fname, spec))
                 break
-        return out
+        return _intersect_ranges(out)
 
     def _choose_index_access(self, u: _Unit, entry, fmt: str, rows: int,
                              decisions: PlanDecisions) -> None:
         """Access-path selection for JIT value indexes, plus byproduct
         marking: every usable conjunct with a sufficiently covering index
-        is costed with the index's own candidate count (probe + run reads
-        + fetch at the calibrated warm factor + uncovered scan), and the
-        cheapest upgrades a warm scan to ``access=index`` if it beats the
-        full chunked scan; every matched conjunct field is marked for
-        byproduct emission either way, so plain scans keep growing the
-        indexes the chooser will use next time."""
+        is costed with the index's own candidate count, and the cheapest
+        serves the scan if it beats the pass it would replace.
+
+        Over a warm raw scan that is ``access=index`` (probe + run reads +
+        fetch at the calibrated warm factor + uncovered scan); over a
+        cache-covered scan the access stays ``cache`` and the scan carries
+        the probe (``index_lookup``): candidates are gathered from the
+        cached columns, priced in the cached scan's own cells. A range too
+        dense to win is rejected on the index's O(log n) lower bound, so
+        planning a losing probe never sums a bucket. Every matched conjunct
+        field of a raw scan is marked for byproduct emission either way, so
+        plain scans keep growing the indexes the chooser will use next
+        time."""
         matches = self._value_conjuncts(u, fmt)
         if not matches:
             return
-        u.index_emit = tuple(dict.fromkeys(f for f, _s in matches))
-        if self.indexes is None or u.access != "warm":
+        cached = u.access == "cache"
+        if not cached:
+            u.index_emit = tuple(dict.fromkeys(f for f, _s in matches))
+        if self.indexes is None or u.access == "cold":
             # positional fetch needs a complete posmap/semi-index; cold
             # scans only emit byproducts this round
             return
         nf = len(u.fields) or 1
         file_bytes = entry.fingerprint.size if entry.fingerprint else 0
-        costed: list[tuple[float, int, str, tuple]] = []
+
+        def cost(coverage: float, keys: int, count: int) -> float:
+            if cached:
+                return C.estimate_cache_index_scan(
+                    rows, nf, coverage, keys, count,
+                    calibration=self.calibration)
+            return C.estimate_index_scan(
+                fmt, rows, nf, coverage, count, file_bytes,
+                calibration=self.calibration)
+
+        costed: list[tuple[float, str, str, tuple]] = []
         for fname, spec in matches:
             idx = self.indexes.peek(entry.name, entry.generation, fname)
             if idx is None:
@@ -955,35 +985,68 @@ class Planner:
                     f"{C.MIN_INDEX_COVERAGE:.0%})"
                 )
                 continue
-            count = idx.count(spec)
-            if count is None:
+            keys = idx.key_count(spec)
+            if keys is None:
                 continue  # probe type this index can't serve
-            costed.append((C.estimate_index_scan(
-                fmt, rows, nf, coverage, count, file_bytes,
-                calibration=self.calibration), count, fname, spec))
+            # every key holds at least one row: a probe that loses at one
+            # row per key loses outright, before any bucket is summed
+            icost, shown = cost(coverage, keys, keys), f">={keys}"
+            if icost < u.est_cost:
+                count = idx.count(spec)
+                icost, shown = cost(coverage, keys, count), f"~{count}"
+            costed.append((icost, shown, fname, spec))
         if not costed:
             return
         costed.sort(key=lambda c: c[0])  # stable: ties go to conjunct order
-        icost, count, fname, spec = costed[0]
-        losers = "".join(f"; rejected {f}: {n}" for _c, n, f, _s in costed[1:])
+        icost, shown, fname, spec = costed[0]
+        losers = "".join(f"; rejected {f}: {n.lstrip('~')}"
+                         for _c, n, f, _s in costed[1:])
+        where = " over cache" if cached else ""
         if icost >= u.est_cost:
             decisions.notes.append(
-                f"{u.var}: index on {entry.name}.{fname} rejected "
-                f"(~{count} of {rows} rows, cost {icost:.0f} >= scan "
+                f"{u.var}: index on {entry.name}.{fname}{where} rejected "
+                f"({shown} of {rows} rows, cost {icost:.0f} >= scan "
                 f"{u.est_cost:.0f}{losers})"
             )
             return
-        u.access = "index"
-        u.index_lookup = spec
-        u.est_cost = icost
-        if u.populate:
+        if not cached:
+            if self._buy_due(u, entry, rows):
+                decisions.notes.append(
+                    f"{u.var}: index fetches have read the {rows} rows of "
+                    f"{entry.name} over again; this scan populates "
+                    f"[{', '.join(u.populate)}] instead of probing "
+                    f"{entry.name}.{fname}"
+                )
+                return
+            u.access = "index"
             # an index-served scan touches matching rows only; partial
             # columns must never be admitted as complete
             u.populate = ()
+        u.index_lookup = spec
+        u.est_cost = icost
         decisions.notes.append(
-            f"{u.var}: index lookup on {entry.name}.{fname} "
-            f"(~{count} of {rows} rows{losers})"
+            f"{u.var}: index lookup on {entry.name}.{fname}{where} "
+            f"({shown} of {rows} rows{losers})"
         )
+
+    def _buy_due(self, u: _Unit, entry, rows: int) -> bool:
+        """Rent or buy. An index-served raw scan never populates the cache,
+        so a column reached only through an index is fetched from the file
+        by every query that needs it. Once those fetches add up to the
+        file's row count they have paid for one full scan (the ski-rental
+        break-even): if the cache can take the missing columns without
+        evicting anything — and could take every other column of the source
+        after them, so that what is bought stays bought — this scan stays
+        the populating warm scan it would have been, and later queries are
+        cache-served."""
+        if not u.populate or u.populate_layout != "columns" \
+                or self.indexes.rented(entry.name, entry.generation) < rows:
+            return False
+        if self._sel_push(u, entry, A.make_conjunction(u.pushed)):
+            return False  # the pushdown would drop the population again
+        width = len(getattr(entry.description.element_type, "fields", ()))
+        return self.cache.can_add_columns(entry.name, u.populate, rows,
+                                          max(width, len(u.populate)))
 
     def _build_tree(self, ordered, unit_by_var, equi, residual, decisions,
                     extra_exprs) -> PhysNode:
@@ -1069,6 +1132,39 @@ _COMPARE_FLIP = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
 
 #: sentinel for "not a constant expression" (None is a valid constant)
 _NO_FOLD = object()
+
+
+def _intersect_ranges(matches: list[tuple]) -> list[tuple]:
+    """Fold the range specs on one field (and one ordered domain) into a
+    single spec with the tightest bound on either side, in the position of
+    the first; everything else passes through in order."""
+    out: list[tuple] = []
+    at: dict[tuple, int] = {}
+    for fname, spec in matches:
+        bound = None
+        if spec[0] == "range":
+            bound = spec[2] if spec[2] is not None else spec[3]
+        if isinstance(bound, (int, float)):
+            key = (fname, "num")
+        elif isinstance(bound, str):
+            key = (fname, "str")
+        else:
+            out.append((fname, spec))
+            continue
+        i = at.setdefault(key, len(out))
+        if i == len(out):
+            out.append((fname, spec))
+            continue
+        _k, _f, lo, hi, lo_incl, hi_incl = out[i][1]
+        _k, _f, lo2, hi2, lo_incl2, hi_incl2 = spec
+        if lo2 is not None and (lo is None or lo2 > lo
+                                or (lo2 == lo and not lo_incl2)):
+            lo, lo_incl = lo2, lo_incl2
+        if hi2 is not None and (hi is None or hi2 < hi
+                                or (hi2 == hi and not hi_incl2)):
+            hi, hi_incl = hi2, hi_incl2
+        out[i] = (fname, ("range", fname, lo, hi, lo_incl, hi_incl))
+    return out
 
 
 def _proj_field(e: A.Expr, var: str, fmt: str) -> str | None:

@@ -137,9 +137,11 @@ class PhysScan(PhysNode):
     #: equality pushed into a DBMS-source index lookup: (field, constant)
     #: or (field, (constants...), "in") for IN-lists
     index_eq: tuple | None = None
-    #: ACCESS_INDEX probe spec for a JIT value index — ("eq", field, v),
+    #: probe spec for a JIT value index — ("eq", field, v),
     #: ("in", field, (vs...)) or ("range", field, lo, hi, lo_incl, hi_incl).
-    #: The scan keeps ``pred`` as a recheck, so partial coverage and hash
+    #: With ACCESS_INDEX the candidates are fetched from the raw file; with
+    #: ACCESS_CACHE they are gathered from the cached columns. Either way
+    #: the scan keeps ``pred`` as a recheck, so partial coverage and hash
     #: false positives stay correct.
     index_lookup: tuple | None = None
     #: predicate-conjunct fields whose values the scan should emit as index
@@ -359,6 +361,8 @@ def explain_physical(node: PhysNode, indent: int = 0) -> str:
     if isinstance(node, PhysScan):
         if node.access == ACCESS_INDEX and node.index_lookup is not None:
             extras = [f"access=index[{node.index_lookup[1]}]"]
+        elif node.access == ACCESS_CACHE and node.index_lookup is not None:
+            extras = [f"access=cache+index[{node.index_lookup[1]}]"]
         else:
             extras = [f"access={node.access}"]
         if node.access in (ACCESS_COLD, ACCESS_WARM) and node.format in (

@@ -42,6 +42,7 @@ import json as _json
 import threading
 import time
 import weakref
+from collections import deque
 from dataclasses import dataclass
 
 from ..caching import AdmissionPolicy, DataCache
@@ -110,6 +111,11 @@ class QueryResult:
         if isinstance(self.value, list):
             return iter(self.value)
         raise TypeError("scalar query result is not iterable")
+
+
+#: how many recent :class:`QueryStats` a session keeps in ``query_log`` (a
+#: session's lifetime totals live in running counters, not in the log)
+QUERY_LOG_ENTRIES = 1024
 
 
 def _release_context(engine: EngineContext, owned: bool) -> None:
@@ -215,9 +221,20 @@ class ViDa:
         self.adaptive_stats = adaptive_stats
         self.cleaning: dict[str, object] = {}
         self.devices: dict[str, object] = {}
-        self.query_log: list[QueryStats] = []
+        #: the most recent queries' stats, oldest first (bounded: a tenant
+        #: that stays connected must not grow by one record per query)
+        self.query_log: deque[QueryStats] = deque(maxlen=QUERY_LOG_ENTRIES)
+        # lifetime totals behind cache_hit_ratio()
+        self._queries = 0
+        self._cache_only_queries = 0
+        self._log_lock = threading.Lock()
         # prepared-statement cache: query text →
-        # [parsed, normalized, plan_epoch, plan, decisions]. The ASTs are
+        # [parsed, normalized, plan_epoch, plan, decisions, plan_text]. The
+        # plan text (EXPLAIN rendering, which the compile-cache key is cut
+        # from) is rendered once per (re)plan, not per query; the four plan
+        # slots are written and read together under the lock, so a
+        # concurrent query of the same text never pairs one plan with
+        # another's text. The ASTs are
         # pure functions of the text, so their reuse is always safe; the
         # physical plan is only reused while the plan epoch (catalog shape,
         # file generations, table statistics, cost calibration, session
@@ -346,7 +363,7 @@ class ViDa:
             norm = normalize(expr)
             stats.normalize_ms = (time.perf_counter() - t0) * 1e3
             if isinstance(text_or_expr, str):
-                prepared = [expr, norm, None, None, None]
+                prepared = [expr, norm, None, None, None, None]
                 with self._prepared_lock:
                     if len(self._prepared) >= self._max_prepared:
                         self._prepared.pop(next(iter(self._prepared)))
@@ -400,8 +417,7 @@ class ViDa:
                 value = eval_expr(norm, {}, runtime)
                 stats.execute_ms = (time.perf_counter() - t0) * 1e3
                 stats.total_ms = (time.perf_counter() - t_start) * 1e3
-                self._fill_exec_stats(stats, runtime)
-                self.query_log.append(stats)
+                self._log(stats, runtime)
                 value = self._apply_limit(value, limit)
                 return QueryResult(self._shape_output(value, output), stats)
 
@@ -409,27 +425,34 @@ class ViDa:
             epoch = self._plan_epoch()
             # a pinned query never reuses or feeds the prepared-plan cache:
             # its plan is specialised to the snapshot, not the live source
-            if prepared is not None and not pins and prepared[3] is not None \
-                    and prepared[2] == epoch:
-                plan, decisions = prepared[3], prepared[4].clone()
+            planned = None
+            if prepared is not None and not pins:
+                with self._prepared_lock:
+                    planned = prepared[2:]
+            if planned is not None and planned[1] is not None \
+                    and planned[0] == epoch:
+                plan, decisions, plan_text = planned[1:]
+                decisions = decisions.clone()
                 stats.plan_cached = True
             else:
                 algebra = translate(norm, self.catalog.names())
                 plan, decisions = self._planner(pins).plan(algebra)
+                plan_text = explain_physical(plan)
                 if prepared is not None and not pins:
                     with self._prepared_lock:
-                        prepared[2], prepared[3] = epoch, plan
-                        prepared[4] = decisions.clone()
+                        prepared[2:] = (epoch, plan, decisions.clone(),
+                                        plan_text)
             stats.plan_ms = (time.perf_counter() - t0) * 1e3
             stats.est_cost_units = decisions.total_est_cost
 
             if engine == "auto":
-                stats.engine = engine = self._resolve_engine(plan, decisions)
+                stats.engine = engine = self._resolve_engine(
+                    plan, plan_text, decisions)
 
             code = ""
             t0 = time.perf_counter()
             if engine == "jit":
-                compiled = self._jit.compile(plan)
+                compiled = self._jit.compile(plan, plan_text)
                 code = compiled.source
                 stats.codegen_ms = (time.perf_counter() - t0) * 1e3
                 t0 = time.perf_counter()
@@ -438,7 +461,7 @@ class ViDa:
                 value = self._static.execute(plan, runtime)
             stats.execute_ms = (time.perf_counter() - t0) * 1e3
             stats.total_ms = (time.perf_counter() - t_start) * 1e3
-            self._fill_exec_stats(stats, runtime)
+            self._log(stats, runtime)
             if self.adaptive_stats:
                 # convert the estimate to ms *before* folding this query's
                 # timings in, so est vs. measured reflects the model that
@@ -447,12 +470,11 @@ class ViDa:
                     decisions.total_est_cost)
                 if runtime.scan_timings:
                     self._engine.calibration.observe(runtime.scan_timings)
-            self.query_log.append(stats)
 
             value = self._apply_limit(value, limit)
             return QueryResult(
                 self._shape_output(value, output), stats, decisions,
-                explain_physical(plan), code,
+                plan_text, code,
             )
         finally:
             for history, snap in acquired:
@@ -565,7 +587,8 @@ class ViDa:
             tuple(sorted(self.cleaning)), tuple(sorted(self.devices)),
         )
 
-    def _resolve_engine(self, plan, decisions: PlanDecisions) -> str:
+    def _resolve_engine(self, plan, plan_text: str,
+                        decisions: PlanDecisions) -> str:
         """Pick jit vs static for one query (``default_engine="auto"``).
 
         JIT always wins once its compiled function is cached (the compile
@@ -575,7 +598,7 @@ class ViDa:
         """
         from .optimizer import cost as C
 
-        if self._jit.is_cached(plan):
+        if self._jit.is_cached(plan, plan_text):
             decisions.engine_choice = "jit (compiled plan cached)"
             return "jit"
         if decisions.total_est_cost >= C.COMPILE_COST:
@@ -622,7 +645,9 @@ class ViDa:
     def closed(self) -> bool:
         return self._closed
 
-    def _fill_exec_stats(self, stats: QueryStats, runtime: QueryRuntime) -> None:
+    def _log(self, stats: QueryStats, runtime: QueryRuntime) -> None:
+        """Copy the runtime's execution counters into ``stats`` and file
+        them: the bounded recent-query log plus the lifetime totals."""
         es = runtime.stats
         stats.raw_rows = es.raw_rows
         stats.cache_rows = es.cache_rows
@@ -634,6 +659,10 @@ class ViDa:
         stats.index_builds = es.index_builds
         stats.index_hits = es.index_hits
         stats.index_rows_served = es.index_rows_served
+        with self._log_lock:
+            self.query_log.append(stats)
+            self._queries += 1
+            self._cache_only_queries += stats.cache_only
 
     @staticmethod
     def _apply_limit(value, limit: int | None):
@@ -667,8 +696,8 @@ class ViDa:
     # -- workload-level reporting ---------------------------------------------
 
     def cache_hit_ratio(self) -> float:
-        """Fraction of logged queries answered without touching raw files."""
-        if not self.query_log:
+        """Fraction of this session's queries, over its whole lifetime,
+        answered without touching raw files."""
+        if not self._queries:
             return 0.0
-        served = sum(1 for s in self.query_log if s.cache_only)
-        return served / len(self.query_log)
+        return self._cache_only_queries / self._queries

@@ -25,13 +25,16 @@ produce false positives, never wrong answers.
 from __future__ import annotations
 
 import bisect
+import threading
+from itertools import chain
 from typing import Any, Sequence
 
 
 class ValueIndex:
     """Hash + sorted-run index over one field's covered row ranges."""
 
-    __slots__ = ("field", "entries", "covered", "_typed_runs")
+    __slots__ = ("field", "entries", "covered", "_typed_runs", "_fresh",
+                 "_lock")
 
     def __init__(self, field: str):
         self.field = field
@@ -39,7 +42,16 @@ class ValueIndex:
         self.entries: dict[Any, list[int]] = {}
         #: sorted disjoint [lo, hi) half-open row ranges already indexed
         self.covered: list[tuple[int, int]] = []
+        #: published sorted key runs by ordered domain (None until the first
+        #: range probe). Only ever *replaced*: a concurrent tenant bisecting
+        #: the old lists sees a complete run, never one mid-sort
         self._typed_runs: dict[str, list] | None = None
+        #: keys created since the runs were published, merged in lazily by
+        #: the next range probe of this field
+        self._fresh: list = []
+        # growth and run publication serialise here (a leaf lock); probes
+        # that find nothing to publish never take it
+        self._lock = threading.Lock()
 
     # -- building ---------------------------------------------------------
 
@@ -52,27 +64,32 @@ class ValueIndex:
             return 0
         added = 0
         entries = self.entries
-        for lo, hi in self._uncovered_within(start, end):
-            for row in range(lo, hi):
-                v = values[row - start]
-                try:
-                    bucket = entries.get(v)
-                    if bucket is None:
-                        entries[v] = [row]
-                    else:
-                        bucket.append(row)
-                except TypeError:
-                    # unhashable (nested JSON value): probes are scalar
-                    # consts, so an unindexed unhashable can never be a
-                    # false negative — safe to leave out of the hash table
-                    pass
-            added += hi - lo
-        if added:
-            self._merge_covered(start, end)
-            self._typed_runs = None
-        elif not self._covers(start, end):
-            # nothing hashed but rows were seen: still mark them covered
-            self._merge_covered(start, end)
+        with self._lock:
+            # remember created keys only once runs exist: until the first
+            # range probe there is nothing to merge them into
+            created = self._fresh if self._typed_runs is not None else None
+            for lo, hi in self._uncovered_within(start, end):
+                for row in range(lo, hi):
+                    v = values[row - start]
+                    try:
+                        bucket = entries.get(v)
+                        if bucket is None:
+                            entries[v] = [row]
+                            if created is not None:
+                                created.append(v)
+                        else:
+                            bucket.append(row)
+                    except TypeError:
+                        # unhashable (nested JSON value): probes are scalar
+                        # consts, so an unindexed unhashable can never be a
+                        # false negative — safe to leave out of the hash
+                        # table
+                        pass
+                added += hi - lo
+            # coverage last: a probe that reads ``covered`` first and the
+            # keys second finds every key of every range it saw covered
+            if added or not self._covers(start, end):
+                self._merge_covered(start, end)
         return added
 
     def _covers(self, lo: int, hi: int) -> bool:
@@ -145,7 +162,7 @@ class ValueIndex:
         if buckets is None:
             return None
         # a row holds one value, so the buckets of distinct keys are disjoint
-        rows = [r for bucket in buckets for r in bucket]
+        rows = list(chain.from_iterable(buckets))
         rows.sort()
         return rows
 
@@ -157,6 +174,17 @@ class ValueIndex:
         buckets = self._buckets(spec)
         return None if buckets is None else sum(map(len, buckets))
 
+    def key_count(self, spec: tuple) -> int | None:
+        """How many distinct keys (row buckets) the probe opens — for a
+        range the two bisects alone, O(log n). Every key holds at least
+        one row, so ``key_count <= count``: a probe too dense to win is
+        rejected before any bucket is summed."""
+        if spec[0] == "range":
+            cut = self._range_keys(*spec[2:])
+            return None if cut is None else max(0, cut[2] - cut[1])
+        buckets = self._buckets(spec)
+        return None if buckets is None else sum(map(bool, buckets))
+
     def _buckets(self, spec: tuple):
         """The row buckets ``spec`` selects (``None``: unservable probe)."""
         kind = spec[0]
@@ -165,7 +193,11 @@ class ValueIndex:
         if kind == "in":
             return self._value_buckets(spec[2])
         if kind == "range":
-            return self._range_buckets(*spec[2:])
+            cut = self._range_keys(*spec[2:])
+            if cut is None:
+                return None
+            run, i, j = cut
+            return map(self.entries.__getitem__, run[i:j])
         return None
 
     def _value_buckets(self, values: Sequence):
@@ -179,13 +211,14 @@ class ValueIndex:
                 pass  # unhashable probe: no hashed value can equal it
         return distinct.values()
 
-    def _range_buckets(self, lo, hi, lo_incl: bool, hi_incl: bool):
+    def _range_keys(self, lo, hi, lo_incl: bool, hi_incl: bool):
+        """``(run, i, j)``: the sorted key run of the probe's domain and
+        the slice of it the bounds cut out (``None``: unservable probe)."""
         probe = lo if lo is not None else hi
-        runs = self._sorted_runs()
         if isinstance(probe, (int, float)):
-            run = runs["num"]
+            run = self._sorted_runs()["num"]
         elif isinstance(probe, str):
-            run = runs["str"]
+            run = self._sorted_runs()["str"]
         else:
             return None  # no ordered domain for this probe type
         i, j = 0, len(run)
@@ -195,26 +228,39 @@ class ValueIndex:
         if hi is not None:
             j = (bisect.bisect_right(run, hi) if hi_incl
                  else bisect.bisect_left(run, hi))
-        return [self.entries[k] for k in run[i:j]]
+        return run, i, j
 
     def _sorted_runs(self) -> dict[str, list]:
-        """Lazily (re)built sorted key runs, partitioned by ordered type.
+        """Sorted key runs partitioned by ordered type, built at the first
+        range probe and from then on *merged*: a growth leaves its new keys
+        in ``_fresh`` and the next probe publishes ``sorted(run + fresh)``
+        (timsort merges the two runs linearly) instead of re-classifying
+        and re-sorting every key after each 1% append.
 
         Comparisons against values outside these domains (None, nested
         structures) raise in the engines too, so excluding them from the
         runs cannot create false negatives."""
-        if self._typed_runs is None:
-            num: list = []
-            strs: list = []
-            for k in self.entries:
-                if isinstance(k, (int, float)):
-                    num.append(k)
-                elif isinstance(k, str):
-                    strs.append(k)
-            num.sort()
-            strs.sort()
-            self._typed_runs = {"num": num, "str": strs}
-        return self._typed_runs
+        runs = self._typed_runs
+        if runs is None or self._fresh:
+            with self._lock:
+                runs = self._typed_runs
+                fresh = self.entries if runs is None else self._fresh
+                if runs is None or fresh:
+                    num = [k for k in fresh if isinstance(k, (int, float))]
+                    strs = [k for k in fresh if isinstance(k, str)]
+                    if runs is not None:
+                        num = sorted(runs["num"] + num) if num \
+                            else runs["num"]
+                        strs = sorted(runs["str"] + strs) if strs \
+                            else runs["str"]
+                    else:
+                        num.sort()
+                        strs.sort()
+                    # publish before forgetting the fresh keys: a probe that
+                    # finds ``_fresh`` empty must find them in the runs
+                    self._typed_runs = runs = {"num": num, "str": strs}
+                    self._fresh = []
+        return runs
 
 
 class IndexPartial:

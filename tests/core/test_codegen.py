@@ -126,3 +126,25 @@ def test_generated_source_is_specialised(db):
     assert "'geneva'" in r.code
     # the root count fuses into a per-chunk kernel
     assert "_acc += sum(1 for" in r.code
+
+
+def test_moved_estimates_reuse_the_compiled_function(db, patients_csv):
+    """A file that grew re-plans its queries with new row and cost
+    estimates. Generated code reads neither, so they are not part of the
+    compile-cache key: the re-planned query runs the function it had."""
+    from repro.core.executor.engine import plan_fingerprint
+
+    q = "for { p <- Patients, p.age > 33 } yield count 1"
+    db.query(q)                      # cold: builds posmap, fills the cache
+    before = db.query(q)             # the cache-served plan shape
+    with open(patients_csv, "a") as fh:
+        for i in range(60, 120):
+            fh.write(f"{i},{20 + (i * 7) % 60},m,geneva,41.5\n")
+    compilations = db._jit.stats.compilations
+    after = db.query(q)
+    assert after.value == 2 * before.value
+    assert after.plan_text != before.plan_text       # est_rows / est_cost
+    assert plan_fingerprint(None, after.plan_text) \
+        == plan_fingerprint(None, before.plan_text)
+    assert db._jit.stats.compilations == compilations
+    db.close()

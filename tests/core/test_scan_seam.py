@@ -201,7 +201,8 @@ def byproduct_state(db) -> dict:
         gen = db.catalog.get(name).generation
         stats = ctx.table_stats.peek(name, gen)
         state[name + ".stats"] = stats.snapshot() if stats else None
-        fields = ctx.indexes._sources.get(name, (gen, {}))[1]
+        fields = {f: ctx.indexes.peek(name, gen, f)
+                  for f in ctx.indexes.fields(name, gen)}
         state[name + ".index"] = {
             f: (sorted(ix.entries.items(), key=repr), ix.covered)
             for f, ix in fields.items()}

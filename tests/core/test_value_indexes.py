@@ -21,6 +21,8 @@ Covers the full lifecycle the subsystem promises:
 
 import os
 import random
+import sys
+import threading
 import time
 
 import pytest
@@ -122,6 +124,75 @@ def test_count_equals_lookup_length(values, data):
     for spec in specs:
         rows = idx.lookup(spec)
         assert idx.count(spec) == (None if rows is None else len(rows))
+
+
+@given(batches=st.lists(st.lists(_KEYS, max_size=12), min_size=1, max_size=8),
+       probes=st.lists(st.sampled_from(["num", "str", "none"]), min_size=8,
+                       max_size=8))
+@settings(max_examples=150, deadline=None)
+def test_merged_sorted_runs_equal_rebuilt_runs(batches, probes):
+    """Runs published by merging each growth's new keys equal the runs one
+    sort over all keys builds, whichever domains were probed in between
+    (mixed int/float/str/bool/NULL keys), and bracket the count."""
+    grown = ValueIndex("x")
+    start = 0
+    for batch, probe in zip(batches, probes):
+        grown.add_run(start, batch)
+        start += len(batch)
+        if probe != "none":
+            lo = -9 if probe == "num" else ""
+            assert grown.key_count(("range", "x", lo, None, True, False)) >= 0
+    rebuilt = ValueIndex("x")
+    rebuilt.add_run(0, [v for batch in batches for v in batch])
+    assert grown._sorted_runs() == rebuilt._sorted_runs()
+    assert not grown._fresh
+    for spec in (("range", "x", -2, 3.5, True, False),
+                 ("range", "x", "a", None, False, False),
+                 ("in", "x", (1, "m", None)), ("eq", "x", 0)):
+        assert grown.lookup(spec) == rebuilt.lookup(spec)
+        assert grown.key_count(spec) <= grown.count(spec)
+
+
+def test_reader_never_sees_a_shorter_run_during_growth():
+    """Runs are published by replacement: while 1,000 growths add keys, a
+    concurrent tenant's bisect never lands on an emptied or half-sorted
+    run (the key count only ever rises), and no growth is lost."""
+    idx = ValueIndex("x")
+    idx.add_run(0, list(range(0, 4000, 2)))
+    everything = ("range", "x", float("-inf"), None, True, False)
+    assert idx.key_count(everything) == 2000
+    stop = threading.Event()
+    errors: list = []
+
+    def reader():
+        last = 0
+        try:
+            while not stop.is_set():
+                seen = idx.key_count(everything)
+                if seen < last or len(idx.lookup(everything)) < seen:
+                    errors.append((last, seen))
+                last = seen
+        except Exception as exc:   # a reader must not die silently
+            errors.append(exc)
+
+    readers = [threading.Thread(target=reader) for _ in range(3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in readers:
+            t.start()
+        for i in range(1000):
+            idx.add_run(2000 + i, [2 * i + 1])
+    finally:
+        stop.set()
+        for t in readers:
+            t.join(timeout=30)
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in readers)
+    assert not errors
+    assert idx.key_count(everything) == 3000
+    assert idx._sorted_runs()["num"] == list(range(2000)) + list(
+        range(2000, 4000, 2))
 
 
 def test_value_index_coverage_merging():
