@@ -15,12 +15,17 @@ from __future__ import annotations
 
 import itertools
 import json
-import sys
 import threading
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .layouts import CachedData, deep_bytes, materialize, materialize_columns
+from .layouts import (
+    CachedData,
+    deep_bytes,
+    list_bytes,
+    materialize,
+    materialize_columns,
+)
 from .policy import DEFAULT_POLICY, AdmissionPolicy
 
 #: lookup preference among layouts able to serve a request
@@ -312,10 +317,10 @@ class DataCache:
                             for f in old.fields}
                     tail_bytes = sum(
                         deep_bytes(tail_columns[f]) for f in old.fields
-                    ) + sum(sys.getsizeof(c) - sys.getsizeof(old.data[f])
-                            for f, c in cols.items())
+                    ) + len(old.fields) * (list_bytes(base_count + tail_rows)
+                                           - list_bytes(base_count))
                     grown = CachedData("columns", old.fields, cols,
-                                       old.nbytes + max(0, tail_bytes),
+                                       old.nbytes + tail_bytes,
                                        base_count + tail_rows)
                 elif old.layout in ("objects", "json_text") \
                         and old.count == base_count and tail_objects is not None:

@@ -150,9 +150,21 @@ def _navigate(obj, path: str):
     return get_path(obj, path)
 
 
+_LIST_BYTES = sys.getsizeof([])
+_SLOT_BYTES = sys.getsizeof([None]) - _LIST_BYTES
+
+
+def list_bytes(n: int) -> int:
+    """A column list's own footprint at ``n`` items: its header and one slot
+    per item, without the spare capacity its growth left — that depends on
+    how the list was built (extended per chunk, merged per morsel,
+    unpickled), and the same column must size the same however it ran."""
+    return _LIST_BYTES + _SLOT_BYTES * n
+
+
 def _columns_bytes(cols: dict[str, list]) -> int:
     """Footprint of a columnar entry: the cells plus the column lists."""
-    return sum(deep_bytes(col) + sys.getsizeof(col) for col in cols.values())
+    return sum(deep_bytes(col) + list_bytes(len(col)) for col in cols.values())
 
 
 def materialize_columns(fields: Sequence[str], columns: Sequence[list]) -> CachedData:

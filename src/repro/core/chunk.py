@@ -14,13 +14,11 @@ A :class:`Chunk` is the unit that crosses the boundary:
 - ``fields``  — the dotted paths the columns are aligned with,
 - ``columns`` — one Python list per field, all the same length,
 - ``whole``   — optionally, the whole elements (row dicts / parsed JSON
-  objects) for scans that must bind the full record,
-- ``selection`` — optional selection vector: indexes of surviving rows
-  after a batch-level filter (cleaning skips, predicate kernels); chunks
-  travel *uncompacted* and every consumer honours the vector —
-  :meth:`iter_rows`/:meth:`iter_whole` yield only surviving rows,
-  :meth:`compact` materialises a dense chunk, and an empty vector means
-  the whole batch was filtered out (consumers short-circuit).
+  objects) for scans that must bind the full record.
+
+Chunks are dense: a producer that drops rows (a cleaning policy skipping a
+dirty row, a pushed-down predicate) yields only the survivors, so no
+consumer ever has to honour a pending selection.
 
 Cache hits are served as *zero-copy* chunk views: a cached columnar entry's
 lists are wrapped in a single Chunk without copying a value.
@@ -43,7 +41,6 @@ class Chunk:
     columns: tuple[list, ...]
     length: int
     whole: list | None = None
-    selection: list[int] | None = None
     #: physical rows the producer scanned for this batch when that exceeds
     #: ``length`` — set by selection-pushdown scans that materialise only
     #: predicate survivors (late materialization); used for raw-row stats
@@ -106,25 +103,13 @@ class Chunk:
 
     @property
     def selected_length(self) -> int:
-        """Number of surviving rows (``length`` when nothing was filtered)."""
-        return self.length if self.selection is None else len(self.selection)
+        """Rows the chunk carries (the benchmark tracer reads this name)."""
+        return self.length
 
     def iter_rows(self) -> Iterator[tuple]:
-        """Yield aligned value tuples of *surviving* rows.
-
-        A pending ``selection`` vector is honoured: filtered-out rows never
-        surface. Dense chunks iterate with C-level ``zip``.
-        """
-        sel = self.selection
+        """Yield aligned value tuples, with C-level ``zip`` over the columns."""
         if not self.columns:
-            count = self.length if sel is None else len(sel)
-            return iter(() for _ in range(count))
-        if sel is not None:
-            cols = self.columns
-            if len(cols) == 1:
-                col = cols[0]
-                return ((col[i],) for i in sel)
-            return (tuple(col[i] for col in cols) for i in sel)
+            return iter(() for _ in range(self.length))
         if len(self.columns) == 1:
             return ((v,) for v in self.columns[0])
         return zip(*self.columns)
@@ -133,45 +118,8 @@ class Chunk:
         return list(self.iter_rows())
 
     def iter_whole(self) -> Iterator:
-        """Yield surviving whole elements (selection-aware)."""
-        if self.whole is None:
-            return iter(())
-        if self.selection is None:
-            return iter(self.whole)
-        whole = self.whole
-        return (whole[i] for i in self.selection)
-
-    def selected_columns(self) -> tuple[list, ...]:
-        """Column lists holding only surviving rows (per-column kernels)."""
-        sel = self.selection
-        if sel is None:
-            return self.columns
-        return tuple([col[i] for i in sel] for col in self.columns)
-
-    def take(self, indexes: Sequence[int]) -> "Chunk":
-        """A new dense chunk holding only the rows at ``indexes`` (in order).
-
-        Refuses uncompacted chunks: positional indexes are ambiguous while a
-        selection vector is pending (physical vs surviving row numbering) —
-        :meth:`compact` first.
-        """
-        if self.selection is not None:
-            raise ValueError(
-                "take() on an uncompacted chunk: a selection vector is "
-                "pending; call compact() first"
-            )
-        return self._gather(indexes)
-
-    def _gather(self, indexes: Sequence[int]) -> "Chunk":
-        columns = tuple([col[i] for i in indexes] for col in self.columns)
-        whole = [self.whole[i] for i in indexes] if self.whole is not None else None
-        return Chunk(self.fields, columns, len(indexes), whole)
-
-    def compact(self) -> "Chunk":
-        """Apply the selection vector, if any, returning a dense chunk."""
-        if self.selection is None:
-            return self
-        return self._gather(self.selection)
+        """Yield the whole elements (none when the chunk carries none)."""
+        return iter(self.whole if self.whole is not None else ())
 
     def __len__(self) -> int:
         return self.length

@@ -4,18 +4,16 @@ This is the Python analogue of ViDa's LLVM code generation (paper §4): one
 fused, push-style (produce/consume, a la HyPer) function is generated *per
 query*, with
 
-- scan loops specialised to each source's format and chosen access path,
-- *vectorized* scans: raw sources stream in as columnar chunks (tokenized
-  and converted batch-at-a-time by the runtime's column kernels), and the
-  generated loop binds locals straight off the column lists with C-level
-  ``zip`` iteration — converter and null-token dispatch is hoisted out of
-  the inner loop entirely,
+- *vectorized* scans: every scan is one ``_rt.scan(...)`` call streaming
+  columnar chunks (tokenized and converted batch-at-a-time by the format
+  plugins' column kernels; format, access path and the by-products the
+  scan leaves behind — cache population included — are the runtime's
+  business), and the generated loop binds locals straight off the column
+  lists with C-level ``zip`` iteration,
 - predicates, join probes and accumulator updates inlined in the loop body —
-  no operator boundaries, no per-tuple interpretation,
-- cache population piggybacked on raw scans as whole-column ``extend``s
-  (one call per chunk, not one append per row), and
-- "general-purpose checks stripped": populate code, whole-element binding
-  and predicate tests are emitted only when the planner asked for them.
+  no operator boundaries, no per-tuple interpretation, and
+- "general-purpose checks stripped": whole-element binding and predicate
+  tests are emitted only when the plan asks for them.
 
 The generated module source is kept on the result object for inspection
 (``QueryResult.code``) — the moral equivalent of dumping the LLVM IR.
@@ -43,7 +41,7 @@ from ..physical import (
     chain_nest,
     parallel_driver,
 )
-from .exprs import Binding, ExprContext, ObjectBinding, ScalarBinding, compile_expr
+from .exprs import ExprContext, ObjectBinding, ScalarBinding, compile_expr
 from .helpers import HELPERS
 
 
@@ -118,7 +116,7 @@ def _contains_comprehension(expr) -> bool:
 
 
 class _ChunkCtx:
-    """Per-chunk emitted state: the (possibly selection-compacted) column
+    """Per-chunk emitted state: the (possibly predicate-narrowed) column
     list variable, whole-element variable, and surviving-row count."""
 
     def __init__(self, names: list[str], cols: str | None, total: int,
@@ -427,7 +425,8 @@ class QueryCompiler:
         self.ctx = ExprContext(source_names=self.catalog.names())
         self.w = CodeWriter(indent=1)
         self._counter = 0
-        self._finalizers: list[str] = []  # emitted at function end (indent 1)
+        #: module global → the PhysScan a ``_rt.scan`` call streams
+        self._scans: dict[str, PhysScan] = {}
         #: (monoid name, head expr) when the root fold fuses into chunk kernels
         self._fold: tuple | None = None
         #: chunk-level consumer (join build/probe sink) replacing the row loop
@@ -467,6 +466,7 @@ class QueryCompiler:
         # Subquery functions resolve helpers via module globals; the main
         # function shadows them with locals in its prelude for speed.
         globals_ns.update(HELPERS)
+        globals_ns.update(self._scans)
         try:
             code = compile(source, "<vida-jit>", "exec")
         except SyntaxError as exc:  # pragma: no cover - codegen bug guard
@@ -576,9 +576,6 @@ class QueryCompiler:
         self._emit_node(node.child, consume)
         self._fold = None
 
-        for line in self._finalizers:
-            w.emit(line)
-
         if name in ("bag", "list", "set"):
             w.emit("return _out")
         elif name == "avg":
@@ -618,65 +615,65 @@ class QueryCompiler:
     # -- scans -----------------------------------------------------------
 
     def _emit_scan(self, node: PhysScan, consume) -> None:
-        entry = self.catalog.get(node.source)
-        fmt = entry.format
-        if node.access == "cache":
-            self._emit_cache_scan(node, consume)
-        elif fmt == "memory" or node.access == "memory":
-            self._emit_memory_scan(node, consume)
-        elif fmt == "csv":
-            self._emit_csv_scan(node, entry, consume)
-        elif fmt == "json":
-            self._emit_json_scan(node, consume)
-        elif fmt == "array":
-            self._emit_array_scan(node, entry, consume)
-        elif fmt == "xls":
-            self._emit_xls_scan(node, entry, consume)
-        elif fmt == "dbms":
-            self._emit_dbms_scan(node, consume)
-        else:
-            raise CodegenError(f"no scan emitter for format {fmt!r}")
-
-    def _emit_dbms_scan(self, node: PhysScan, consume) -> None:
-        """Scan a DBMS source over the chunk protocol; index lookups (pushed
-        down by the planner) stay row-at-a-time."""
-        from ...warehouse.docstore import DocStore
-
-        entry = self.catalog.get(node.source)
+        """One scan: a loop over the chunks of its one ``_rt.scan`` call
+        (memory collections and DBMS index lookups run row at a time). The
+        engines bind the element itself (:meth:`PhysScan.binds_objects`) or
+        the scan's fields as locals, plus the whole row record when it is
+        bound whole."""
+        w = self.w
         var = _sanitize(node.var)
-        # Document stores return nested records; keep them whole so path
-        # navigation works. Tabular stores take the projection pushdown.
-        whole = node.bind_whole or isinstance(entry.plugin.store, DocStore)
-        fields: tuple = () if whole else node.fields
-        if node.index_eq is not None:
+        if node.format == "memory" or node.access == "memory" \
+                or node.index_eq is not None:
             local = f"_{var}_obj"
             self.ctx.bindings[node.var] = ObjectBinding(local)
-            call = (f"_rt.dbms_rows({node.source!r}, {fields!r}, "
-                    f"{node.index_eq!r})")
-            with self.w.block(f"for {local} in {call}:"):
+            if node.index_eq is None:
+                call = f"_rt.memory({node.source!r})"
+            else:
+                call = f"_rt.dbms_rows({node.source!r}, {node.index_eq!r})"
+            with w.block(f"for {local} in {call}:"):
                 self._emit_pred_then(node.pred, consume)
             return
-        call = (f"_rt.dbms_chunks({node.source!r}, {fields!r}, "
-                f"batch_size={node.batch_size}, whole={whole!r})")
-        ch = self._next("ch")
-        if whole or not fields:
-            local = f"_{var}_obj"
-            self.ctx.bindings[node.var] = ObjectBinding(local)
-            with self.w.block(f"for {ch} in {call}:"):
-                self._emit_chunk_body(ch, [], local, node.pred, consume)
+        locals_by_path = {f: f"_{var}_{_sanitize(f)}" for f in node.fields}
+        if node.binds_objects():
+            whole_local = f"_{var}_obj"
+            self.ctx.bindings[node.var] = ObjectBinding(whole_local)
+            names: list[str] = []
+        else:
+            whole_local = f"_{var}_obj" if node.bind_whole else None
+            self.ctx.bindings[node.var] = ScalarBinding(
+                dict(locals_by_path), whole_local=whole_local)
+            names = [locals_by_path[f] for f in node.fields]
+        pred = node.pred
+        kernel = None
+        region = self._par_regions.get(id(node))
+        if node.sel_push and pred is not None:
+            pushed = self._pred_pushdown_kernel(node, locals_by_path)
+            if pushed is not None:
+                kernel, emit_def = pushed
+                if node.backend == "process" and region is not None:
+                    # the kernel must be a worker-local def: the child
+                    # executes only module-level code plus the worker body
+                    self._worker_prelude = emit_def
+                else:
+                    emit_def()
+                pred = None  # chunks arrive as dense predicate survivors
+        scan = self._next("sc")
+        self._scans[scan] = node
+        args = [scan]
+        if region is not None:
+            args.append("_split")
+        if kernel is not None:
+            args.append(f"pred_kernel={kernel}")
+        call = f"_rt.scan({', '.join(args)})"
+        total = len(node.chunk_fields())
+        if region is not None:
+            self._emit_parallel_scan(region, node, scan, call, names,
+                                     whole_local, total, pred, consume)
             return
-        locals_by_path = {f: f"_{var}_{_sanitize(f)}" for f in fields}
-        self.ctx.bindings[node.var] = ScalarBinding(locals_by_path)
-        names = [locals_by_path[f] for f in fields]
-        with self.w.block(f"for {ch} in {call}:"):
-            self._emit_chunk_body(ch, names, None, node.pred, consume,
-                                  chunk_fields=tuple(fields))
-
-    def _emit_memory_scan(self, node: PhysScan, consume) -> None:
-        local = f"_{_sanitize(node.var)}_obj"
-        self.ctx.bindings[node.var] = ObjectBinding(local)
-        with self.w.block(f"for {local} in _rt.memory({node.source!r}):"):
-            self._emit_pred_then(node.pred, consume)
+        ch = self._next("ch")
+        with w.block(f"for {ch} in {call}:"):
+            self._emit_chunk_body(ch, names, whole_local, total, pred,
+                                  consume)
 
     def _sinkable(self, node) -> bool:
         """A bare chunked scan whose chunk loop can host a join sink."""
@@ -684,73 +681,36 @@ class QueryCompiler:
                 and bool(node.fields or node.bind_whole))
 
     def _emit_chunk_body(self, ch: str, names: list[str],
-                         whole_local: str | None, pred, consume,
-                         chunk_fields: tuple = (), node: PhysScan | None = None,
-                         pop_lists: dict[str, str] | None = None,
-                         whole_pop_local: str | None = None) -> None:
+                         whole_local: str | None, total: int, pred,
+                         consume) -> None:
         """Emit one chunk's processing inside the scan's chunk loop.
 
-        Stages, all vectorized per chunk:
+        Chunks arrive dense, carrying ``total`` columns of which ``names``
+        bind the leading ones. Stages, all vectorized per chunk:
 
-        1. *selection prologue* — a pending ``Chunk.selection`` (cleaning
-           drops) short-circuits when empty, otherwise compacts the consumed
-           columns/whole list with per-column kernels, so uncompacted chunks
-           can never leak dropped rows;
-        2. *cache population* — whole-column extends of the cleaning
-           survivors (never pred-filtered rows: the cache stores the source,
-           not this query's filter);
-        3. *predicate kernel* — the pushed-down predicate narrows a fresh
+        1. *predicate kernel* — the pushed-down predicate narrows a fresh
            selection vector in one comprehension; empty short-circuits the
            batch and survivors compact once per column;
-        4. *dispatch* — fused root-fold kernel, join build/probe sink, or
+        2. *dispatch* — fused root-fold kernel, join build/probe sink, or
            the plain row loop over the surviving rows.
         """
         w = self.w
         if _is_true(pred):
             pred = None
-        ncols = len(names)
-        total = max(ncols, len(chunk_fields))
         fold = self._fold
         sink = self._chunk_sink
-        use_whole = whole_local is not None or whole_pop_local is not None
         need_n = (not names and whole_local is None) or (
             fold is not None and fold[0] == "count")
         cols_var = whole_var = count_var = None
-        if total:
+        if names:
             cols_var = self._next("cc")
             w.emit(f"{cols_var} = {ch}.columns")
-        if use_whole:
+        if whole_local is not None:
             whole_var = self._next("cw")
             w.emit(f"{whole_var} = {ch}.whole")
         if need_n:
             count_var = self._next("cn")
             w.emit(f"{count_var} = {ch}.length")
-        sel = self._next("sl")
-        w.emit(f"{sel} = {ch}.selection")
-        with w.block(f"if {sel} is not None:"):
-            with w.block(f"if not {sel}:"):
-                w.emit("continue")
-            if cols_var:
-                w.emit(f"{cols_var} = [[_c[_i] for _i in {sel}] "
-                       f"for _c in {cols_var}]")
-            if whole_var:
-                w.emit(f"{whole_var} = [{whole_var}[_i] for _i in {sel}]")
-            if count_var:
-                w.emit(f"{count_var} = len({sel})")
-        if pop_lists and node is not None:
-            for f in node.populate:
-                if f == "*":
-                    continue
-                try:
-                    idx = chunk_fields.index(f)
-                except ValueError:
-                    raise CodegenError(
-                        f"populate field {f!r} not extracted by scan of "
-                        f"{node.source!r} (has {chunk_fields})"
-                    ) from None
-                w.emit(f"{pop_lists[f]}.extend({cols_var}[{idx}])")
-        if whole_pop_local:
-            w.emit(f"{whole_pop_local}.extend({whole_var})")
         ctx = _ChunkCtx(names, cols_var, total, whole_var, whole_local,
                         count_var)
         row_pred = pred
@@ -860,121 +820,50 @@ class QueryCompiler:
         else:  # pragma: no cover - guarded by the fusible-monoid list
             raise CodegenError(f"no fold kernel for monoid {name!r}")
 
-    def _emit_cache_scan(self, node: PhysScan, consume) -> None:
-        w = self.w
-        var = _sanitize(node.var)
-        # with a probe: candidates gathered from the cached columns; the
-        # predicate stays as the recheck (partial coverage, hash twins)
-        lookup = f", lookup={node.index_lookup!r}" \
-            if node.index_lookup is not None else ""
-        call = (f"_rt.cache_chunks({node.source!r}, {node.fields!r}, "
-                f"whole={node.bind_whole!r}{lookup})")
-        if node.bind_whole:
-            local = f"_{var}_obj"
-            self.ctx.bindings[node.var] = ObjectBinding(local)
-            names: list[str] = []
-            whole_local: str | None = local
-            chunk_fields: tuple = ()
-        else:
-            locals_by_path = {f: f"_{var}_{_sanitize(f)}" for f in node.fields}
-            self.ctx.bindings[node.var] = ScalarBinding(locals_by_path)
-            names = [locals_by_path[f] for f in node.fields]
-            whole_local = None
-            chunk_fields = tuple(node.fields)
-        region = self._par_regions.get(id(node))
-        if region is not None:
-            self._emit_parallel_scan(region, node, call, names, whole_local,
-                                     {}, chunk_fields, consume)
-            return
-        ch = self._next("ch")
-        with w.block(f"for {ch} in {call}:"):
-            self._emit_chunk_body(ch, names, whole_local, node.pred, consume,
-                                  chunk_fields=chunk_fields)
-
-    _NODE_PRED = object()  # sentinel: "use node.pred" (None is meaningful)
-
-    def _emit_chunked_scan(self, node: PhysScan, call: str, names: list[str],
-                           whole_local: str | None, pop_lists: dict[str, str],
-                           chunk_fields: tuple, consume,
-                           whole_pop_local: str | None = None,
-                           pred=_NODE_PRED) -> None:
-        """Shared tail of every chunked scan emitter: the per-chunk loop
-        with populate extends, column-local binding and the row loop (or
-        fused fold kernel). Morsel-sharded scans wrap the loop in a worker
-        function instead. ``pred`` overrides the scan predicate (None when
-        selection pushdown already filtered inside the plugin)."""
-        if pred is self._NODE_PRED:
-            pred = node.pred
-        region = self._par_regions.get(id(node))
-        if region is not None:
-            self._emit_parallel_scan(region, node, call, names, whole_local,
-                                     pop_lists, chunk_fields, consume,
-                                     whole_pop_local, pred=pred)
-            return
-        ch = self._next("ch")
-        with self.w.block(f"for {ch} in {call}:"):
-            self._emit_chunk_body(ch, names, whole_local, pred, consume,
-                                  chunk_fields=chunk_fields, node=node,
-                                  pop_lists=pop_lists,
-                                  whole_pop_local=whole_pop_local)
-
-    def _emit_parallel_scan(self, region, node: PhysScan, call: str,
-                            names: list[str], whole_local: str | None,
-                            pop_lists: dict[str, str], chunk_fields: tuple,
-                            consume, whole_pop_local: str | None = None,
-                            pred=_NODE_PRED) -> None:
+    def _emit_parallel_scan(self, region, node: PhysScan, scan: str,
+                            call: str, names: list[str],
+                            whole_local: str | None, total: int, pred,
+                            consume) -> None:
         """Morsel-sharded scan: worker def + split fan-out + ordered merge.
 
         The worker re-initialises every accumulator it writes (making them
         worker-locals — it shares only read-only state through its closure)
         and runs the identical chunk loop over its morsel. The coordinator
-        charges file-level stats once, runs the scheduler, and merges
-        partial accumulators and cache-population columns in morsel order.
+        charges file-level stats once, runs the scheduler, merges partial
+        accumulators in morsel order, and has the runtime merge what the
+        morsels left behind (``finish_scan``).
         """
         w = self.w
-        if pred is self._NODE_PRED:
-            pred = node.pred
-        assert call.endswith(")")
-        call = call[:-1] + ", split=_split)"
-        pop_vars = list(pop_lists.values())
-        if whole_pop_local:
-            pop_vars.append(whole_pop_local)
         ret_vars = list(region.result_vars())
         process = node.backend == "process"
         worker = self._next("mw")
 
         def emit_worker_body() -> None:
             region.emit_init(w)
-            for lst in pop_vars:
-                w.emit(f"{lst} = []")
             prelude_thunk = self._worker_prelude
             if prelude_thunk is not None:
                 self._worker_prelude = None
                 prelude_thunk()
             ch = self._next("ch")
             with w.block(f"for {ch} in {call}:"):
-                self._emit_chunk_body(ch, names, whole_local, pred,
-                                      consume, chunk_fields=chunk_fields,
-                                      node=node, pop_lists=pop_lists,
-                                      whole_pop_local=whole_pop_local)
-            returns = ret_vars + pop_vars
-            trailing = "," if len(returns) == 1 else ""
-            w.emit(f"return ({', '.join(returns)}{trailing})")
+                self._emit_chunk_body(ch, names, whole_local, total, pred,
+                                      consume)
+            trailing = "," if len(ret_vars) == 1 else ""
+            w.emit(f"return ({', '.join(ret_vars)}{trailing})")
 
         shared_names: list[str] = []
         if process:
             # process workers cannot be closures: capture the body, scan it
             # for the coordinator-built read-only state it references (hash
-            # tables, NL-join rows, monoids), and emit it as a top-level
-            # function taking that state through an explicit ``_shared``
-            # dict rehydrated child-side from the kernel spec
+            # tables, NL-join rows, monoids, the scan itself), and emit it
+            # as a top-level function taking that state through an explicit
+            # ``_shared`` dict rehydrated child-side from the kernel spec
             with w.capture(indent=1) as body_lines:
                 emit_worker_body()
             body = "\n".join(body_lines)
-            local = set(ret_vars) | set(pop_vars)
             shared_names = sorted(
-                set(re.findall(r"\b(?:_ht\d+|_nl\d+|_gm\d+|_M)\b", body))
-                - local
+                set(re.findall(r"\b(?:_ht\d+|_nl\d+|_gm\d+|_sc\d+|_M)\b",
+                               body)) - set(ret_vars)
             )
             header = [f"def {worker}(_rt, _shared, _split):"]
             header.extend(f"    {n} = _shared[{n!r}]" for n in shared_names)
@@ -989,11 +878,7 @@ class QueryCompiler:
         limited = isinstance(region, _FoldRegion) and \
             region.name in ("bag", "list")
         splits = self._next("sp")
-        w.emit(
-            f"{splits} = _rt.scan_splits({node.source!r}, {node.parallel}, "
-            f"access={node.access!r}, fields={node.fields!r}, "
-            f"whole={node.bind_whole!r}, limited={limited!r})"
-        )
+        w.emit(f"{splits} = _rt.scan_splits({scan}, limited={limited!r})")
         parts = self._next("pt")
         if process:
             shared_var = self._next("sh")
@@ -1009,70 +894,22 @@ class QueryCompiler:
         part = self._next("p")
         with w.block(f"for {part} in {parts}:"):
             region.emit_merge(w, part)
-            for i, lst in enumerate(pop_vars):
-                w.emit(f"{lst}.extend({part}[{len(ret_vars) + i}])")
         if node.access != "cache":
-            # merge sharded auxiliary-structure partials (positional maps)
+            # merge what the morsels left behind: maps, indexes, statistics,
+            # cache population
             w.emit(f"_rt.finish_scan({node.source!r}, {splits})")
-
-    def _emit_csv_scan(self, node: PhysScan, entry, consume) -> None:
-        entry.plugin.field_indexes(list(node.fields))  # validate columns early
-        var = _sanitize(node.var)
-        pop_lists = self._emit_populate_prelude(node, var)
-        locals_by_path = {f: f"_{var}_{_sanitize(f)}" for f in node.fields}
-        binding = ScalarBinding(dict(locals_by_path))
-        if node.bind_whole:
-            binding.whole_local = f"_{var}_obj"
-        self.ctx.bindings[node.var] = binding
-        names = [locals_by_path[f] for f in node.fields]
-        chunk_fields = node.chunk_fields()
-        pred = node.pred
-        if node.access == "index":
-            # value-index access path: candidate rows through the JIT index,
-            # holes scanned in place; the original predicate stays as a
-            # vectorized recheck so partial-coverage indexes remain exact
-            call = (f"_rt.index_chunks({node.source!r}, {chunk_fields!r}, "
-                    f"batch_size={node.batch_size}, "
-                    f"whole={node.bind_whole!r}, "
-                    f"lookup={node.index_lookup!r}, "
-                    f"emit_fields={node.index_emit!r})")
-            self._emit_chunked_scan(node, call, names, binding.whole_local,
-                                    pop_lists, chunk_fields, consume,
-                                    pred=pred)
-            self._emit_populate_finalizer(node, pop_lists)
-            return
-        push = ""
-        if node.sel_push and pred is not None:
-            pushed = self._pred_pushdown_kernel(node, locals_by_path)
-            if pushed is not None:
-                kernel, pred_fields, emit_def = pushed
-                if (node.backend == "process"
-                        and self._par_regions.get(id(node)) is not None):
-                    # the kernel must be a worker-local def: the child
-                    # executes only module-level code plus the worker body
-                    self._worker_prelude = emit_def
-                else:
-                    emit_def()
-                push = f", pred_fields={pred_fields!r}, pred_kernel={kernel}"
-                pred = None  # chunks arrive as dense predicate survivors
-        emit = f", index_fields={node.index_emit!r}" if node.index_emit else ""
-        call = (f"_rt.csv_chunks({node.source!r}, {chunk_fields!r}, "
-                f"access={node.access!r}, batch_size={node.batch_size}, "
-                f"whole={node.bind_whole!r}{push}{emit})")
-        self._emit_chunked_scan(node, call, names, binding.whole_local,
-                                pop_lists, chunk_fields, consume, pred=pred)
-        self._emit_populate_finalizer(node, pop_lists)
 
     def _pred_pushdown_kernel(self, node: PhysScan,
                               locals_by_path: dict[str, str]):
         """Selection pushdown (late materialization): the predicate becomes
-        a standalone kernel function over its columns; the plugin runs it
-        right after navigating those columns and materialises the remaining
-        columns only for the surviving row indexes. Returns ``(name, fields,
-        emit_def)`` — the definition is emitted by the caller, either in
-        place (thread/serial) or deferred into the worker body (process)."""
+        a standalone kernel function over its columns
+        (``node.pred_fields()``); the plugin runs it right after navigating
+        those columns and materialises the remaining columns only for the
+        surviving row indexes. Returns ``(name, emit_def)`` — the definition
+        is emitted by the caller, either in place (thread/serial) or
+        deferred into the worker body (process)."""
         src = compile_expr(node.pred, self.ctx)
-        used = [f for f in node.fields if _name_used(src, locals_by_path[f])]
+        used = node.pred_fields()
         if not used:
             return None
         kernel = self._next("pk")
@@ -1089,122 +926,7 @@ class QueryCompiler:
                     w.emit(f"return [_i for _i, ({', '.join(targets)}) in "
                            f"enumerate(zip({', '.join(params)})) if {src}]")
 
-        return kernel, tuple(used), emit_def
-
-    def _emit_json_scan(self, node: PhysScan, consume) -> None:
-        w = self.w
-        var = _sanitize(node.var)
-        local = f"_{var}_obj"
-
-        scalar_pop = tuple(f for f in node.populate if f != "*")
-        pop_lists: dict[str, str] = {}
-        for f in scalar_pop:
-            lst = f"_pop_{var}_{_sanitize(f)}"
-            pop_lists[f] = lst
-            w.emit(f"{lst} = []")
-        populate_whole = self._next("popw") if node.populate_layout in (
-            "objects", "bson", "json_text", "positions"
-        ) and node.populate == ("*",) else None
-        if populate_whole:
-            w.emit(f"{populate_whole} = []")
-
-        bind_whole = node.bind_whole or not node.fields
-        if bind_whole:
-            self.ctx.bindings[node.var] = ObjectBinding(local)
-            names: list[str] = []
-            whole_local = local
-            chunk_fields: tuple = scalar_pop
-        else:
-            scalar_paths = {f: f"_{var}_{_sanitize(f)}" for f in node.fields}
-            self.ctx.bindings[node.var] = ScalarBinding(dict(scalar_paths))
-            names = [scalar_paths[f] for f in node.fields]
-            whole_local = None
-            chunk_fields = node.chunk_fields()
-
-        if node.access == "index":
-            call = (f"_rt.index_chunks({node.source!r}, {chunk_fields!r}, "
-                    f"batch_size={node.batch_size}, whole={bind_whole!r}, "
-                    f"lookup={node.index_lookup!r}, "
-                    f"emit_fields={node.index_emit!r})")
-        else:
-            emit = (f", index_fields={node.index_emit!r}"
-                    if node.index_emit else "")
-            call = (f"_rt.json_chunks({node.source!r}, {chunk_fields!r}, "
-                    f"batch_size={node.batch_size}, whole={bind_whole!r}"
-                    f"{emit})")
-        self._emit_chunked_scan(node, call, names, whole_local, pop_lists,
-                                chunk_fields, consume,
-                                whole_pop_local=populate_whole)
-
-        if scalar_pop:
-            lists = ", ".join(pop_lists[f] for f in scalar_pop)
-            trailing = "," if len(scalar_pop) == 1 else ""
-            self._finalizers.append(
-                f"_rt.admit_columns({node.source!r}, {scalar_pop!r}, ({lists}{trailing}))"
-            )
-        if populate_whole:
-            self._finalizers.append(
-                f"_rt.admit_elements({node.source!r}, {node.populate_layout!r}, "
-                f"{populate_whole})"
-            )
-
-    def _emit_array_scan(self, node: PhysScan, entry, consume) -> None:
-        plugin = entry.plugin
-        var = _sanitize(node.var)
-        names_all = list(plugin.dim_names) + [n for n, _t in plugin.header.fields]
-        locals_by_path = {}
-        for f in node.fields:
-            if f not in names_all:
-                raise CodegenError(
-                    f"array source {node.source!r} has no component {f!r}"
-                )
-            locals_by_path[f] = f"_{var}_{_sanitize(f)}"
-        binding = ScalarBinding(dict(locals_by_path))
-        if node.bind_whole:
-            binding.whole_local = f"_{var}_obj"
-        self.ctx.bindings[node.var] = binding
-        pop_lists = self._emit_populate_prelude(node, var)
-        names = [locals_by_path[f] for f in node.fields]
-        chunk_fields = node.chunk_fields()
-        call = (f"_rt.array_chunks({node.source!r}, {chunk_fields!r}, "
-                f"batch_size={node.batch_size}, whole={node.bind_whole!r})")
-        self._emit_chunked_scan(node, call, names, binding.whole_local,
-                                pop_lists, chunk_fields, consume)
-        self._emit_populate_finalizer(node, pop_lists)
-
-    def _emit_xls_scan(self, node: PhysScan, entry, consume) -> None:
-        var = _sanitize(node.var)
-        locals_by_path = {f: f"_{var}_{_sanitize(f)}" for f in node.fields}
-        binding = ScalarBinding(dict(locals_by_path))
-        if node.bind_whole:
-            binding.whole_local = f"_{var}_obj"
-        self.ctx.bindings[node.var] = binding
-        pop_lists = self._emit_populate_prelude(node, var)
-        names = [locals_by_path[f] for f in node.fields]
-        chunk_fields = node.chunk_fields()
-        call = (f"_rt.xls_chunks({node.source!r}, {chunk_fields!r}, "
-                f"batch_size={node.batch_size}, whole={node.bind_whole!r})")
-        self._emit_chunked_scan(node, call, names, binding.whole_local,
-                                pop_lists, chunk_fields, consume)
-        self._emit_populate_finalizer(node, pop_lists)
-
-    def _emit_populate_prelude(self, node: PhysScan, var: str) -> dict[str, str]:
-        pop_lists: dict[str, str] = {}
-        for f in node.populate:
-            lst = f"_pop_{var}_{_sanitize(f)}"
-            pop_lists[f] = lst
-            self.w.emit(f"{lst} = []")
-        return pop_lists
-
-    def _emit_populate_finalizer(self, node: PhysScan, pop_lists: dict) -> None:
-        if not node.populate:
-            return
-        lists = ", ".join(pop_lists[f] for f in node.populate)
-        trailing = "," if len(node.populate) == 1 else ""
-        self._finalizers.append(
-            f"_rt.admit_columns({node.source!r}, {tuple(node.populate)!r}, "
-            f"({lists}{trailing}))"
-        )
+        return kernel, emit_def
 
     def _emit_expr_scan(self, node: PhysExprScan, consume) -> None:
         local = f"_{_sanitize(node.var)}_obj"

@@ -13,20 +13,16 @@ The contract, mirrored by ARCHITECTURE.md:
   cache the rehydrated state (catalog, exec'd JIT module or unpickled
   physical plan) keyed by the spec bytes, so per-morsel cost is one small
   ``(spec_key, morsel)`` message.
-- Children build raw-column partials plus worker-local stat deltas and one
-  by-product object per scanned source (positional-map and statistics
-  partials; never an index partial); they never touch the parent's cache.
-  All cache admission and by-product adoption happens in the parent, in
-  morsel order, through the same gate the thread path uses.
-- Large homogeneous numeric columns ride in ``multiprocessing.shared_memory``
-  segments instead of pickles; the parent attaches, copies, and unlinks.
-  Abandoned results (LIMIT early stop, first-exception cancellation) are
-  released by the scheduler's ``discard`` hook so segments never leak.
+- Children build the morsel's partial plus worker-local stat deltas and one
+  by-product object per scanned source (positional-map, statistics and
+  cache-population partials; never an index partial); they never touch the
+  parent's cache. All cache admission and by-product adoption happens in
+  the parent, in morsel order, through the same gate the thread path uses.
+- Results travel as plain pickles.
 """
 
 from __future__ import annotations
 
-import array
 import multiprocessing
 import pickle
 import threading
@@ -37,10 +33,6 @@ from dataclasses import dataclass
 #: formats whose sources can be described by a SourceSpec and rebuilt in a
 #: worker without dragging live object graphs across the process boundary
 SPECABLE_FORMATS = ("csv", "json", "array", "xls", "memory")
-
-#: columns shorter than this (elements) are cheaper to pickle than to ship
-#: through a shared-memory segment (attach/copy overhead dominates)
-SHM_MIN_ELEMENTS = 16384
 
 #: rehydrated query states kept per worker process (catalog + module/plan)
 _CHILD_CACHE_MAX = 8
@@ -246,15 +238,15 @@ def _child_runtime(catalog, cleaning, row_limit, stats_sources=()):
 
 
 def _finish(rt, partial) -> tuple:
-    """Package one morsel's result: packed partial + stat deltas + the
-    morsel's by-products (source → ScanByproducts), all taken by the parent
-    under its lock. The child runtime has no index registry, so no index
-    partial is ever built or shipped from a worker."""
+    """Package one morsel's result: partial + stat deltas + the morsel's
+    by-products (source → ScanByproducts, cache population included), all
+    taken by the parent under its lock. The child runtime has no index
+    registry, so no index partial is ever built or shipped from a worker."""
     stats = (rt.stats.raw_rows, rt.stats.cleaned_rows,
              rt.stats.skipped_rows, rt.stats.cache_rows)
     byproducts = {src: part for src, by_split in rt._byproducts.items()
                   for part in by_split.values()}
-    return (pack_partial(partial), stats, byproducts)
+    return (partial, stats, byproducts)
 
 
 def run_jit_morsel(spec_bytes: bytes, morsel) -> tuple:
@@ -269,128 +261,6 @@ def run_static_morsel(spec_bytes: bytes, morsel) -> tuple:
     spec, catalog, cleaning, shared, (executor, plan) = _child_state(spec_bytes)
     rt = _child_runtime(catalog, cleaning, spec.row_limit, spec.stats_sources)
     return _finish(rt, executor.driver_partial(plan, rt, morsel, shared))
-
-
-# ---------------------------------------------------------------------------
-# shared-memory column transport
-
-
-class _ShmList:
-    """Placeholder for a column living in a shared-memory segment.
-
-    ``__len__`` answers without attaching, so the parent's LIMIT stop
-    predicate can count rows before (or without ever) decoding."""
-
-    __slots__ = ("name", "count", "fmt")
-
-    def __init__(self, name: str, count: int, fmt: str):
-        self.name = name
-        self.count = count
-        self.fmt = fmt
-
-    def __len__(self) -> int:
-        return self.count
-
-
-def _pack_column(col):
-    """Move a large homogeneous int/float list into shared memory; anything
-    else (mixed types, Nones, strings, small lists) stays a pickled list."""
-    if not isinstance(col, list) or len(col) < SHM_MIN_ELEMENTS:
-        return col
-    first = col[0]
-    if isinstance(first, bool) or not isinstance(first, (int, float)):
-        return col
-    fmt = "d" if isinstance(first, float) else "q"
-    typ = float if fmt == "d" else int
-    if any(type(v) is not typ for v in col):
-        return col
-    try:
-        buf = array.array(fmt, col)
-    except (OverflowError, TypeError):  # e.g. ints beyond 64 bits
-        return col
-    from multiprocessing import resource_tracker, shared_memory
-
-    nbytes = len(buf) * buf.itemsize
-    seg = shared_memory.SharedMemory(create=True, size=nbytes)
-    seg.buf[:nbytes] = buf.tobytes()
-    name = seg.name
-    # The parent owns the segment's lifetime (it unlinks after reading or via
-    # the scheduler's discard hook); stop this process's resource tracker
-    # from reaping it when the worker is recycled.
-    try:
-        resource_tracker.unregister(getattr(seg, "_name", name), "shared_memory")
-    except Exception:
-        pass
-    seg.close()
-    return _ShmList(name, len(col), fmt)
-
-
-def _pack_value(v):
-    if isinstance(v, dict) and set(v) == {"columns", "whole"}:
-        # a static-engine populate dict: pack each projected column
-        return {"columns": {f: _pack_column(c) for f, c in v["columns"].items()},
-                "whole": v["whole"]}
-    return _pack_column(v)
-
-
-def pack_partial(partial):
-    if not isinstance(partial, tuple):
-        return partial
-    return tuple(_pack_value(v) for v in partial)
-
-
-def _read_segment(ref: _ShmList, unlink: bool) -> list:
-    from multiprocessing import shared_memory
-
-    seg = shared_memory.SharedMemory(name=ref.name)
-    try:
-        buf = array.array(ref.fmt)
-        buf.frombytes(bytes(seg.buf[: ref.count * buf.itemsize]))
-        return buf.tolist()
-    finally:
-        seg.close()
-        if unlink:
-            seg.unlink()
-
-
-def _unpack_value(v):
-    if isinstance(v, _ShmList):
-        return _read_segment(v, unlink=True)
-    if isinstance(v, dict) and set(v) == {"columns", "whole"}:
-        return {"columns": {f: _unpack_value(c) for f, c in v["columns"].items()},
-                "whole": v["whole"]}
-    return v
-
-
-def unpack_partial(partial):
-    """Parent side: materialise a packed partial, unlinking any segments."""
-    if not isinstance(partial, tuple):
-        return partial
-    return tuple(_unpack_value(v) for v in partial)
-
-
-def _release_value(v) -> None:
-    from multiprocessing import shared_memory
-
-    if isinstance(v, _ShmList):
-        seg = shared_memory.SharedMemory(name=v.name)
-        seg.close()
-        seg.unlink()
-    elif isinstance(v, dict) and set(v) == {"columns", "whole"}:
-        for c in v["columns"].values():
-            _release_value(c)
-
-
-def release_result(result) -> None:
-    """Scheduler ``discard`` hook: free the shared-memory segments of a
-    morsel result nobody will consume (LIMIT stop / exception cancel)."""
-    try:
-        packed = result[0]
-        if isinstance(packed, tuple):
-            for v in packed:
-                _release_value(v)
-    except Exception:
-        pass  # best effort — a vanished segment is already released
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,9 @@ from ...formats.descriptions import NULL_TOKENS
 from ...indexing import IndexPartial
 from ...mcc.monoids import get_monoid
 from ...stats import ScanTiming, StatsPartial
-from ..byproducts import ScanByproducts
-from ..chunk import DEFAULT_BATCH_SIZE, MORSEL_ALL, Chunk, Morsel, split_ranges
+from ..byproducts import CachePartial, ScanByproducts
+from ..chunk import MORSEL_ALL, Chunk, Morsel, split_ranges
+from ..physical import PhysScan
 from .scheduler import MorselScheduler
 
 
@@ -126,8 +127,8 @@ class QueryRuntime:
         #: True once a limited scan stopped early: the query saw a prefix of
         #: the source, so cache admissions must be suppressed
         self.truncated = False
-        # morsel-parallel scans: stats flushes, cleaning-policy calls and
-        # cache admissions from worker threads serialise on this lock
+        # morsel-parallel scans: stats flushes and cleaning-policy calls
+        # from worker threads serialise on this lock
         self._lock = threading.Lock()
         # one cache lookup per (source, fields, whole) per query, shared by
         # every morsel worker slicing row-range chunk views off it
@@ -279,9 +280,8 @@ class QueryRuntime:
     def _run_spec(self, kernel, morsels: list, dop: int, limited: bool) -> list:
         """Shared spec-kernel driver: schedule, take worker stat deltas and
         by-products in the parent (children never touch the parent's cache,
-        maps or registries; :meth:`finish_scan` adopts or discards), unpack
-        shared-memory columns, and return worker partials in morsel order."""
-        from . import procpool
+        maps or registries; :meth:`finish_scan` adopts or discards), and
+        return worker partials in morsel order."""
         from .scheduler import ProcessMorselScheduler
 
         stop = None
@@ -291,13 +291,12 @@ class QueryRuntime:
 
             def stop(result):
                 nonlocal seen
-                # result[0] is the packed partial; its first element is the
-                # ordered output-row list (len works on shm placeholders too)
+                # result[0] is the partial; its first element is the ordered
+                # output-row list
                 seen += len(result[0][0])
                 return seen >= target
 
         scheduler = ProcessMorselScheduler(dop, self.process_pool)
-        scheduler.discard = procpool.release_result
         results = scheduler.map(kernel, morsels, stop=stop)
         if len(results) < len(morsels):
             self.truncated = True
@@ -305,7 +304,7 @@ class QueryRuntime:
                 with self._lock:
                     self.stats.morsels_cancelled += scheduler.cancelled
         partials = []
-        for morsel, (packed, deltas, byproducts) in zip(morsels, results):
+        for morsel, (partial, deltas, byproducts) in zip(morsels, results):
             raw_rows, cleaned, skipped, cache_rows = deltas
             with self._lock:
                 self.stats.raw_rows += raw_rows
@@ -314,7 +313,7 @@ class QueryRuntime:
                 self.stats.cache_rows += cache_rows
                 for src, part in byproducts.items():
                     self._byproducts.setdefault(src, {})[morsel] = part
-            partials.append(procpool.unpack_partial(packed))
+            partials.append(partial)
         return partials
 
     def account_raw(self, source: str) -> None:
@@ -329,10 +328,8 @@ class QueryRuntime:
     #: mean the scheduler can stop sooner once the limit is satisfied
     LIMIT_OVERSPLIT = 4
 
-    def scan_splits(self, source: str, dop: int, access: str = "cold",
-                    fields: tuple = (), whole: bool = False,
-                    limited: bool = False) -> list:
-        """Morsels for a parallel scan of ``source`` (at most ``dop``).
+    def scan_splits(self, node: PhysScan, limited: bool = False) -> list:
+        """Morsels for a parallel scan of ``node`` (at most its ``parallel``).
 
         Cache scans split into row ranges over the (single, memoised)
         lookup; raw formats delegate to the plugin's splittable-range
@@ -340,11 +337,14 @@ class QueryRuntime:
         ``limited`` + an active row limit over-partitions (more morsels than
         workers) so early termination has pending morsels to cancel.
         """
-        parts = dop
+        parts = node.parallel
         if limited and self.row_limit is not None:
-            parts = dop * self.LIMIT_OVERSPLIT
-        if access == "cache":
-            data, _layout = self._cache_scan_once(source, tuple(fields), whole)
+            parts *= self.LIMIT_OVERSPLIT
+        source = node.source
+        if node.access == "cache":
+            whole = node.binds_objects()
+            data, _layout = self._cache_scan_once(source, self._columns(node),
+                                                  whole)
             count = len(data) if whole else (len(data[0]) if data else 0)
             return split_ranges(count, parts, "rows")
         self.touch_generation(source)
@@ -382,15 +382,18 @@ class QueryRuntime:
         return state
 
     def _request_byproducts(self, source: str, split, stat_fields=None,
-                            index_fields: tuple = (), posmap_of=None):
+                            index_fields: tuple = (), posmap_of=None,
+                            populate: tuple = (), layout: str = "columns"):
         """The by-products one scan (or morsel) of ``source`` should leave
         behind, or None: a detached positional-map partial for a cold pass
         of CSV plugin ``posmap_of``, a value-index partial over
-        ``index_fields`` when indexes are on, and a statistics partial over
+        ``index_fields`` when indexes are on, a statistics partial over
         whichever ``stat_fields`` (None = collect none) the shared registry
-        doesn't know yet — in the steady state scans carry none of it."""
+        doesn't know yet, and the cache population the plan chose
+        (``populate`` fields, or ``("*",)`` for whole elements in
+        ``layout``) — in the steady state scans carry none of it."""
         self.touch_generation(source)
-        posmap = index = stats = None
+        posmap = index = stats = cache = None
         if posmap_of is not None and (
                 split is None or split.kind in ("all", "bytes")):
             posmap = posmap_of.new_posmap_partial()
@@ -406,9 +409,13 @@ class QueryRuntime:
             needed = tuple(f for f in stat_fields if f not in known)
             if needed or not have_rows:
                 stats = StatsPartial(needed)
-        if posmap is None and index is None and stats is None:
+        if populate:
+            cache = CachePartial(() if populate == ("*",) else populate,
+                                 layout)
+        if posmap is None and index is None and stats is None \
+                and cache is None:
             return None
-        return ScanByproducts(posmap, index, stats)
+        return ScanByproducts(posmap, index, stats, cache)
 
     def _adopt_byproducts(self, source: str, parts: dict, splits: list) -> None:
         """The one adopt-or-discard gate: merge a finished scan's by-products
@@ -419,15 +426,18 @@ class QueryRuntime:
         scan start must still be the catalog's and the file's stat must still
         match it (a scan over since-mutated bytes poisons nothing). The map
         adopts only into the map object seen at scan start (one winner per
-        concurrent cold race); indexes and statistics merge idempotently.
+        concurrent cold race); indexes and statistics merge idempotently;
+        the cache is offered the scan's columns (or elements), and with that
+        offer what index fetches were renting of the source is settled —
+        bought, or refused and left to accrue another scan's worth of rent.
         """
-        posmaps, indexes, stats = ScanByproducts.merge(
+        posmaps, indexes, stats, offer = ScanByproducts.merge(
             parts, splits, untruncated=not self.truncated)
         if self.indexes is None:
             indexes = []
         if self.table_stats is None:
             stats = None
-        if not (posmaps or indexes or stats is not None):
+        if not (posmaps or indexes or stats is not None or offer is not None):
             return
         entry = self.catalog.get(source)
         mapped = grown = learned = False
@@ -443,6 +453,14 @@ class QueryRuntime:
                 if stats is not None:
                     learned = self.table_stats.adopt(
                         source, entry.generation, stats, True)
+                if offer is not None:
+                    if offer.layout == "columns":
+                        self.cache.put_columns(source, offer.fields,
+                                               offer.data)
+                    else:
+                        self.cache.put(source, offer.layout, (), offer.data)
+                    if self.indexes is not None:
+                        self.indexes.settle(source)
         if grown:
             with self._lock:
                 self.stats.index_builds += grown
@@ -452,7 +470,8 @@ class QueryRuntime:
             index_adoptions=int(bool(grown)),
             index_discards=int(bool(indexes) and not current),
             stats_adoptions=int(learned),
-            stats_discards=int(stats is not None and not current))
+            stats_discards=int(stats is not None and not current),
+            stale_admissions_dropped=int(offer is not None and not current))
 
     def _stats_spec(self) -> tuple:
         """Per-source collection state shipped to worker processes: each
@@ -477,31 +496,152 @@ class QueryRuntime:
                 self._cache_scan_memo[key] = hit
         return hit
 
-    # -- time travel: pinned-generation serving -----------------------------
+    # -- the one scan call (both engines) --------------------------------------
+
+    def scan(self, node: PhysScan, split=None, pred_kernel=None):
+        """The chunk stream of one plan scan — the one runtime call either
+        engine makes per ``PhysScan``. ``split`` restricts it to a morsel of
+        a parallel scan; ``pred_kernel`` is the engine's pushed-down
+        predicate for a ``sel_push`` scan, called with the columns of
+        ``node.pred_fields()`` and returning the surviving row indexes.
+
+        Chunks carry :meth:`_columns` of the scan, plus whole elements where
+        the engines bind them (``bind_whole``, :meth:`PhysScan.binds_objects`;
+        a raw JSON scan always carries its parsed objects). Pinned, cached,
+        index-served and raw scans differ only behind this call, and what a
+        raw scan leaves behind — positional map, value indexes, statistics
+        and cache population — goes through one by-product object and one
+        adopt-or-discard gate.
+        """
+        if node.access == "cache":
+            return self._cache_chunks(node, split)
+        if node.source in self.as_of:
+            return self._pinned_chunks(node, split)
+        if node.access == "index":
+            return self._index_chunks(node)
+        return self._raw_chunks(node, split, pred_kernel)
 
     @staticmethod
-    def _check_pinned_split(source: str, split) -> None:
-        """Pinned scans are planned serial; reject real morsels defensively."""
+    def _columns(node: PhysScan) -> tuple:
+        """The columns ``node``'s chunks carry: its chunk fields, less the
+        bound ones when the engines bind whole objects instead."""
+        if node.binds_objects():
+            return tuple(f for f in node.populate if f != "*")
+        return node.chunk_fields()
+
+    def _raw_chunks(self, node: PhysScan, split=None, pred_kernel=None,
+                    access: str | None = None):
+        """A scan of the raw file (or DBMS store) behind ``node``: the format
+        plugin's chunk stream inside the one scan body :meth:`_scan`, with
+        the by-products the plan asks for — a positional-map partial on a
+        cold CSV pass, value-index emission (``node.index_emit``), statistics
+        over the materialised columns, cache population (``node.populate``).
+
+        Under a cleaning policy a CSV scan emits no index, statistics or
+        population — repaired and skipped rows no longer line up with the
+        file's rows, and the shared cache must not serve one tenant's
+        repairs to another. ``access`` overrides the node's (an index scan
+        whose probe cannot be served runs warm)."""
+        source = node.source
+        entry = self.catalog.get(source)
+        plugin = entry.plugin
+        fields = self._columns(node)
+        device = self.device_for(source)
+        fmt = entry.format
+        pop = {"populate": node.populate, "layout": node.populate_layout}
+        if fmt == "csv":
+            access = access or node.access
+            whole = node.bind_whole
+            # a projection that touches no raw attribute cannot fail
+            # conversion; statistics cover the materialised columns (all of
+            # them on a whole-row binding)
+            clean = self.cleaning.get(source) if (fields or whole) else None
+            sfields = fields or (tuple(plugin.columns) if whole else ())
+            posmap_of = plugin if access == "cold" else None
+            counts = None
+            if clean is None:
+                byproducts = self._request_byproducts(
+                    source, split, sfields, node.index_emit, posmap_of, **pop)
+            else:
+                byproducts = self._request_byproducts(source, split,
+                                                      posmap_of=posmap_of)
+                counts = ExecStats()
+                clean = _CountingPolicy(clean, counts, self._lock)
+            chunks = plugin.scan_chunks(
+                fields, batch_size=node.batch_size, device=device,
+                clean=clean, whole=whole, access=access, split=split,
+                pred_fields=node.pred_fields() if pred_kernel else (),
+                pred_kernel=pred_kernel, byproducts=byproducts)
+            return self._scan(source, chunks, split, byproducts, counts,
+                              timing=("csv", access, len(sfields)))
+        if fmt == "json":
+            byproducts = self._request_byproducts(
+                source, split, fields, node.index_emit, **pop)
+            access = "warm" if plugin.has_semi_index() else "cold"
+            chunks = plugin.scan_chunks(
+                fields, batch_size=node.batch_size, device=device,
+                whole=True, split=split, byproducts=byproducts)
+            return self._scan(source, chunks, split, byproducts,
+                              timing=("json", access, len(fields)))
+        if fmt == "array":
+            byproducts = self._request_byproducts(source, split, fields,
+                                                  **pop)
+            chunks = plugin.scan_chunks(
+                fields, batch_size=node.batch_size, device=device,
+                whole=node.bind_whole, split=split, byproducts=byproducts)
+            return self._scan(source, chunks, split, byproducts,
+                              timing=("array", "cold", len(fields)))
+        if fmt == "xls":
+            byproducts = self._request_byproducts(source, None, **pop)
+            chunks = plugin.scan_chunks(
+                entry.description.options.get("sheet"), fields,
+                batch_size=node.batch_size, device=device,
+                whole=node.bind_whole)
+            return self._scan(source, chunks, byproducts=byproducts)
+        if fmt == "dbms":
+            # the store is not a raw file: its rows count as already-loaded
+            chunks = plugin.scan_chunks(fields or None,
+                                        batch_size=node.batch_size,
+                                        whole=node.binds_objects())
+            return self._scan(source, chunks)
+        raise ExecutionError(f"no chunked scan for format {fmt!r}")
+
+    # -- time travel: pinned-generation serving -----------------------------
+
+    def _pinned_chunks(self, node: PhysScan, split):
+        """Serve a scan AS OF a pinned generation (CSV and JSON only).
+
+        Live-prefix snapshots re-scan exactly the generation's bytes of the
+        current file (append-only history keeps old bytes in place), cold
+        and byproduct-free. Rewritten-away generations fall back to the
+        cache entries pinned at invalidation time, sliced to the snapshot's
+        rows. Pinned scans are planned serial; real morsels are rejected.
+        """
+        source = node.source
+        fmt = node.format
+        if fmt not in ("csv", "json"):
+            raise GenerationError(
+                f"source {source!r} has format {fmt!r}, which does not "
+                "support AS OF generation pinning")
         if split is not None and split.kind != "all":
             raise ExecutionError(
                 f"pinned scans of {source!r} are serial; got a "
                 f"{split.kind!r} morsel")
-
-    def _pinned_csv_chunks(self, source: str, fields: tuple, batch_size: int,
-                           whole: bool, split) -> "Iterator[Chunk]":
-        """Serve a CSV scan AS OF a pinned generation.
-
-        Live-prefix snapshots re-scan exactly the generation's byte range of
-        the current file (append-only history keeps old bytes in place), cold
-        and byproduct-free. Rewritten-away generations fall back to the cache
-        entries pinned at invalidation time, sliced to the snapshot's rows.
-        """
-        self._check_pinned_split(source, split)
+        fields = self._columns(node)
         snap = self.as_of[source]
         if not snap.live:
-            yield from self._pinned_cached_chunks(source, snap, fields,
-                                                  batch_size, whole)
-            return
+            return self._pinned_cached_chunks(
+                source, snap, fields, node.batch_size,
+                node.bind_whole or node.binds_objects())
+        if fmt == "csv":
+            return self._pinned_csv_chunks(source, snap, fields,
+                                           node.batch_size, node.bind_whole)
+        return self._pinned_json_chunks(source, snap, fields, node.batch_size)
+
+    def _pinned_csv_chunks(self, source: str, snap, fields: tuple,
+                           batch_size: int, whole: bool):
+        """A live-prefix CSV generation: the byte range
+        ``[data_start, snap.byte_size)`` of the current file, re-scanned."""
         plugin = self.catalog.get(source).plugin
         self.stats.raw_sources.add(source)
         self.stats.raw_bytes += max(0, snap.byte_size - plugin._data_start)
@@ -528,17 +668,10 @@ class QueryRuntime:
                 yield Chunk((), (), len(cells_rows))
         self.stats.raw_rows += count
 
-    def _pinned_json_chunks(self, source: str, paths: tuple, batch_size: int,
-                            whole: bool, split) -> "Iterator[Chunk]":
-        """Serve a JSON scan AS OF a pinned generation (live-prefix spans
-        re-parsed from the head of the current file, or pinned cache
-        slices for rewritten-away generations)."""
-        self._check_pinned_split(source, split)
-        snap = self.as_of[source]
-        if not snap.live:
-            yield from self._pinned_cached_chunks(source, snap, paths,
-                                                  batch_size, whole)
-            return
+    def _pinned_json_chunks(self, source: str, snap, paths: tuple,
+                            batch_size: int):
+        """A live-prefix JSON generation: its spans re-parsed from the head
+        of the current file."""
         import json as _json
 
         from ...storage import RawFile
@@ -561,8 +694,7 @@ class QueryRuntime:
                     for s in group]
             columns = plugin.project_paths(objs, paths) if paths else []
             count += len(objs)
-            yield Chunk(paths, tuple(columns), len(objs),
-                        whole=objs if whole else None)
+            yield Chunk(paths, tuple(columns), len(objs), whole=objs)
         self.stats.raw_rows += count
 
     def _pinned_cached_chunks(self, source: str, snap, fields: tuple,
@@ -672,61 +804,28 @@ class QueryRuntime:
                 cols[i].append(v)
         return cols, cached.layout
 
-    def admit_columns(self, source: str, fields: tuple, columns: tuple) -> None:
-        """Admit piggybacked columnar data gathered during a raw scan.
+    # -- cached scans ------------------------------------------------------------
 
-        Whole column batches go straight into the cache — no per-row tuple
-        round-trip (the batch pipeline's population lists are adopted as-is).
-        A LIMIT-truncated execution saw only a prefix of the source, so
-        nothing is admitted (a partial column must never pose as complete).
-        """
-        if self.truncated or source in self.as_of:
-            return
-        with self.catalog.source_lock(source):
-            if not self._generation_current(source):
-                self._count_engine(stale_admissions_dropped=1)
-                return
-            self.cache.put_columns(source, fields, columns)
-            self._settle_rent(source)
-
-    def admit_elements(self, source: str, layout: str, elements: list) -> None:
-        if self.truncated or source in self.as_of:
-            return
-        with self.catalog.source_lock(source):
-            if not self._generation_current(source):
-                self._count_engine(stale_admissions_dropped=1)
-                return
-            self.cache.put(source, layout, (), elements)
-            self._settle_rent(source)
-
-    def _settle_rent(self, source: str) -> None:
-        """A full scan of ``source`` just offered its columns to the cache:
-        what index fetches were renting has been bought — or refused, and
-        then the next offer waits for another scan's worth of rent."""
-        if self.indexes is not None:
-            self.indexes.settle(source)
-
-    # -- chunked scan protocol (shared by both engines) ------------------------
-
-    def cache_chunks(self, source: str, fields: tuple, whole: bool,
-                     split=None, lookup: tuple | None = None):
+    def _cache_chunks(self, node: PhysScan, split) -> list:
         """Serve a cached scan as one zero-copy chunk view.
 
         Columnar entries are wrapped without copying a value; row/object
-        layouts are columnarised once. Returns a list so callers iterate a
-        uniform chunk stream regardless of access path. ``split`` serves a
-        row-range chunk view of the (memoised, shared) lookup instead —
-        morsel workers each slice their rows off one cache entry.
+        layouts are columnarised once. ``split`` serves a row-range chunk
+        view of the (memoised, shared) lookup instead — morsel workers each
+        slice their rows off one cache entry.
 
-        ``lookup`` is the planner's value-index probe for this scan: when
-        the index can serve it, only its candidates (and whatever rows it
-        has not covered) are handed over, gathered from the cached columns
-        (:meth:`_gathered_chunks`); otherwise the full view is.
+        ``node.index_lookup`` is the planner's value-index probe for this
+        scan: when the index can serve it, only its candidates (and whatever
+        rows it has not covered) are handed over, gathered from the cached
+        columns (:meth:`_gathered_chunks`); otherwise the full view is.
         """
+        source = node.source
         if source in self.as_of:
             raise GenerationError(
                 f"live cache entries cannot serve {source!r} AS OF a pinned "
                 "generation")
+        fields, whole = self._columns(node), node.binds_objects()
+        lookup = node.index_lookup
         if split is None:
             if lookup is not None:
                 # before the snapshot: an index peeked at this token then
@@ -735,12 +834,11 @@ class QueryRuntime:
                 self.touch_generation(source)
             data, layout = self.cache_data(source, fields, whole)
             if lookup is not None and layout == "columns":
-                chunks = self._gathered_chunks(source, tuple(fields), data,
-                                               lookup)
+                chunks = self._gathered_chunks(source, fields, data, lookup)
                 if chunks is not None:
                     return chunks
         else:
-            data, _layout = self._cache_scan_once(source, tuple(fields), whole)
+            data, _layout = self._cache_scan_once(source, fields, whole)
             if split.kind == "rows":
                 if whole:
                     data = data[split.lo:split.hi]
@@ -753,7 +851,7 @@ class QueryRuntime:
         if whole:
             return [Chunk((), (), len(data), whole=data)]
         length = len(data[0]) if data else 0
-        return [Chunk(tuple(fields), tuple(data), length)]
+        return [Chunk(fields, tuple(data), length)]
 
     def _probe(self, source: str, lookup: tuple | None, total: int):
         """Resolve an index probe over rows ``[0, total)`` of ``source``:
@@ -815,9 +913,10 @@ class QueryRuntime:
         place but *replaces* the cached entry."""
         length = len(data[0]) if data else 0
         if length != self._file_rows(self.catalog.get(source)):
-            # the cache is shared and keeps whatever row universe a scan
-            # admitted: a tenant whose cleaning policy skips rows leaves
-            # compacted columns, and position i of those is not file row i
+            # index rows are file rows: gather only from a snapshot whose
+            # position i is file row i (the cache admits full scans of
+            # uncleaned sources only; this keeps any other row universe off
+            # the probe path)
             return None
         probe = self._probe(source, lookup, length)
         if probe is None:
@@ -848,8 +947,8 @@ class QueryRuntime:
     def _scan(self, source: str, chunks, split=None, byproducts=None,
               counts: ExecStats | None = None, timing: tuple | None = None,
               own: bool = False):
-        """The one body of a raw scan: what every ``*_chunks`` does around
-        its plugin call.
+        """The one body of a raw scan: what every format does around its
+        plugin call.
 
         A serial scan (``split`` None) is the one-morsel case of a parallel
         one: it charges the file's bytes itself (a morsel leaves that to the
@@ -859,12 +958,15 @@ class QueryRuntime:
         overlap, so theirs isn't wall-clock) and, being the whole scan — as
         is a morsel that is ``own`` — puts its by-products through the
         adopt-or-discard gate when it runs to the end; any other morsel
-        stashes them for :meth:`finish_scan`. An abandoned scan (LIMIT)
-        records and adopts nothing. Row and cleaning counters (``counts``,
-        filled by a :class:`_CountingPolicy`) accumulate scan-locally and
-        flush once under the runtime lock — rows the policy dropped were
-        still physically scanned. A plugin without a file behind it (a DBMS
-        store) serves already-loaded rows: they count as ``cache_rows``.
+        stashes them for :meth:`finish_scan`. Every chunk is recorded into
+        the by-products' cache population, if any (chunks are dense: what
+        the scan yields is what the cache is offered). An abandoned scan
+        (LIMIT) records and adopts nothing. Row and cleaning counters
+        (``counts``, filled by a :class:`_CountingPolicy`) accumulate
+        scan-locally and flush once under the runtime lock — rows the policy
+        dropped were still physically scanned. A plugin without a file
+        behind it (a DBMS store) serves already-loaded rows: they count as
+        ``cache_rows``.
         """
         own = own or split is None
         path = getattr(self.catalog.get(source).plugin, "path", None)
@@ -872,6 +974,7 @@ class QueryRuntime:
             with self._lock:
                 self.stats.raw_sources.add(source)
                 self.stats.raw_bytes += os.path.getsize(path)
+        offer = byproducts.cache if byproducts is not None else None
         count = nchunks = 0
         elapsed = 0.0
         it = iter(chunks)
@@ -882,7 +985,9 @@ class QueryRuntime:
             if chunk is None:
                 break
             count += chunk.scanned if chunk.scanned is not None \
-                else chunk.selected_length
+                else chunk.length
+            if offer is not None:
+                offer.record(chunk)
             nchunks += 1
             yield chunk
         with self._lock:
@@ -904,154 +1009,41 @@ class QueryRuntime:
             key = split if split is not None else MORSEL_ALL
             self._adopt_byproducts(source, {key: byproducts}, [key])
 
-    def _unpinnable(self, source: str) -> None:
-        if source in self.as_of:
-            raise GenerationError(
-                f"source {source!r} has format "
-                f"{self.catalog.get(source).format!r}, which does not "
-                "support AS OF generation pinning")
+    # -- index-served scans ------------------------------------------------------
 
-    def csv_chunks(
-        self,
-        source: str,
-        fields: tuple,
-        access: str | None = None,
-        batch_size: int = DEFAULT_BATCH_SIZE,
-        whole: bool = False,
-        split=None,
-        pred_fields: tuple = (),
-        pred_kernel=None,
-        index_fields: tuple = (),
-    ):
-        """Batched CSV scan: converted column chunks with piggybacked
-        positional-map population (cold) and batch-level cleaning.
-        ``access`` defaults to the map's state (warm once it is complete).
-
-        ``index_fields`` requests value-index by-product emission: the
-        plugin records those columns' converted values while scanning, and
-        they are adopted into the session registry when the scan (or, for
-        morsels, the coordinator's :meth:`finish_scan`) completes. Index and
-        statistics emission is suppressed under cleaning policies —
-        repaired/skipped rows would desynchronise values from physical rows.
-
-        ``pred_fields``/``pred_kernel`` forward a selection-pushdown filter
-        to the plugin's warm navigated path (late materialization); chunks
-        then arrive as dense predicate survivors with ``Chunk.scanned``
-        carrying the physical row count for accounting."""
-        if source in self.as_of:
-            return self._pinned_csv_chunks(source, tuple(fields),
-                                           batch_size, whole, split)
-        plugin = self.catalog.get(source).plugin
-        if access is None:
-            access = "warm" if plugin.posmap.complete else "cold"
-        # a projection that touches no raw attribute cannot fail conversion
-        clean = self.cleaning.get(source) if (fields or whole) else None
-        # statistics cover the materialised columns (all of them on a
-        # whole-row binding)
-        sfields = tuple(fields) if fields \
-            else (tuple(plugin.columns) if whole else ())
-        byproducts = self._request_byproducts(
-            source, split, sfields if clean is None else None,
-            index_fields if clean is None else (),
-            posmap_of=plugin if access == "cold" else None)
-        counts = None
-        if clean is not None:
-            counts = ExecStats()
-            clean = _CountingPolicy(clean, counts, self._lock)
-        chunks = plugin.scan_chunks(
-            fields, batch_size=batch_size, device=self.device_for(source),
-            clean=clean, whole=whole, access=access, split=split,
-            pred_fields=pred_fields, pred_kernel=pred_kernel,
-            byproducts=byproducts)
-        return self._scan(source, chunks, split, byproducts, counts,
-                          timing=("csv", access, len(sfields)))
-
-    def json_chunks(
-        self,
-        source: str,
-        paths: tuple = (),
-        batch_size: int = DEFAULT_BATCH_SIZE,
-        whole: bool = False,
-        split=None,
-        index_fields: tuple = (),
-    ):
-        """Batched JSON scan: dotted-path column chunks and/or whole objects.
-
-        ``index_fields`` requests value-index by-product emission over those
-        dotted paths (JSON rows are semi-index span numbers, always global,
-        so morsel partials never need shifting)."""
-        if source in self.as_of:
-            return self._pinned_json_chunks(source, tuple(paths),
-                                            batch_size, whole, split)
-        plugin = self.catalog.get(source).plugin
-        byproducts = self._request_byproducts(source, split, tuple(paths),
-                                              index_fields)
-        access = "warm" if plugin.has_semi_index() else "cold"
-        chunks = plugin.scan_chunks(paths, batch_size=batch_size,
-                                    device=self.device_for(source),
-                                    whole=whole, split=split,
-                                    byproducts=byproducts)
-        return self._scan(source, chunks, split, byproducts,
-                          timing=("json", access, len(paths)))
-
-    def index_chunks(
-        self,
-        source: str,
-        fields: tuple,
-        batch_size: int = DEFAULT_BATCH_SIZE,
-        whole: bool = False,
-        lookup: tuple | None = None,
-        emit_fields: tuple = (),
-    ):
+    def _index_chunks(self, node: PhysScan):
         """Serve a scan through a JIT value index (``access=index``).
 
-        Candidate rows matching the ``lookup`` spec are resolved through the
-        session registry and fetched positionally (posmap seek for CSV,
+        Candidate rows matching ``node.index_lookup`` are resolved through
+        the session registry and fetched positionally (posmap seek for CSV,
         semi-index span assembly for JSON); row ranges the index has not
         covered yet are scanned in full — with byproduct emission on, so
         coverage converges toward 100% across queries. Candidate fetches and
         uncovered-range scans interleave in ascending row order, making the
         emitted row stream bit-identical to a full sequential scan's. The
-        caller keeps the original predicate as a recheck, so candidate
+        engines keep the original predicate as a recheck, so candidate
         false positives (hash-equality quirks, multi-conjunct predicates)
         and uncovered-range rows are filtered exactly as a scan would.
 
-        Degrades to the plain chunked scan when the registry went stale
+        Degrades to the plain warm scan when the registry went stale
         between planning and execution or the probe type is unservable.
         """
-        if source in self.as_of:
-            # pinned scans never ride a live index (it describes the live
-            # generation) and never emit byproducts
-            fmt = self.catalog.get(source).format
-            if fmt == "csv":
-                yield from self.csv_chunks(source, fields,
-                                           batch_size=batch_size, whole=whole)
-            else:
-                yield from self.json_chunks(source, fields,
-                                            batch_size=batch_size, whole=whole)
-            return
+        source = node.source
         entry = self.catalog.get(source)
-        fmt = entry.format
+        fields = self._columns(node)
+        whole = node.bind_whole or entry.format == "json"
         gen = self.touch_generation(source)
         total = self._file_rows(entry)
         probe = None if total is None \
-            else self._probe(source, lookup, total)
+            else self._probe(source, node.index_lookup, total)
         if probe is None:
-            if fmt == "csv":
-                yield from self.csv_chunks(
-                    source, fields, access="warm", batch_size=batch_size,
-                    whole=whole, index_fields=emit_fields,
-                )
-            else:
-                yield from self.json_chunks(
-                    source, fields, batch_size=batch_size, whole=whole,
-                    index_fields=emit_fields,
-                )
+            yield from self._raw_chunks(node, access="warm")
             return
         rows, holes = probe
         self.stats.index_hits += 1
         self.stats.raw_sources.add(source)
         device = self.device_for(source)
+        batch_size = node.batch_size
         served = 0
         for cand, (lo, hi) in self._row_order(rows, holes, total):
             for i in range(0, len(cand), batch_size):
@@ -1061,7 +1053,7 @@ class QueryRuntime:
                 served += len(batch)
             if hi > lo:
                 yield from self._index_hole_scan(entry, lo, hi, fields, whole,
-                                                 batch_size, emit_fields,
+                                                 batch_size, node.index_emit,
                                                  device)
         self.stats.index_rows_served += served
         self.stats.raw_rows += served
@@ -1072,7 +1064,9 @@ class QueryRuntime:
     def _fetch_rows_chunk(self, entry, rows: list, fields: tuple,
                           whole: bool, device) -> Chunk:
         """Positionally fetch ``rows`` (global row/span numbers) as one
-        dense chunk, mirroring the shapes the plain chunked scans yield."""
+        dense chunk, mirroring the shapes the plain chunked scans yield
+        (``whole`` asks a CSV fetch for row records; JSON objects always
+        come along — they are what was parsed)."""
         plugin = entry.plugin
         fields = tuple(fields)
         if entry.format == "csv":
@@ -1090,9 +1084,7 @@ class QueryRuntime:
         objs = plugin.assemble(spans, device=device)
         cols = tuple(plugin.project_paths(objs, list(fields))) if fields \
             else ()
-        if whole:
-            return Chunk(fields, cols, len(objs), whole=objs)
-        return Chunk(fields, cols, len(objs))
+        return Chunk(fields, cols, len(objs), whole=objs)
 
     def _index_hole_scan(self, entry, lo: int, hi: int, fields: tuple,
                          whole: bool, batch_size: int, emit_fields: tuple,
@@ -1110,78 +1102,21 @@ class QueryRuntime:
             split=split, byproducts=byproducts, **kwargs)
         return self._scan(entry.name, chunks, split, byproducts, own=True)
 
-    def array_chunks(
-        self,
-        source: str,
-        fields: tuple = (),
-        batch_size: int = DEFAULT_BATCH_SIZE,
-        whole: bool = False,
-        split=None,
-    ):
-        """Batched binary-array scan (fused-struct batch decode)."""
-        self._unpinnable(source)
-        byproducts = self._request_byproducts(source, split, tuple(fields))
-        chunks = self.catalog.get(source).plugin.scan_chunks(
-            fields, batch_size=batch_size, device=self.device_for(source),
-            whole=whole, split=split, byproducts=byproducts)
-        return self._scan(source, chunks, split, byproducts,
-                          timing=("array", "cold", len(fields)))
+    # -- DBMS index lookups ----------------------------------------------------
 
-    def xls_chunks(
-        self,
-        source: str,
-        fields: tuple = (),
-        batch_size: int = DEFAULT_BATCH_SIZE,
-        whole: bool = False,
-    ):
-        """Batched workbook scan of the source's registered sheet."""
-        self._unpinnable(source)
-        entry = self.catalog.get(source)
-        chunks = entry.plugin.scan_chunks(
-            entry.description.options.get("sheet"), fields,
-            batch_size=batch_size, device=self.device_for(source),
-            whole=whole)
-        return self._scan(source, chunks)
-
-    # -- DBMS sources -----------------------------------------------------------
-
-    def dbms_chunks(
-        self,
-        source: str,
-        fields: tuple = (),
-        batch_size: int = DEFAULT_BATCH_SIZE,
-        whole: bool = False,
-    ):
-        """Batched scan of a registered DBMS source (full scans only; index
-        lookups stay row-at-a-time via :meth:`dbms_rows`). The store is not
-        a raw file: its rows count as already-loaded (``cache_rows``)."""
-        self._unpinnable(source)
-        chunks = self.catalog.get(source).plugin.scan_chunks(
-            fields or None, batch_size=batch_size, whole=whole)
-        return self._scan(source, chunks)
-
-    def dbms_rows(self, source: str, fields: tuple, index_eq: tuple | None):
-        """Scan a registered DBMS source; uses the store index when the
-        planner pushed an equality down (paper §2.1)."""
+    def dbms_rows(self, source: str, index_eq: tuple):
+        """The records of a registered DBMS source that the store index
+        finds for the equality (or IN-list) the planner pushed down (paper
+        §2.1)."""
         plugin = self.catalog.get(source).plugin
+        field_name, values = index_eq[0], index_eq[1]
+        # dict.fromkeys dedupes hash-equal probes (1 vs 1.0) so a record
+        # never surfaces twice for one IN-list
+        values = dict.fromkeys(values) if len(index_eq) == 3 else (values,)
         count = 0
-        if index_eq is not None:
-            if len(index_eq) == 3 and index_eq[2] == "in":
-                field_name, values, _ = index_eq
-                # dict.fromkeys dedupes hash-equal probes (1 vs 1.0) so a
-                # record never surfaces twice for one IN-list
-                for value in dict.fromkeys(values):
-                    for doc in plugin.index_lookup(field_name, value):
-                        yield doc
-                        count += 1
-            else:
-                field_name, value = index_eq
-                for doc in plugin.index_lookup(field_name, value):
-                    yield doc
-                    count += 1
-        else:
-            for record in plugin.scan(list(fields) or None):
-                yield record
+        for value in values:
+            for doc in plugin.index_lookup(field_name, value):
+                yield doc
                 count += 1
         self.stats.cache_rows += count
 
@@ -1189,18 +1124,18 @@ class QueryRuntime:
 
     def iter_source(self, source: str):
         """Yield every element of a source as a record-like value, over the
-        same chunked scans top-level plans use (``whole=True``): CSV, array
-        and xls rows surface as dicts so path navigation works uniformly;
-        JSON objects, DBMS records and memory elements pass through."""
+        same chunked scan top-level plans use (bound whole): CSV, array and
+        xls rows surface as dicts so path navigation works uniformly; JSON
+        objects, DBMS records and memory elements pass through."""
         entry = self.catalog.get(source)
         if entry.data is not None:
             yield from self.memory(source)
             return
-        scans = {"csv": self.csv_chunks, "json": self.json_chunks,
-                 "array": self.array_chunks, "xls": self.xls_chunks,
-                 "dbms": self.dbms_chunks}
-        if entry.format not in scans:
-            raise ExecutionError(
-                f"cannot iterate source of format {entry.format!r}")
-        for chunk in scans[entry.format](source, (), whole=True):
+        fmt = entry.format
+        if fmt not in ("csv", "json", "array", "xls", "dbms"):
+            raise ExecutionError(f"cannot iterate source of format {fmt!r}")
+        warm = fmt == "csv" and entry.plugin.posmap.complete
+        node = PhysScan(source, "_", fmt, (), "warm" if warm else "cold",
+                        bind_whole=True)
+        for chunk in self.scan(node):
             yield from chunk.iter_whole()

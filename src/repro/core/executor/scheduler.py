@@ -19,9 +19,7 @@ first-occurrence dedup, and per-key hash-join build order.
 
 Failure contract: the first morsel exception fails the whole query. Pending
 morsels are cancelled; already-running workers finish (their results are
-discarded — through the ``discard`` hook when one is set, so process
-results holding shared-memory segments are released) and shutdown never
-hangs.
+discarded) and shutdown never hangs.
 
 Early-termination contract: an optional ``stop`` predicate sees each partial
 in morsel order; once it returns True the scheduler stops consuming, cancels
@@ -43,19 +41,6 @@ from concurrent.futures import ThreadPoolExecutor
 from ..chunk import MORSEL_ALL, Morsel, split_ranges  # noqa: F401 (re-export)
 
 
-def _discarder(discard):
-    """Done-callback that releases a future's result nobody will consume."""
-
-    def _cb(fut):
-        try:
-            if not fut.cancelled() and fut.exception() is None:
-                discard(fut.result())
-        except Exception:
-            pass
-
-    return _cb
-
-
 class MorselScheduler:
     """Runs per-morsel kernels on a bounded thread pool, in morsel order.
 
@@ -75,9 +60,6 @@ class MorselScheduler:
         self.dop = dop
         #: morsels cancelled before they started (early termination)
         self.cancelled = 0
-        #: optional cleanup applied to in-flight results that are dropped
-        #: after an early stop or failure (releases process shm segments)
-        self.discard = None
 
     def map(self, kernel, morsels: list[Morsel], stop=None) -> list:
         """Run kernels over ``morsels``; return partials in morsel order.
@@ -137,13 +119,9 @@ class MorselScheduler:
             raise
 
     def _drop_pending(self, pending, count: bool) -> None:
-        discard = self.discard
         for f in pending:
-            if f.cancel():
-                if count:
-                    self.cancelled += 1
-            elif discard is not None:
-                f.add_done_callback(_discarder(discard))
+            if f.cancel() and count:
+                self.cancelled += 1
 
 
 class ProcessMorselScheduler(MorselScheduler):

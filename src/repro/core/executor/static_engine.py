@@ -267,8 +267,8 @@ class StaticExecutor:
 
         Hash-table builds and nested-loop inner materialisations along the
         driver chain run *once*, up front, and are shared read-only by every
-        worker. Cache-population columns accumulate per worker and are
-        admitted once after the ordered merge, exactly like a serial scan.
+        worker. What the driver scan leaves behind — cache population
+        included — the runtime merges in morsel order at ``finish_scan``.
         """
         m = plan.monoid
         nest = chain_nest(plan)
@@ -276,19 +276,11 @@ class StaticExecutor:
         self._prebuild_chain(plan.child, rt, shared)
         if driver.access != "cache" and driver.format in ("csv", "json", "array"):
             rt.account_raw(driver.source)
-        # mirror _scan's cache request shape exactly so the split probe and
-        # the workers' cache_chunks calls share one memoised lookup
-        if driver.bind_whole or not driver.fields:
-            req_fields, req_whole = (), True
-        else:
-            req_fields, req_whole = driver.fields, False
         # bag/list folds are LIMIT-countable: over-partition so the
         # scheduler can cancel pending morsels once the limit is satisfied
         # (never through a nest — group counts don't track row counts)
         limited = m.name in ("bag", "list") and nest is None
-        splits = rt.scan_splits(driver.source, driver.parallel,
-                                access=driver.access, fields=req_fields,
-                                whole=req_whole, limited=limited)
+        splits = rt.scan_splits(driver, limited=limited)
 
         if driver.backend == "process":
             nodes = _chain_nodes(plan.child)
@@ -304,26 +296,13 @@ class StaticExecutor:
                                       limited=limited)
         if driver.access != "cache":
             rt.finish_scan(driver.source, splits)
-        merged: dict[str, list] = {}
-        merged_whole: list = []
-        for _pacc, pop in partials:
-            for f, col in pop["columns"].items():
-                merged.setdefault(f, []).extend(col)
-            merged_whole.extend(pop["whole"])
-        if driver.populate == ("*",):
-            rt.admit_elements(driver.source, driver.populate_layout, merged_whole)
-        else:
-            scalar_pop = tuple(f for f in driver.populate if f != "*")
-            if scalar_pop and merged:
-                rt.admit_columns(driver.source, scalar_pop,
-                                 tuple(merged[f] for f in scalar_pop))
         if nest is not None:
             # merge per-key group partials in morsel order (first occurrence
             # fixes key order, same as serial), park them where _iter's Nest
             # operator looks, and run everything above the nest serially
             gm = nest.monoid
             merged_groups: dict = {}
-            for groups, _pop in partials:
+            for (groups,) in partials:
                 for key, (acc, raw_key) in groups.items():
                     prev = merged_groups.get(key)
                     if prev is None:
@@ -343,23 +322,21 @@ class StaticExecutor:
                     acc = m.merge(acc, m.lift(head))
             return m.finalize(acc)
         acc = m.zero()
-        for pacc, _pop in partials:
+        for (pacc,) in partials:
             acc = m.merge(acc, pacc)
         return m.finalize(acc)
 
     def driver_partial(self, plan: PhysReduce, rt, split, shared):
-        """One morsel's partial: the fold (or, when the plan shards at a
-        grouping Nest, the per-key group accumulators) over the driver
-        chain restricted to ``split``, plus the scan's cache-population
-        share. Called by thread workers directly and by process-pool
-        children through the kernel-spec protocol."""
-        pop: dict = {"columns": {}, "whole": []}
+        """One morsel's partial, a 1-tuple like the compiled workers': the
+        fold (or, when the plan shards at a grouping Nest, the per-key group
+        accumulators) over the driver chain restricted to ``split``. Called
+        by thread workers directly and by process-pool children through the
+        kernel-spec protocol."""
         nest = chain_nest(plan)
         if nest is not None:
             gm = nest.monoid
             groups: dict = {}
-            for env in self._iter(nest.child, rt, split=split, shared=shared,
-                                  pop=pop):
+            for env in self._iter(nest.child, rt, split=split, shared=shared):
                 key = tuple(hashable(eval_expr(e, env, rt))
                             for _n, e in nest.keys)
                 raw_key = tuple(eval_expr(e, env, rt) for _n, e in nest.keys)
@@ -368,12 +345,11 @@ class StaticExecutor:
                     gm.merge(acc, gm.lift(eval_expr(nest.head, env, rt))),
                     raw_key,
                 )
-            return groups, pop
+            return (groups,)
         m = plan.monoid
         skip_null = m.name in _NUMERIC_SKIP_NULL
         acc = m.zero()
-        for env in self._iter(plan.child, rt, split=split, shared=shared,
-                              pop=pop):
+        for env in self._iter(plan.child, rt, split=split, shared=shared):
             head = eval_expr(plan.head, env, rt)
             if skip_null and head is None:
                 continue
@@ -381,7 +357,7 @@ class StaticExecutor:
                 acc = m.merge(acc, 1)
             else:
                 acc = m.merge(acc, m.lift(head))
-        return acc, pop
+        return (acc,)
 
     def _prebuild_chain(self, node: PhysNode, rt, shared: dict) -> None:
         """Materialise join state along the driver chain, once, serially."""
@@ -412,17 +388,16 @@ class StaticExecutor:
 
     # -- operators ------------------------------------------------------------
 
-    def _iter(self, node: PhysNode, rt, split=None, shared=None,
-              pop=None) -> Iterator[Env]:
+    def _iter(self, node: PhysNode, rt, split=None,
+              shared=None) -> Iterator[Env]:
         """Pull-iterate one plan node.
 
-        ``split``/``shared``/``pop`` carry the morsel-parallel context down
-        the driver chain only: the split restricts the driver scan, shared
-        join state replaces per-call builds, and ``pop`` collects the driver
-        scan's cache-population columns for the coordinator to admit.
+        ``split``/``shared`` carry the morsel-parallel context down the
+        driver chain only: the split restricts the driver scan, shared join
+        state replaces per-call builds.
         """
         if isinstance(node, PhysScan):
-            yield from self._scan(node, rt, split=split, pop=pop)
+            yield from self._scan(node, rt, split=split)
         elif isinstance(node, PhysExprScan):
             items = eval_expr(node.expr, {}, rt) or ()
             for item in items:
@@ -430,7 +405,7 @@ class StaticExecutor:
                 if node.pred is None or eval_expr(node.pred, env, rt):
                     yield env
         elif isinstance(node, PhysFilter):
-            for env in self._iter(node.child, rt, split, shared, pop):
+            for env in self._iter(node.child, rt, split, shared):
                 if eval_expr(node.pred, env, rt):
                     yield env
         elif isinstance(node, PhysHashJoin):
@@ -442,7 +417,7 @@ class StaticExecutor:
             # short-circuit), then join only the survivors
             probe_keys = node.probe_keys
             residual = node.residual
-            for batch in chunked(self._iter(node.probe, rt, split, shared, pop)):
+            for batch in chunked(self._iter(node.probe, rt, split, shared)):
                 keys = [tuple(hashable(eval_expr(k, env, rt))
                               for k in probe_keys) for env in batch]
                 matched = [i for i, key in enumerate(keys) if key in table]
@@ -459,13 +434,13 @@ class StaticExecutor:
                 inner_rows = shared[id(node)]
             else:
                 inner_rows = list(self._iter(node.inner, rt))
-            for outer_env in self._iter(node.outer, rt, split, shared, pop):
+            for outer_env in self._iter(node.outer, rt, split, shared):
                 for inner_env in inner_rows:
                     joined = {**outer_env, **inner_env}
                     if node.pred is None or eval_expr(node.pred, joined, rt):
                         yield joined
         elif isinstance(node, PhysUnnest):
-            for env in self._iter(node.child, rt, split, shared, pop):
+            for env in self._iter(node.child, rt, split, shared):
                 items = eval_expr(node.path, env, rt) or ()
                 for item in items:
                     child_env = {**env, node.var: item}
@@ -479,7 +454,7 @@ class StaticExecutor:
                 groups = shared.get(("nest", id(node)))
             if groups is None:
                 groups = {}
-                for env in self._iter(node.child, rt, split, shared, pop):
+                for env in self._iter(node.child, rt, split, shared):
                     key = tuple(hashable(eval_expr(e, env, rt)) for _n, e in node.keys)
                     raw_key = tuple(eval_expr(e, env, rt) for _n, e in node.keys)
                     acc, _raw = groups.get(key, (m.zero(), raw_key))
@@ -493,201 +468,51 @@ class StaticExecutor:
         else:
             raise ExecutionError(f"cannot interpret {type(node).__name__}")
 
-    def _scan(self, node: PhysScan, rt, split=None, pop=None) -> Iterator[Env]:
-        entry = self.catalog.get(node.source)
-        fmt = entry.format
+    def _scan(self, node: PhysScan, rt, split=None) -> Iterator[Env]:
+        """One scan's environments: the runtime's chunk stream for the scan
+        (its one scan call), each row bound as its whole element when the
+        chunk carries one, else as a record of the chunk's columns; the
+        pushed-down predicate narrows each chunk in one pass. Memory
+        collections and DBMS index lookups have no chunks: row at a time."""
         pred = node.pred
         if isinstance(pred, A.Const) and pred.value is True:
             pred = None
-
-        def emit(value) -> Iterator[Env]:
-            env = {node.var: value}
-            if pred is None or eval_expr(pred, env, rt):
-                yield env
-
-        def filter_batch(envs: list) -> list:
-            """Per-chunk predicate kernel: one comprehension narrowing the
-            batch's surviving rows (empty result short-circuits the chunk
-            at the call site). Selection vectors carried by the chunk were
-            already honoured by the selection-aware iteration helpers."""
-            if pred is None:
-                return envs
-            return [env for env in envs if eval_expr(pred, env, rt)]
-
-        def flush_populate(populate: dict, whole_pop: list | None = None) -> None:
-            # morsel workers hand their population share to the coordinator
-            # (ordered merge + single admission); serial scans admit directly
-            if pop is not None:
-                for f, col in populate.items():
-                    pop["columns"].setdefault(f, []).extend(col)
-                if whole_pop:
-                    pop["whole"].extend(whole_pop)
-                return
-            if node.populate == ("*",):
-                rt.admit_elements(node.source, node.populate_layout,
-                                  whole_pop or [])
-            elif populate:
-                fields = tuple(populate)
-                rt.admit_columns(node.source, fields,
-                                 tuple(populate[f] for f in fields))
-
         var = node.var
-        if node.access == "memory" or entry.data is not None:
-            for item in rt.memory(node.source):
-                yield from emit(item)
+        if node.format == "memory" or node.access == "memory" \
+                or node.index_eq is not None:
+            items = rt.memory(node.source) if node.index_eq is None \
+                else rt.dbms_rows(node.source, node.index_eq)
+            for item in items:
+                env = {var: item}
+                if pred is None or eval_expr(pred, env, rt):
+                    yield env
             return
-        if node.access == "cache":
-            if node.bind_whole or not node.fields:
-                for chunk in rt.cache_chunks(node.source, (), whole=True,
-                                             split=split):
-                    kept = filter_batch([{var: obj}
-                                         for obj in chunk.iter_whole()])
-                    if not kept:
-                        continue
-                    yield from kept
-                return
-            for chunk in rt.cache_chunks(node.source, node.fields, whole=False,
-                                         split=split,
-                                         lookup=node.index_lookup):
-                kept = filter_batch(
-                    [{var: _record_from_paths(node.fields, values)}
-                     for values in chunk.iter_rows()])
-                if not kept:
-                    continue
-                yield from kept
-            return
-        if node.access == "index" and fmt in ("csv", "json"):
-            # value-index access path: candidate rows through the JIT index,
-            # holes scanned in place; ``pred`` stays as the recheck so
-            # partial-coverage indexes remain exact
-            whole = node.bind_whole or fmt == "json"
-            scan_fields = node.chunk_fields()
-            for chunk in rt.index_chunks(node.source, scan_fields,
-                                         batch_size=node.batch_size,
-                                         whole=whole,
-                                         lookup=node.index_lookup,
-                                         emit_fields=node.index_emit):
-                if whole:
-                    envs = [{var: record} for record in chunk.iter_whole()]
-                else:
-                    envs = [{var: dict(zip(scan_fields, values))}
-                            for values in chunk.iter_rows()]
-                kept = filter_batch(envs)
-                if not kept:
-                    continue
-                yield from kept
-            return
-        if fmt == "csv":
-            scan_fields = node.chunk_fields()
-            populate: dict[str, list] = {f: [] for f in node.populate}
-            pred_fields: tuple = ()
-            pred_kernel = None
-            if node.sel_push and pred is not None:
-                pushed = _interpreted_pred_kernel(node, pred, rt)
-                if pushed is not None:
-                    pred_fields, pred_kernel = pushed
-                    pred = None  # chunks arrive as dense predicate survivors
-            for chunk in rt.csv_chunks(node.source, scan_fields,
-                                       access=node.access,
-                                       batch_size=node.batch_size,
-                                       whole=node.bind_whole, split=split,
-                                       pred_fields=pred_fields,
-                                       pred_kernel=pred_kernel,
-                                       index_fields=node.index_emit):
-                _extend_populate(populate, chunk, scan_fields)
-                if node.bind_whole:
-                    envs = [{var: record} for record in chunk.iter_whole()]
-                else:
-                    envs = [{var: dict(zip(scan_fields, values))}
-                            for values in chunk.iter_rows()]
-                kept = filter_batch(envs)
-                if not kept:
-                    continue
-                yield from kept
-            if node.populate:
-                flush_populate(populate)
-            return
-        if fmt == "json":
-            scalar_pop = tuple(f for f in node.populate if f != "*")
-            populate = {f: [] for f in scalar_pop}
-            whole_pop: list = []
-            for chunk in rt.json_chunks(node.source, scalar_pop,
-                                        batch_size=node.batch_size, whole=True,
-                                        split=split,
-                                        index_fields=node.index_emit):
-                _extend_populate(populate, chunk, scalar_pop)
-                if node.populate == ("*",):
-                    whole_pop.extend(chunk.iter_whole())
-                kept = filter_batch([{var: obj} for obj in chunk.iter_whole()])
-                if not kept:
-                    continue
-                yield from kept
-            if node.populate:
-                flush_populate(populate, whole_pop)
-            return
-        if fmt == "array":
-            scan_fields = node.chunk_fields()
-            populate = {f: [] for f in node.populate}
-            for chunk in rt.array_chunks(node.source, scan_fields,
-                                         batch_size=node.batch_size, whole=True,
-                                         split=split):
-                _extend_populate(populate, chunk, scan_fields)
-                kept = filter_batch([{var: record}
-                                     for record in chunk.iter_whole()])
-                if not kept:
-                    continue
-                yield from kept
-            if node.populate:
-                flush_populate(populate)
-            return
-        if fmt == "xls":
-            scan_fields = node.chunk_fields()
-            populate = {f: [] for f in node.populate}
-            for chunk in rt.xls_chunks(node.source, scan_fields,
-                                       batch_size=node.batch_size, whole=True):
-                _extend_populate(populate, chunk, scan_fields)
-                kept = filter_batch([{var: record}
-                                     for record in chunk.iter_whole()])
-                if not kept:
-                    continue
-                yield from kept
-            if node.populate:
-                flush_populate(populate)
-            return
-        if fmt == "dbms":
-            from ...warehouse.docstore import DocStore
-
-            whole = node.bind_whole or isinstance(entry.plugin.store, DocStore)
-            fields: tuple = () if whole else tuple(node.fields)
-            if node.index_eq is not None:
-                for record in rt.dbms_rows(node.source, fields, node.index_eq):
-                    yield from emit(record)
-                return
-            for chunk in rt.dbms_chunks(node.source, fields,
-                                        batch_size=node.batch_size, whole=whole):
-                if chunk.whole is not None:
-                    envs = [{var: record} for record in chunk.iter_whole()]
-                else:
-                    envs = [{var: dict(zip(fields, values))}
-                            for values in chunk.iter_rows()]
-                kept = filter_batch(envs)
-                if not kept:
-                    continue
-                yield from kept
-            return
-        raise ExecutionError(f"no interpreted scan for format {fmt!r}")
+        kernel = None
+        if node.sel_push and pred is not None:
+            kernel = _interpreted_pred_kernel(node, pred, rt)
+            if kernel is not None:
+                pred = None  # chunks arrive as dense predicate survivors
+        for chunk in rt.scan(node, split, kernel):
+            fields = chunk.fields
+            if chunk.whole is not None:
+                envs = [{var: element} for element in chunk.whole]
+            elif any("." in f for f in fields):
+                envs = [{var: _record_from_paths(fields, values)}
+                        for values in chunk.iter_rows()]
+            else:
+                envs = [{var: dict(zip(fields, values))}
+                        for values in chunk.iter_rows()]
+            if pred is not None:
+                envs = [env for env in envs if eval_expr(pred, env, rt)]
+            yield from envs
 
 
 def _interpreted_pred_kernel(node: PhysScan, pred: A.Expr, rt):
     """Selection-pushdown kernel for the interpreted engine: evaluates the
-    scan predicate over the predicate columns only, returning surviving row
-    indexes (the plugin materialises the other columns just for those)."""
-    from ..physical import collect_usage
-
-    usage = collect_usage(pred).get(node.var)
-    if usage is None or usage.whole:
-        return None
-    fields = tuple(f for f in node.fields if f in usage.top_fields())
+    scan predicate over the predicate columns (``node.pred_fields()``) only,
+    returning surviving row indexes (the plugin materialises the other
+    columns just for those)."""
+    fields = node.pred_fields()
     if not fields:
         return None
     var = node.var
@@ -700,24 +525,12 @@ def _interpreted_pred_kernel(node: PhysScan, pred: A.Expr, rt):
         return [i for i, vals in enumerate(zip(*cols))
                 if eval_expr(pred, {var: dict(zip(fields, vals))}, rt)]
 
-    return fields, kernel
-
-
-def _extend_populate(populate: dict, chunk, chunk_fields: tuple) -> None:
-    """Accumulate cache-population columns, one whole-column extend per chunk.
-
-    Uses the selection-compacted columns so rows a cleaning policy dropped
-    never reach the cache.
-    """
-    if not populate:
-        return
-    cols = chunk.selected_columns()
-    for f, acc in populate.items():
-        acc.extend(cols[chunk_fields.index(f)])
+    return kernel
 
 
 def _record_from_paths(paths: tuple, values: tuple) -> dict:
-    """Rebuild a nested record from dotted paths (cache-served scans)."""
+    """Rebuild a nested record from dotted paths (JSON columns served
+    without their objects: cached or pinned ones)."""
     record: dict = {}
     for path, value in zip(paths, values):
         steps = path.split(".")

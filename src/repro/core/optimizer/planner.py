@@ -633,7 +633,7 @@ class Planner:
 
         entry = self.catalog.get(u.node.source)
         fmt = entry.format
-        u.whole = use.whole
+        u.whole = use.whole or (fmt == "dbms" and entry.plugin.nested)
         if fmt == "json":
             u.fields = use.dotted_paths()
         else:
@@ -648,6 +648,11 @@ class Planner:
                 # scan — supersedes the bytes-per-row guess
                 rows = max(1, tstats.row_count)
         pinned = entry.name in self.as_of
+        # the cache is shared across tenants, cleaning policies are not: a
+        # source this session cleans neither reads cached values nor offers
+        # its (repaired or thinned) columns to the cache
+        use_cache = self.enable_cache \
+            and entry.name not in self.cleaning_sources
         if pinned:
             snap = self.as_of[entry.name]
             u.access = "cold"
@@ -663,7 +668,7 @@ class Planner:
             u.access = "memory"
         elif fmt == "dbms":
             u.access = "warm"  # loaded store; cost-modelled as const_cost
-        elif self.enable_cache and self._cache_covers(entry.name, u):
+        elif use_cache and self._cache_covers(entry.name, u):
             u.access = "cache"
         elif fmt == "csv":
             posmap_ready = entry.plugin.posmap.complete and self.enable_posmap
@@ -673,7 +678,7 @@ class Planner:
         else:
             u.access = "cold"
 
-        if u.access in ("cold", "warm") and self.enable_cache and not pinned:
+        if u.access in ("cold", "warm") and use_cache and not pinned:
             self._choose_population(u, entry)
 
         batched = fmt in ("csv", "json", "array", "xls") and u.access in ("cold", "warm")

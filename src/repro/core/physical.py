@@ -173,12 +173,31 @@ class PhysScan(PhysNode):
     def chunk_fields(self) -> tuple:
         """Columns a chunked scan must extract: bound fields + populate-only.
 
-        Both engines derive their chunk requests from this, so column
-        alignment between generated code and the interpreter cannot drift.
+        The runtime requests these (the engines bind the leading ones), so
+        column alignment between generated code and the interpreter cannot
+        drift.
         """
         return tuple(self.fields) + tuple(
             f for f in self.populate if f != "*" and f not in self.fields
         )
+
+    def binds_objects(self) -> bool:
+        """True when the engines bind the element itself — a parsed JSON
+        object or a DBMS record — rather than columns (plus, for flat
+        formats, the whole row record): the scan is bound whole, or
+        projects nothing the engines could bind as a column."""
+        return self.format in ("json", "dbms") and (
+            self.bind_whole or not self.fields)
+
+    def pred_fields(self) -> tuple:
+        """The bound fields the scan predicate reads, in field order: the
+        columns a pushed-down predicate kernel is called with."""
+        use = collect_usage(self.pred).get(self.var) \
+            if self.pred is not None else None
+        if use is None or use.whole:
+            return ()
+        top = use.top_fields()
+        return tuple(f for f in self.fields if f in top)
 
     def chunked(self) -> bool:
         """True when this scan moves data over the chunk protocol (and so

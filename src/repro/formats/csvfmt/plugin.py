@@ -230,9 +230,10 @@ class CSVSource:
     ) -> Iterator[tuple[int, list[str]]]:
         """Yield ``(start_row, lines)`` batches of decoded data lines.
 
-        When ``record_anchors`` is given, positional-map population is
-        piggybacked on the pass (the caller brackets it with
-        ``posmap.begin_population``/``finish_population``).
+        When ``record_anchors`` is given, row and anchor offsets are
+        recorded into ``record_map`` on the pass (the caller brackets it
+        with ``begin_population``/``finish_population`` on that map — a
+        detached partial or an extension clone, never the shared map).
 
         ``byte_range`` restricts the pass to lines *starting* inside
         ``[lo, hi)``: a line belongs to the range holding its first byte,
@@ -240,11 +241,8 @@ class CSVSource:
         reader self-aligns — a range starting mid-line skips that line
         (it belongs to the previous range). ``start_row`` seeds the row
         numbering for ranges that know their global position.
-        ``record_map`` redirects positional-map recording (per-morsel
-        partial maps); default is the source's own map.
         """
         encoding = self.options.encoding
-        record_map = record_map if record_map is not None else self.posmap
         record = record_map.record_row if record_anchors is not None else None
         if byte_range is None:
             # a full scan is the degenerate range: the whole data region
@@ -473,7 +471,7 @@ class CSVSource:
                 yield chunk
                 continue
             cells_rows = [line.split(delim) for line in lines]
-            columns, selection = self._convert_clean_batch(
+            columns = self._convert_clean_batch(
                 conv_cols, cells_rows, start, clean, validate
             )
             if wanted and clean is None:
@@ -491,11 +489,6 @@ class CSVSource:
             else:
                 # pure-count projection: no columns, but the row count matters
                 chunk = Chunk((), (), len(cells_rows))
-            if selection is not None:
-                # cleaning dropped rows: carry the selection vector as-is —
-                # consumers honour it (selection-aware iteration / compaction
-                # kernels), so the chunk crosses the boundary uncompacted
-                chunk.selection = selection
             yield chunk
         if standalone:
             self.adopt_posmap_partials([record_map], expect=pm)
@@ -593,24 +586,21 @@ class CSVSource:
     def _convert_clean_batch(
         self, cols: list[int], cells_rows: list[list[str]], start_row: int,
         clean, validate: bool,
-    ) -> tuple[list[list], list[int] | None]:
+    ) -> list[list]:
         """Convert one batch, routing failures through the cleaning policy.
 
         Mirrors the row path's contract: validating policies see every row;
         otherwise the fast kernels run and only the *columns* of a dirty
         batch degrade to per-value conversion — dirty rows are repaired in
         place afterwards, so a few bad values don't tax the whole batch.
-
-        Returns ``(columns, selection)``: when the policy dropped rows the
-        columns keep their full batch length and ``selection`` lists the
-        surviving row indexes (the caller compacts the chunk); otherwise
-        ``selection`` is None.
+        Rows the policy dropped are compacted away here: the columns hold
+        the surviving rows only, so chunks reach the engines dense.
         """
         if not cols:
-            return [], None
+            return []
         if clean is None:
             try:
-                return self.convert_batch(cols, cells_rows), None
+                return self.convert_batch(cols, cells_rows)
             except (ValueError, IndexError):
                 # locate the offending row for a descriptive error
                 max_col = max(cols)
@@ -630,8 +620,8 @@ class CSVSource:
                 if values is not None:
                     rows_out.append(values)
             if not rows_out:
-                return [[] for _ in cols], None
-            return [list(col) for col in zip(*rows_out)], None
+                return [[] for _ in cols]
+            return [list(col) for col in zip(*rows_out)]
         null_tokens = self.options.null_tokens
         columns: list[list] = []
         bad_rows: set[int] = set()
@@ -658,7 +648,7 @@ class CSVSource:
                 bad_rows.add(i)
             columns.append(col_vals)
         if not bad_rows:
-            return columns, None
+            return columns
         dropped: set[int] = set()
         for i in sorted(bad_rows):
             values = clean.repair(self, start_row + i, cells_rows[i], cols)
@@ -668,9 +658,9 @@ class CSVSource:
                 for j in range(len(cols)):
                     columns[j][i] = values[j]
         if not dropped:
-            return columns, None
-        selection = [i for i in range(len(cells_rows)) if i not in dropped]
-        return columns, selection
+            return columns
+        kept = [i for i in range(len(cells_rows)) if i not in dropped]
+        return [[col[i] for i in kept] for col in columns]
 
     def new_posmap_partial(self) -> PositionalMap:
         """A fresh per-morsel recorder for sharded positional-map population."""

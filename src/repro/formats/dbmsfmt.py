@@ -76,6 +76,12 @@ class DBMSSource:
 
     # -- capabilities -----------------------------------------------------------
 
+    @property
+    def nested(self) -> bool:
+        """Document stores hand out nested records: scans bind them whole,
+        so path navigation works on the document itself."""
+        return isinstance(self.store, DocStore)
+
     def indexed_fields(self) -> tuple[str, ...]:
         """Fields the underlying store can look up without a scan."""
         if isinstance(self.store, DocStore):

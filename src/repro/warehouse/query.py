@@ -121,18 +121,11 @@ class ColStoreAdapter(Adapter):
         return self.store.iter_dicts(self.table, list(fields))
 
     def fetch_filtered(self, fields, filters):
-        """Column-at-a-time selection with chunk ``selection`` semantics.
-
-        Each filter narrows one selection vector of surviving row indexes
-        (``core.chunk.Chunk.selection``); an empty vector short-circuits
-        before any projection column is fetched, and the uncompacted chunk
-        is handed straight to the selection-aware
-        :meth:`~repro.core.chunk.Chunk.iter_rows` — dropped rows can never
-        resurface, and nothing materialises a dense copy (no
-        ``range(row_count)`` fallback when nothing filtered).
-        """
-        from ..core.chunk import Chunk
-
+        """Column-at-a-time selection: each filter narrows one selection
+        vector of surviving row indexes; an empty vector short-circuits
+        before any projection column is fetched, and only surviving rows
+        are read off the projection columns (no ``range(row_count)``
+        fallback when nothing filtered)."""
         names = list(fields)
         selection: list[int] | None = None
         for f in filters:
@@ -146,9 +139,13 @@ class ColStoreAdapter(Adapter):
             if not selection:
                 return
         cols = [self.store.column(self.table, f) for f in names]
-        length = len(cols[0]) if cols else self.store.row_count(self.table)
-        chunk = Chunk(tuple(names), tuple(cols), length, selection=selection)
-        for values in chunk.iter_rows():
+        if selection is not None:
+            rows = (tuple(col[i] for col in cols) for i in selection)
+        elif cols:
+            rows = zip(*cols)
+        else:
+            rows = (() for _ in range(self.store.row_count(self.table)))
+        for values in rows:
             yield dict(zip(names, values))
 
 

@@ -19,6 +19,7 @@ import pytest
 from repro import EngineContext, ViDa
 from repro.caching import DataCache
 from repro.core.executor.runtime import QueryRuntime
+from repro.core.physical import PhysScan
 from repro.core.optimizer import cost as C
 from repro.core.optimizer import enumerator as E
 from repro.stats import ColumnSketch, CostCalibration, ScanTiming, StatsPartial
@@ -144,7 +145,7 @@ def test_stale_stats_partial_discarded(csv_path, tmp_path):
         fh.write(f"{10**6},99,1\n")
     assert ctx.catalog.check_freshness("T") is False  # generation bumped
 
-    for _ in rt.csv_chunks("T", ("age",), access="cold"):
+    for _ in rt.scan(PhysScan("T", "t", "csv", ("age",), "cold")):
         pass
     assert ctx.stats.stats_discards >= 1
     assert ctx.stats.stats_adoptions == 0

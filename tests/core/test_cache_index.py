@@ -261,6 +261,7 @@ def test_probe_is_never_taken_where_rows_may_not_line_up(tmp_path,
 def test_split_falls_back_to_the_full_view(tmp_path):
     from repro.core.chunk import Morsel
     from repro.core.executor.runtime import QueryRuntime
+    from repro.core.physical import PhysScan
 
     path = tmp_path / "t.csv"
     _write(path, "csv", _rows(6, CSV_KEYS))
@@ -268,15 +269,18 @@ def test_split_falls_back_to_the_full_view(tmp_path):
     try:
         _warm(db)
         rt = QueryRuntime(db.catalog, db.cache, indexes=db.indexes)
+
+        def scan(lookup):
+            return PhysScan("T", "t", "csv", ("k",), "cache",
+                            index_lookup=lookup)
+
         lookup = ("eq", "k", 8)
-        (gathered,) = rt.cache_chunks("T", ("k",), False, lookup=lookup)
+        (gathered,) = rt.scan(scan(lookup))
         assert set(gathered.columns[0]) == {8}
-        (view,) = rt.cache_chunks("T", ("k",), False,
-                                  split=Morsel("rows", 10, 50), lookup=lookup)
+        (view,) = rt.scan(scan(lookup), split=Morsel("rows", 10, 50))
         assert view.length == 40
         # an unservable probe (no ordered domain) hands over everything
-        (full,) = rt.cache_chunks(
-            "T", ("k",), False, lookup=("range", "k", None, None, True, True))
+        (full,) = rt.scan(scan(("range", "k", None, None, True, True)))
         assert full.length == ROWS
     finally:
         db.close()
@@ -284,8 +288,9 @@ def test_split_falls_back_to_the_full_view(tmp_path):
 
 def test_columns_a_skipping_tenant_compacted_are_never_probed(tmp_path):
     """The cache is shared across tenants, the cleaning policy is not: rows a
-    ``SkipPolicy`` tenant dropped leave columns whose position i is not file
-    row i, and another tenant's probe must not gather from them."""
+    ``SkipPolicy`` tenant dropped would leave columns whose position i is not
+    file row i. Its scans never offer columns to the cache, so another
+    tenant's probe only ever gathers from file-aligned ones."""
     from repro.core.engine import EngineContext
 
     rows, dirty = 4000, 2000
@@ -305,14 +310,17 @@ def test_columns_a_skipping_tenant_compacted_are_never_probed(tmp_path):
             plain.query("for { t <- T, t.id >= 0 } yield bag t.id")
         both = "for { t <- T } yield bag (id := t.id, age := t.age)"
         assert len(skipping.query(both).value) == rows - 1
-        q = "for { t <- T, t.id = 3000 } yield bag (id := t.id, age := t.age)"
+        assert [e.cached.count for e in ctx.cache.entries()] == [rows]
+        assert not ctx.cache.peek("T", ["age"])
+        q = "for { t <- T, t.id = 3000 } yield bag t.id"
         want = unindexed.query(q)
         assert "access=cache," in want.plan_text
-        assert want.value == [{"id": 3000, "age": 3000 % 90}]
+        assert want.value == [3000]
         for engine in ("jit", "static"):
             got = plain.query(q, engine=engine)
+            assert "cache+index[id]" in got.plan_text
             assert got.value == want.value
-            assert got.stats.index_hits == 0 and got.stats.cache_only
+            assert got.stats.index_hits == 1 and got.stats.cache_only
     finally:
         for db in (plain, skipping, unindexed):
             db.close()

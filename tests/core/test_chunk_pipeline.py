@@ -54,18 +54,20 @@ def test_chunk_ragged_columns_rejected():
         Chunk.from_columns(("a",), [[1, 2]], whole=[{"a": 1}])
 
 
-def test_chunk_selection_vector_compaction():
-    ch = Chunk.from_columns(("a", "b"), [[1, 2, 3], ["x", "y", "z"]],
-                            whole=[{"i": i} for i in range(3)])
-    ch.selection = [0, 2]
-    dense = ch.compact()
-    assert dense.column("a") == [1, 3]
-    assert dense.whole == [{"i": 0}, {"i": 2}]
-    assert dense.length == 2
-    # positional take on an uncompacted chunk is ambiguous → refused
-    with pytest.raises(ValueError):
-        ch.take([1])
-    assert dense.take([1]).rows() == [(3, "z")]
+def test_chunk_selection_vector_compaction(tmp_path):
+    """The producer compacts what cleaning dropped: a CSV chunk carries the
+    surviving rows only, columns and whole records alike."""
+    from repro.cleaning import SkipPolicy
+    from repro.formats.csvfmt import CSVSource
+
+    path = tmp_path / "d.csv"
+    path.write_text("a,b\n1,x\nbad,y\n3,z\n")
+    src = CSVSource(path, columns=["a", "b"], types=["int", "string"])
+    (ch,) = src.scan_chunks(["a", "b"], clean=SkipPolicy(), whole=True)
+    assert ch.length == 2
+    assert ch.column("a") == [1, 3] and ch.column("b") == ["x", "z"]
+    assert ch.whole == [{"a": 1, "b": "x"}, {"a": 3, "b": "z"}]
+    assert ch.rows() == [(1, "x"), (3, "z")]
 
 
 def test_chunked_batches_any_iterable():
@@ -233,9 +235,10 @@ def test_cache_hit_served_as_zero_copy_chunk(tmp_path):
     db, rows = _csv_db(tmp_path, BATCH * 2)
     db.query("for { t <- T } yield sum t.age")
     from repro.core.executor.runtime import QueryRuntime
+    from repro.core.physical import PhysScan
 
     rt = QueryRuntime(db.catalog, db.cache)
-    (chunk,) = rt.cache_chunks("T", ("age",), whole=False)
+    (chunk,) = rt.scan(PhysScan("T", "t", "csv", ("age",), "cache"))
     entry = db.cache.lookup("T", ["age"])
     assert chunk.columns[0] is entry.cached.data["age"]  # zero copy
 
@@ -259,10 +262,15 @@ def test_session_batch_size_override(tmp_path):
 
 def test_generated_code_uses_chunk_calls(db):
     r = db.query("for { p <- Patients, p.age > 40 } yield avg p.protein")
-    assert "_rt.csv_chunks(" in r.code
+    assert "access=cold" in r.plan_text
     warm = db.query("for { p <- Patients, p.age > 40 } yield avg p.protein")
-    assert "_rt.cache_chunks(" in warm.code
+    assert "access=cache" in warm.plan_text
     assert warm.stats.cache_only
+    # one runtime scan call per scan, whatever the access path; no
+    # population code in the generated function
+    for code in (r.code, warm.code):
+        assert code.count("_rt.scan(") == 1
+        assert "admit_" not in code and "_pop_" not in code
 
 
 def test_default_batch_size_is_sane():

@@ -14,6 +14,7 @@ from repro import EngineContext, ViDa, ViDaError
 from repro.caching import DataCache
 from repro.core.chunk import MORSEL_ALL
 from repro.core.executor.runtime import QueryRuntime
+from repro.core.physical import PhysScan
 
 ROWS = 4000
 SUM_Q = "for { t <- T, t.age > 40 } yield sum t.score"
@@ -115,7 +116,7 @@ def test_forced_cold_rescan_discards_partial(csv_path):
     before = plugin.posmap
 
     rt = QueryRuntime(ctx.catalog, DataCache(0), engine=ctx)
-    for _ in rt.csv_chunks("T", ("age",), access="cold"):
+    for _ in rt.scan(PhysScan("T", "t", "csv", ("age",), "cold")):
         pass
     assert ctx.stats.posmap_discards >= 1
     assert ctx.catalog.get("T").plugin.posmap is before
@@ -143,7 +144,10 @@ def test_stale_cache_admission_dropped(csv_path):
     _mutate(csv_path)
     assert ctx.catalog.check_freshness("T") is False  # generation bumped
 
-    rt.admit_columns("T", ("age",), ([1, 2, 3],))
+    # a populating scan's offer, finished after the mutation
+    byproducts = rt._request_byproducts("T", None, populate=("age",))
+    byproducts.cache.data[0].extend([1, 2, 3])
+    rt._adopt_byproducts("T", {MORSEL_ALL: byproducts}, [MORSEL_ALL])
     assert ctx.stats.stale_admissions_dropped == 1
     assert not ctx.cache.peek("T", ["age"])
     db.close()

@@ -5,6 +5,7 @@ import pytest
 from repro.caching import DataCache
 from repro.core.catalog import Catalog
 from repro.core.executor.runtime import QueryRuntime
+from repro.core.physical import PhysScan
 from repro.errors import ExecutionError
 
 
@@ -24,8 +25,8 @@ def make_rt(catalog, cache=None):
 
 def test_csv_cold_chunks_build_posmap_and_stats(catalog):
     rt = make_rt(catalog)
-    chunks = list(rt.csv_chunks("Patients", ("id",), access="cold",
-                                batch_size=16))
+    chunks = list(rt.scan(PhysScan("Patients", "p", "csv", ("id",), "cold",
+                                   batch_size=16)))
     assert sum(c.length for c in chunks) == 60
     assert len(chunks) == 4  # 60 rows at batch_size 16
     assert rt.stats.raw_rows == 60
@@ -36,8 +37,8 @@ def test_csv_cold_chunks_build_posmap_and_stats(catalog):
 
 def test_csv_whole_chunk_row_conversion(catalog):
     rt = make_rt(catalog)
-    (chunk, *_rest) = list(rt.csv_chunks("Patients", (), access="cold",
-                                         batch_size=64, whole=True))
+    (chunk, *_rest) = list(rt.scan(PhysScan(
+        "Patients", "p", "csv", (), "cold", bind_whole=True, batch_size=64)))
     row = chunk.whole[0]  # fixture row 0: protein is a null token
     assert row == {"id": 0, "age": 20, "gender": "f", "city": "geneva",
                    "protein": None}
@@ -53,21 +54,24 @@ def test_cache_data_errors_without_entry(catalog):
 def test_admit_then_serve_columns(catalog):
     cache = DataCache()
     rt = make_rt(catalog, cache)
-    rt.admit_columns("Patients", ("age", "id"),
-                     ([30, 40], [1, 2]))
+    scan = PhysScan("Patients", "p", "csv", ("age", "id"), "cold",
+                    populate=("age", "id"), batch_size=16)
+    ids = [v for chunk in rt.scan(scan) for v in chunk.column("id")]
     cols, layout = rt.cache_data("Patients", ("id",), whole=False)
     assert layout == "columns"
-    assert cols == [[1, 2]]
-    assert rt.stats.cache_rows == 2
+    assert cols == [ids] and len(ids) == 60
+    assert rt.stats.cache_rows == 60
 
 
 def test_admit_elements_objects(catalog):
     cache = DataCache()
     rt = make_rt(catalog, cache)
-    rt.admit_elements("Brain", "objects", [{"id": 1}, {"id": 2}])
+    scan = PhysScan("Brain", "b", "json", (), "cold", bind_whole=True,
+                    populate=("*",), populate_layout="objects")
+    objs = [obj for chunk in rt.scan(scan) for obj in chunk.whole]
     data, layout = rt.cache_data("Brain", (), whole=True)
     assert layout == "objects"
-    assert [d["id"] for d in data] == [1, 2]
+    assert [d["id"] for d in data] == [o["id"] for o in objs]
 
 
 def test_iter_source_shapes(catalog):
@@ -98,10 +102,9 @@ def test_csv_chunks_cleaning_stats(catalog, tmp_path):
     cat.register_csv("D", str(path), columns=["id", "age"],
                      types=["int", "int"])
     rt = QueryRuntime(cat, DataCache(), cleaning={"D": SkipPolicy()})
-    chunks = list(rt.csv_chunks("D", ("age",), access="cold"))
-    # chunks travel uncompacted: the selection vector marks the survivors
-    # and selection-aware accessors never surface the dropped row
-    assert [v for c in chunks for v in c.selected_columns()[0]] == [30, 45]
+    chunks = list(rt.scan(PhysScan("D", "d", "csv", ("age",), "cold")))
+    # chunks arrive dense: the dropped row is gone from the columns
+    assert [v for c in chunks for v in c.column("age")] == [30, 45]
     assert [row for c in chunks for row in c.rows()] == [(30,), (45,)]
     assert rt.stats.skipped_rows == 1
     assert rt.stats.raw_rows == 3  # the dropped row was still scanned
@@ -118,5 +121,5 @@ def test_device_routing(catalog):
 
     dev = StorageDevice("hdd")
     rt = QueryRuntime(catalog, DataCache(), devices={"*": dev})
-    list(rt.csv_chunks("Patients", ("id",), access="cold"))
+    list(rt.scan(PhysScan("Patients", "p", "csv", ("id",), "cold")))
     assert dev.stats.bytes_read > 0

@@ -9,9 +9,11 @@ Contracts under test:
   positional map in place: concurrent cold scans each build a detached
   partial and exactly one adopts;
 - what a finished scan leaves behind (positional map, value indexes, table
-  statistics) goes through one adopt-or-discard decision and is the same
-  at serial, thread DoP 2 and process DoP 2 (worker processes build no
-  index partial, by design); a file mutated mid-scan discards every kind;
+  statistics, cache population) goes through one adopt-or-discard decision
+  — one source lock, one ``stat`` — and is the same at serial, thread DoP 2
+  and process DoP 2 on both engines (worker processes build no index
+  partial, by design); a file mutated mid-scan discards every kind, and a
+  LIMIT that cut a parallel scan short admits nothing;
 - ``QueryRuntime.iter_source`` is the chunked scan with ``whole=True`` for
   every format: same elements and same accounting as a top-level scan.
 """
@@ -30,6 +32,7 @@ from repro.cleaning import SkipPolicy
 from repro.core.executor.runtime import QueryRuntime
 from repro.formats import write_array, write_workbook
 from repro.formats.csvfmt import CSVSource
+from repro.storage.io import FileFingerprint
 
 ENGINES = ("jit", "static")
 COUNTERS = ("posmap_adoptions", "posmap_discards", "index_adoptions",
@@ -206,15 +209,19 @@ def byproduct_state(db) -> dict:
         state[name + ".index"] = {
             f: (sorted(ix.entries.items(), key=repr), ix.covered)
             for f, ix in fields.items()}
+    state["cache"] = sorted(
+        (e.source, e.cached.layout, e.cached.fields, e.cached.nbytes,
+         e.cached.count, e.cached.data) for e in db.cache.entries())
     return state
 
 
-def run_cold(wide_dir, **session):
+def run_cold(wide_dir, engine=None, **session):
     db = ViDa(**session)
     try:
         db.register_csv("W", str(wide_dir / "wide.csv"))
         db.register_json("B", str(wide_dir / "brain.json"))
-        results = [db.query(CSV_Q), db.query(JSON_Q)]
+        results = [db.query(CSV_Q, engine=engine),
+                   db.query(JSON_Q, engine=engine)]
         return ([r.value for r in results],
                 [r.decisions.parallel_backend for r in results],
                 byproduct_state(db), counters(db))
@@ -249,7 +256,46 @@ def test_byproducts_identical_across_dop_and_backend(wide_dir):
     assert process_n == {**serial_n, "index_adoptions": 0}
 
 
-def test_mid_scan_mutation_discards_every_kind_in_one_decision(tmp_path):
+@pytest.mark.parametrize("engine", ENGINES)
+def test_population_identical_across_dop_and_backend(wide_dir, engine):
+    """Cache population is a scan by-product like the others: the entries
+    the cold queries leave behind — fields, layout, ``nbytes``, values —
+    are the same whichever way the scans ran."""
+    _, _, serial, _ = run_cold(wide_dir, engine)
+    assert [(src, fields) for src, _l, fields, *_ in serial["cache"]] == \
+        [("B", ("vol",)), ("W", ("age", "score"))]
+    _, _, thread, _ = run_cold(wide_dir, engine, parallelism=2)
+    _, backends, process, _ = run_cold(wide_dir, engine, parallelism=2,
+                                       backend="process")
+    assert backends == [{"w": "process"}, {"b": "process"}]
+    assert thread == serial
+    for state in (process, serial):
+        state.pop("W.index")
+        state.pop("B.index")
+    assert process == serial
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("backend", ("thread", "process"))
+def test_limit_truncated_parallel_bag_admits_nothing(wide_dir, engine,
+                                                      backend):
+    db = ViDa(parallelism=2, backend=backend)
+    try:
+        db.register_csv("W", str(wide_dir / "wide.csv"))
+        r = db.sql("SELECT id FROM W LIMIT 10", engine=engine)
+        assert len(r.value) == 10
+        assert "populate=[id]" in r.plan_text
+        assert r.stats.morsels_cancelled > 0
+        # a prefix of the file must not pose as the whole column, and
+        # nothing was offered, so nothing counts as dropped either
+        assert db.cache.entries() == []
+        assert db.engine_context.stats.stale_admissions_dropped == 0
+    finally:
+        db.close()
+
+
+def test_mid_scan_mutation_discards_every_kind_in_one_decision(tmp_path,
+                                                              monkeypatch):
     path = str(tmp_path / "t.csv")
 
     def write(scale):
@@ -263,23 +309,45 @@ def test_mid_scan_mutation_discards_every_kind_in_one_decision(tmp_path):
     db.register_csv("T", path)
     plugin = db.catalog.get("T").plugin
     batches = plugin.iter_line_batches
+    # from the mutation on, count what the end of the scan takes: source
+    # locks and file stats
+    taken = {"locks": 0, "stats": 0}
+    source_lock = db.catalog.source_lock
+    stat_matches = FileFingerprint.stat_matches
+
+    def counting_lock(name):
+        taken["locks"] += name == "T"
+        return source_lock(name)
+
+    def counting_stat(fp, path):
+        taken["stats"] += 1
+        return stat_matches(fp, path)
 
     def mutating(*args, **kwargs):
         for n, item in enumerate(batches(*args, **kwargs)):
             yield item
             if n == 2:
                 write(7)  # same shape, other values and size: a new file
+                monkeypatch.setattr(db.catalog, "source_lock", counting_lock)
+                monkeypatch.setattr(FileFingerprint, "stat_matches",
+                                    counting_stat)
 
     plugin.iter_line_batches = mutating
     q = "for { t <- T, t.v >= 0 } yield count 1"
+    assert "populate=[v]" in db.explain(q)
     db.query(q)
+    monkeypatch.undo()
     plugin.iter_line_batches = batches
-    # the scan built a map partial, an index partial and a statistics
-    # partial over a mix of dead and live bytes: none may be installed
+    # the scan built a map partial, an index partial, a statistics partial
+    # and the cache's population over a mix of dead and live bytes: none
+    # may be installed, and one decision said so
+    assert taken == {"locks": 1, "stats": 1}
     assert counters(db) == {"posmap_adoptions": 0, "posmap_discards": 1,
                             "index_adoptions": 0, "index_discards": 1,
                             "stats_adoptions": 0, "stats_discards": 1}
     ctx = db.engine_context
+    assert ctx.stats.stale_admissions_dropped == 1
+    assert db.cache.entries() == []
     assert not db.catalog.get("T").plugin.posmap.complete
     assert "T" not in ctx.indexes._sources
     assert ctx.table_stats.peek("T", db.catalog.get("T").generation) is None

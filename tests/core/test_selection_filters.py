@@ -2,9 +2,8 @@
 
 Contracts under test:
 
-- uncompacted chunks (pending ``Chunk.selection``) can never leak dropped
-  rows — ``iter_rows``/``iter_whole``/``selected_columns`` honour the
-  vector, ``take`` refuses positional access while one is pending;
+- rows a cleaning policy dropped never reach a consumer (chunks arrive
+  dense, on both engines, at every DoP);
 - ``Chunk.from_rows`` rejects ragged input instead of silently truncating;
 - both engines evaluate pushed-down predicates as selection kernels
   (``filter=vec`` in EXPLAIN; warm CSV gets ``filter=vec+push`` late
@@ -35,44 +34,6 @@ ENGINES = ("jit", "static")
 # ---------------------------------------------------------------------------
 # Chunk protocol bug fixes
 # ---------------------------------------------------------------------------
-
-
-def _selected_chunk():
-    ch = Chunk.from_columns(("a", "b"), [[1, 2, 3, 4], list("wxyz")],
-                            whole=[{"i": i} for i in range(4)])
-    ch.selection = [1, 3]
-    return ch
-
-
-def test_iter_rows_honours_pending_selection():
-    ch = _selected_chunk()
-    assert ch.rows() == [(2, "x"), (4, "z")]
-    assert list(ch.iter_whole()) == [{"i": 1}, {"i": 3}]
-    assert ch.selected_columns() == ([2, 4], ["x", "z"])
-    assert ch.selected_length == 2
-    assert ch.length == 4  # physical length unchanged
-
-
-def test_iter_rows_single_column_and_empty_selection():
-    ch = Chunk.from_columns(("a",), [[10, 20, 30]])
-    ch.selection = [2]
-    assert ch.rows() == [(30,)]
-    ch.selection = []
-    assert ch.rows() == []
-    assert ch.selected_length == 0
-    # column-less chunks count selected rows too
-    bare = Chunk((), (), 5)
-    bare.selection = [0, 4]
-    assert bare.rows() == [(), ()]
-
-
-def test_take_refuses_uncompacted_chunks():
-    ch = _selected_chunk()
-    with pytest.raises(ValueError, match="uncompacted"):
-        ch.take([0])
-    dense = ch.compact()
-    assert dense.selection is None
-    assert dense.take([1]).rows() == [(4, "z")]
 
 
 def test_from_rows_rejects_ragged_rows():

@@ -29,7 +29,8 @@ def _populate(src: CSVSource, mapped: list[int]) -> list[str]:
     anchors = src.posmap.anchor_columns(mapped)
     src.posmap.begin_population(anchors)
     lines = [line for _start, batch in
-             src.iter_line_batches(5, record_anchors=anchors)
+             src.iter_line_batches(5, record_anchors=anchors,
+                                   record_map=src.posmap)
              for line in batch]
     src.posmap.finish_population()
     return lines

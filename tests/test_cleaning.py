@@ -148,3 +148,49 @@ def test_set_cleaning_unknown_source():
     db = ViDa()
     with pytest.raises(Exception):
         db.set_cleaning("Nope", SkipPolicy())
+
+
+# -- cleaning policies are per tenant, the cache is shared -------------------
+
+
+@pytest.fixture()
+def clamp_csv(tmp_path):
+    """100 rows whose ``age`` is 200 in every tenth row and 30 elsewhere:
+    4700 in total, 3900 once a (0, 120) range clamps the 200s."""
+    path = tmp_path / "clamp.csv"
+    path.write_text("id,age\n" + "".join(
+        f"{i},{200 if i % 10 == 0 else 30}\n" for i in range(100)))
+    return str(path)
+
+
+@pytest.mark.parametrize("engine", ("jit", "static"))
+@pytest.mark.parametrize("first", ("cleaning", "plain"))
+def test_cleaning_never_leaks_across_tenants_through_the_cache(
+        clamp_csv, engine, first):
+    """A tenant's repairs must not reach another tenant through the shared
+    cache, nor another tenant's raw values reach the cleaning tenant: a
+    scan of a source its session cleans neither reads nor offers cached
+    columns."""
+    from repro.core.engine import EngineContext
+
+    ctx = EngineContext()
+    cleaning, plain = ViDa(context=ctx), ViDa(context=ctx)
+    try:
+        cleaning.register_csv("T", clamp_csv, columns=["id", "age"],
+                              types=["int", "int"])
+        cleaning.set_cleaning("T", DictionaryPolicy(ranges={"age": (0, 120)}))
+        order = (cleaning, plain) if first == "cleaning" else (plain, cleaning)
+        got = {}
+        for db in order * 2:  # each tenant twice: cold, then warm
+            got.setdefault(db, []).append(
+                db.query("for { t <- T } yield sum t.age", engine=engine))
+        assert [r.value for r in got[cleaning]] == [3900, 3900]
+        assert [r.value for r in got[plain]] == [4700, 4700]
+        # the plain tenant's columns are cached and serve it; the cleaning
+        # tenant reads the file every time
+        assert got[plain][1].stats.cache_only
+        assert all(r.stats.raw_bytes > 0 for r in got[cleaning])
+    finally:
+        cleaning.close()
+        plain.close()
+        ctx.close()
