@@ -65,6 +65,16 @@ class CatalogEntry:
     def format(self) -> str:
         return self.description.format
 
+    def file_rows(self) -> int | None:
+        """How many rows (top-level objects) the file holds, read off its
+        complete positional map or semi-index; None while neither is built
+        — this never reads the file."""
+        if self.format == "csv" and self.plugin.posmap.complete:
+            return len(self.plugin.posmap.row_offsets)
+        if self.format == "json" and self.plugin.has_semi_index():
+            return self.plugin.object_count()
+        return None
+
 
 class Catalog:
     """Name → :class:`CatalogEntry` registry with update detection.

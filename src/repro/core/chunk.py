@@ -134,7 +134,8 @@ class Morsel:
     - ``"all"``      — the whole source (unsplittable fallback; a single
       worker runs the full scan),
     - ``"bytes"``    — a raw byte range ``[lo, hi)``; the reader aligns
-      itself to record boundaries (CSV cold scans),
+      itself to record boundaries (CSV cold scans; a JSON range holds whole
+      objects: a generation's prefix of the file),
     - ``"rows"``     — a row-index range ``[lo, hi)`` (CSV warm scans via
       the positional map, cache row-range chunk views),
     - ``"spans"``    — a semi-index span range ``[lo, hi)`` (JSON),

@@ -320,7 +320,7 @@ class EngineContext:
         old_fp = entry.fingerprint
         old_gen = entry.generation
         new_fp, is_prefix = old_fp.successor(path)
-        old_rows = self._live_row_count(entry)
+        old_rows = entry.file_rows()
         entry.history.capacity = self.retain_generations
         entry.history.add(GenerationSnapshot(
             generation=old_gen, fingerprint=old_fp,
@@ -399,16 +399,6 @@ class EngineContext:
                                        tail_columns)
         self.count(delta_refreshes=1, delta_tail_bytes=tail_bytes)
         return True
-
-    def _live_row_count(self, entry) -> int | None:
-        """Exact row/object count of the live generation, if any complete
-        structure knows it (the precondition for slicing/extending)."""
-        plugin = entry.plugin
-        if entry.format == "csv" and plugin.posmap.complete:
-            return len(plugin.posmap.row_offsets)
-        if entry.format == "json" and plugin.has_semi_index():
-            return len(plugin.semi_index)
-        return None
 
     def _tail_fields(self, name: str, entry, old_gen: int,
                      old_rows: int) -> list[str]:

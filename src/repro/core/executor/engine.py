@@ -18,19 +18,23 @@ from ..codegen.compiler import CompiledQuery, QueryCompiler
 from ..physical import PhysReduce, explain_physical
 
 
-#: a scan line's row and cost estimates as EXPLAIN renders them
-_ESTIMATES = re.compile(r", est_rows=~\S+ est_cost=~[^\s,)]+")
+#: a scan line's pinned generation and its row and cost estimates as
+#: EXPLAIN renders them
+_UNREAD = re.compile(
+    r", (?:generation=\d+|est_rows=~\S+ est_cost=~[^\s,)]+)")
 
 
 def plan_fingerprint(plan: PhysReduce, plan_text: str | None = None) -> str:
     """A structural key identifying a physical plan (for the compile cache):
     its EXPLAIN rendering (``plan_text`` when the caller already holds it)
-    without the scans' row and cost estimates. Generated code reads neither,
-    and both move whenever a file grows — with them in the key every query
-    after a delta refresh recompiled the function it already had."""
+    without the scans' pinned generations and row and cost estimates.
+    Generated code reads none of them (the runtime serves a pinned scan),
+    and they move whenever a file grows or a query travels to another
+    generation — with them in the key every query after a delta refresh
+    recompiled the function it already had."""
     if plan_text is None:
         plan_text = explain_physical(plan)
-    return _ESTIMATES.sub("", plan_text)
+    return _UNREAD.sub("", plan_text)
 
 
 @dataclass

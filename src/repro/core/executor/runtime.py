@@ -102,9 +102,10 @@ class QueryRuntime:
         self.catalog = catalog
         self.cache = cache
         #: time travel: source → pinned :class:`GenerationSnapshot`. Scans of
-        #: a pinned source serve that generation's rows (live-prefix re-scan
-        #: or pinned cache slices) and emit no byproducts — nothing a pinned
-        #: query produces may leak into live shared state
+        #: a pinned source serve that generation's rows — the ordinary scan
+        #: bounded to its live prefix, or pinned cache slices — and request
+        #: no by-products: nothing a pinned query produces may leak into
+        #: live shared state
         self.as_of = as_of or {}
         #: owning :class:`~repro.core.engine.EngineContext` (None in worker
         #: children and standalone uses) — receives cross-tenant sharing
@@ -391,8 +392,11 @@ class QueryRuntime:
         whichever ``stat_fields`` (None = collect none) the shared registry
         doesn't know yet, and the cache population the plan chose
         (``populate`` fields, or ``("*",)`` for whole elements in
-        ``layout``) — in the steady state scans carry none of it."""
+        ``layout``) — in the steady state scans carry none of it, and a
+        scan of a pinned generation never does."""
         self.touch_generation(source)
+        if source in self.as_of:
+            return None
         posmap = index = stats = cache = None
         if posmap_of is not None and (
                 split is None or split.kind in ("all", "bytes")):
@@ -507,16 +511,29 @@ class QueryRuntime:
 
         Chunks carry :meth:`_columns` of the scan, plus whole elements where
         the engines bind them (``bind_whole``, :meth:`PhysScan.binds_objects`;
-        a raw JSON scan always carries its parsed objects). Pinned, cached,
+        a raw JSON scan always carries its parsed objects). Cached,
         index-served and raw scans differ only behind this call, and what a
         raw scan leaves behind — positional map, value indexes, statistics
         and cache population — goes through one by-product object and one
         adopt-or-discard gate.
+
+        A scan of a source pinned to a live-prefix generation (``as_of``) is
+        the same scan bounded to the generation's rows — the first
+        ``row_count`` rows of the live file — and leaves nothing behind; a
+        rewritten-away generation is served from the state pinned when its
+        bytes went (:meth:`_pinned_cached_chunks`). Pinned scans are planned
+        serial.
         """
+        snap = self.as_of.get(node.source)
+        if snap is not None:
+            if split is not None and split.kind != "all":
+                raise ExecutionError(
+                    f"pinned scans of {node.source!r} are serial; got a "
+                    f"{split.kind!r} morsel")
+            if not snap.live:
+                return self._pinned_cached_chunks(node, snap)
         if node.access == "cache":
             return self._cache_chunks(node, split)
-        if node.source in self.as_of:
-            return self._pinned_chunks(node, split)
         if node.access == "index":
             return self._index_chunks(node)
         return self._raw_chunks(node, split, pred_kernel)
@@ -541,7 +558,8 @@ class QueryRuntime:
         population — repaired and skipped rows no longer line up with the
         file's rows, and the shared cache must not serve one tenant's
         repairs to another. ``access`` overrides the node's (an index scan
-        whose probe cannot be served runs warm)."""
+        whose probe cannot be served runs warm). A pinned scan reads the
+        generation's morsel of the live file (:meth:`_prefix_morsel`)."""
         source = node.source
         entry = self.catalog.get(source)
         plugin = entry.plugin
@@ -549,8 +567,14 @@ class QueryRuntime:
         device = self.device_for(source)
         fmt = entry.format
         pop = {"populate": node.populate, "layout": node.populate_layout}
+        snap = self.as_of.get(source)
+        access = access or node.access
+        # what the plugin reads: a pinned scan is the serial scan of its
+        # generation's morsel of the live file
+        bound = split
+        if snap is not None:
+            bound, access = self._prefix_morsel(entry, snap, access)
         if fmt == "csv":
-            access = access or node.access
             whole = node.bind_whole
             # a projection that touches no raw attribute cannot fail
             # conversion; statistics cover the materialised columns (all of
@@ -569,7 +593,7 @@ class QueryRuntime:
                 clean = _CountingPolicy(clean, counts, self._lock)
             chunks = plugin.scan_chunks(
                 fields, batch_size=node.batch_size, device=device,
-                clean=clean, whole=whole, access=access, split=split,
+                clean=clean, whole=whole, access=access, split=bound,
                 pred_fields=node.pred_fields() if pred_kernel else (),
                 pred_kernel=pred_kernel, byproducts=byproducts)
             return self._scan(source, chunks, split, byproducts, counts,
@@ -577,10 +601,11 @@ class QueryRuntime:
         if fmt == "json":
             byproducts = self._request_byproducts(
                 source, split, fields, node.index_emit, **pop)
-            access = "warm" if plugin.has_semi_index() else "cold"
+            if snap is None:
+                access = "warm" if plugin.has_semi_index() else "cold"
             chunks = plugin.scan_chunks(
                 fields, batch_size=node.batch_size, device=device,
-                whole=True, split=split, byproducts=byproducts)
+                whole=True, split=bound, byproducts=byproducts)
             return self._scan(source, chunks, split, byproducts,
                               timing=("json", access, len(fields)))
         if fmt == "array":
@@ -608,98 +633,20 @@ class QueryRuntime:
 
     # -- time travel: pinned-generation serving -----------------------------
 
-    def _pinned_chunks(self, node: PhysScan, split):
-        """Serve a scan AS OF a pinned generation (CSV and JSON only).
+    @staticmethod
+    def _prefix_morsel(entry, snap, access: str):
+        """``(morsel, access)`` reading a live-prefix generation's rows off
+        the live file: its first ``row_count`` rows through the positional
+        map (a warm CSV scan) or semi-index spans (JSON) when those reach
+        that far, otherwise its ``byte_size`` bytes tokenised cold."""
+        n, rows = snap.row_count, entry.file_rows()
+        if access != "cold" and None not in (n, rows) and n <= rows:
+            return Morsel("rows" if entry.format == "csv" else "spans",
+                          0, n, start_row=0), "warm"
+        start = entry.plugin._data_start if entry.format == "csv" else 0
+        return Morsel("bytes", start, snap.byte_size), "cold"
 
-        Live-prefix snapshots re-scan exactly the generation's bytes of the
-        current file (append-only history keeps old bytes in place), cold
-        and byproduct-free. Rewritten-away generations fall back to the
-        cache entries pinned at invalidation time, sliced to the snapshot's
-        rows. Pinned scans are planned serial; real morsels are rejected.
-        """
-        source = node.source
-        fmt = node.format
-        if fmt not in ("csv", "json"):
-            raise GenerationError(
-                f"source {source!r} has format {fmt!r}, which does not "
-                "support AS OF generation pinning")
-        if split is not None and split.kind != "all":
-            raise ExecutionError(
-                f"pinned scans of {source!r} are serial; got a "
-                f"{split.kind!r} morsel")
-        fields = self._columns(node)
-        snap = self.as_of[source]
-        if not snap.live:
-            return self._pinned_cached_chunks(
-                source, snap, fields, node.batch_size,
-                node.bind_whole or node.binds_objects())
-        if fmt == "csv":
-            return self._pinned_csv_chunks(source, snap, fields,
-                                           node.batch_size, node.bind_whole)
-        return self._pinned_json_chunks(source, snap, fields, node.batch_size)
-
-    def _pinned_csv_chunks(self, source: str, snap, fields: tuple,
-                           batch_size: int, whole: bool):
-        """A live-prefix CSV generation: the byte range
-        ``[data_start, snap.byte_size)`` of the current file, re-scanned."""
-        plugin = self.catalog.get(source).plugin
-        self.stats.raw_sources.add(source)
-        self.stats.raw_bytes += max(0, snap.byte_size - plugin._data_start)
-        cols = plugin.field_indexes(fields)
-        names = tuple(plugin.columns)
-        conv_cols = list(range(len(names))) if whole else cols
-        count = 0
-        for _start, lines in plugin.iter_line_batches(
-                batch_size, device=self.device_for(source),
-                byte_range=(plugin._data_start, snap.byte_size)):
-            cells_rows = [line.split(plugin.options.delimiter)
-                          for line in lines]
-            columns = plugin.convert_batch(conv_cols, cells_rows) \
-                if conv_cols else []
-            count += len(cells_rows)
-            if whole:
-                records = [dict(zip(names, vals)) for vals in zip(*columns)] \
-                    if columns else [{} for _ in cells_rows]
-                picked = tuple(columns[c] for c in cols)
-                yield Chunk(fields, picked, len(cells_rows), whole=records)
-            elif cols:
-                yield Chunk(fields, tuple(columns), len(cells_rows))
-            else:
-                yield Chunk((), (), len(cells_rows))
-        self.stats.raw_rows += count
-
-    def _pinned_json_chunks(self, source: str, snap, paths: tuple,
-                            batch_size: int):
-        """A live-prefix JSON generation: its spans re-parsed from the head
-        of the current file."""
-        import json as _json
-
-        from ...storage import RawFile
-        plugin = self.catalog.get(source).plugin
-        self.stats.raw_sources.add(source)
-        self.stats.raw_bytes += snap.byte_size
-        with RawFile(plugin.path, device=self.device_for(source)) as raw:
-            data = raw.read_at(0, snap.byte_size)
-        if plugin.has_semi_index():
-            spans = [s for s in plugin.semi_index.spans
-                     if s.end <= snap.byte_size]
-        else:
-            from ...formats.jsonfmt.semi_index import JSONSemiIndex
-            spans = list(JSONSemiIndex.build(data).spans)
-        encoding = plugin.options.encoding
-        count = 0
-        for i in range(0, len(spans), batch_size):
-            group = spans[i:i + batch_size]
-            objs = [_json.loads(data[s.start:s.end].decode(encoding))
-                    for s in group]
-            columns = plugin.project_paths(objs, paths) if paths else []
-            count += len(objs)
-            yield Chunk(paths, tuple(columns), len(objs), whole=objs)
-        self.stats.raw_rows += count
-
-    def _pinned_cached_chunks(self, source: str, snap, fields: tuple,
-                              batch_size: int, whole: bool
-                              ) -> "Iterator[Chunk]":
+    def _pinned_cached_chunks(self, node: PhysScan, snap):
         """Serve a rewritten-away generation from the cache entries pinned
         when its file content was invalidated, sliced to the snapshot's row
         count (every live snapshot at pin time was a row-prefix of the
@@ -707,6 +654,9 @@ class QueryRuntime:
         covers the requested shape — the generation's rows are gone."""
         import json as _json
 
+        source, batch_size = node.source, node.batch_size
+        fields = self._columns(node)
+        whole = node.bind_whole or node.binds_objects()
         pinned = snap.pinned
         n = snap.row_count
         if pinned is None or n is None or pinned.total_rows is None:
@@ -817,23 +767,36 @@ class QueryRuntime:
         ``node.index_lookup`` is the planner's value-index probe for this
         scan: when the index can serve it, only its candidates (and whatever
         rows it has not covered) are handed over, gathered from the cached
-        columns (:meth:`_gathered_chunks`); otherwise the full view is.
+        columns (:meth:`_gathered_chunks`); otherwise the full view is. A
+        scan pinned to a live-prefix generation is served the first
+        ``row_count`` cached rows the same way, or reads the file when the
+        entry's rows are not the file's.
         """
         source = node.source
-        if source in self.as_of:
-            raise GenerationError(
-                f"live cache entries cannot serve {source!r} AS OF a pinned "
-                "generation")
+        snap = self.as_of.get(source)
         fields, whole = self._columns(node), node.binds_objects()
         lookup = node.index_lookup
         if split is None:
-            if lookup is not None:
+            if lookup is not None or snap is not None:
                 # before the snapshot: an index peeked at this token then
                 # describes the snapshot's rows or an append's extension of
                 # them, never the rows of a file rewritten in between
                 self.touch_generation(source)
             data, layout = self.cache_data(source, fields, whole)
-            if lookup is not None and layout == "columns":
+            length = len(data) if whole else (len(data[0]) if data else 0)
+            # index rows and a generation's rows are file rows: use only a
+            # snapshot whose position i is file row i (the cache admits
+            # full scans of uncleaned sources only; this keeps any other
+            # row universe off the probe and prefix paths)
+            aligned = length == self.catalog.get(source).file_rows()
+            if snap is not None:
+                n = snap.row_count
+                if not aligned or n > length:
+                    self.stats.cache_rows -= length
+                    return self._raw_chunks(node)
+                self.stats.cache_rows -= length - n
+                data = data[:n] if whole else [col[:n] for col in data]
+            if lookup is not None and layout == "columns" and aligned:
                 chunks = self._gathered_chunks(source, fields, data, lookup)
                 if chunks is not None:
                     return chunks
@@ -874,19 +837,6 @@ class QueryRuntime:
         return rows, holes
 
     @staticmethod
-    def _file_rows(entry) -> int | None:
-        """How many rows (top-level objects) ``entry``'s file holds, read off
-        its positional structure; None while that is not built — this never
-        reads the file."""
-        plugin = entry.plugin
-        if entry.format == "csv":
-            posmap = plugin.posmap
-            return len(posmap.row_offsets) if posmap.complete else None
-        if entry.format == "json" and plugin.has_semi_index():
-            return plugin.object_count()
-        return None
-
-    @staticmethod
     def _row_order(rows: list, holes: list, total: int):
         """Walk candidates and holes in ascending row order: yields
         ``(candidates before the hole, (lo, hi))`` per uncovered range and
@@ -903,21 +853,17 @@ class QueryRuntime:
                          lookup: tuple) -> list | None:
         """An index probe over cached columns (``access=cache+index``).
 
-        ``data`` is the cached column snapshot the scan would otherwise
-        stream in full. Candidates are gathered per column and interleaved,
-        in ascending row order, with plain slices of the ranges the index
-        has not covered — the rows a full scan would filter down to, in the
-        order it would meet them, so the predicate recheck the engines keep
-        makes the answer bit-identical. Candidates at or past the snapshot's
-        length are dropped: a concurrent delta refresh extends the index in
-        place but *replaces* the cached entry."""
+        ``data`` is the cached column snapshot (or a pinned generation's
+        prefix of it) the scan would otherwise stream in full, its position
+        i being file row i. Candidates are gathered per column and
+        interleaved, in ascending row order, with plain slices of the ranges
+        the index has not covered — the rows a full scan would filter down
+        to, in the order it would meet them, so the predicate recheck the
+        engines keep makes the answer bit-identical. Candidates at or past
+        the snapshot's length are dropped: a concurrent delta refresh
+        extends the index in place but *replaces* the cached entry, and a
+        pinned generation ends where the file did."""
         length = len(data[0]) if data else 0
-        if length != self._file_rows(self.catalog.get(source)):
-            # index rows are file rows: gather only from a snapshot whose
-            # position i is file row i (the cache admits full scans of
-            # uncleaned sources only; this keeps any other row universe off
-            # the probe path)
-            return None
         probe = self._probe(source, lookup, length)
         if probe is None:
             return None
@@ -951,8 +897,9 @@ class QueryRuntime:
         plugin call.
 
         A serial scan (``split`` None) is the one-morsel case of a parallel
-        one: it charges the file's bytes itself (a morsel leaves that to the
-        coordinator's :meth:`account_raw`), records the wall-clock spent
+        one: it charges the file's bytes itself — a pinned scan its
+        generation's (a morsel leaves that to the coordinator's
+        :meth:`account_raw`) — records the wall-clock spent
         *inside* the plugin iterator for cost calibration (``timing``:
         format, access, field count; consumer time excluded, and morsels
         overlap, so theirs isn't wall-clock) and, being the whole scan — as
@@ -971,9 +918,11 @@ class QueryRuntime:
         own = own or split is None
         path = getattr(self.catalog.get(source).plugin, "path", None)
         if split is None and path is not None:
+            snap = self.as_of.get(source)
+            size = os.path.getsize(path) if snap is None else snap.byte_size
             with self._lock:
                 self.stats.raw_sources.add(source)
-                self.stats.raw_bytes += os.path.getsize(path)
+                self.stats.raw_bytes += size
         offer = byproducts.cache if byproducts is not None else None
         count = nchunks = 0
         elapsed = 0.0
@@ -1027,13 +976,18 @@ class QueryRuntime:
 
         Degrades to the plain warm scan when the registry went stale
         between planning and execution or the probe type is unservable.
+        A scan pinned to a live-prefix generation probes its first
+        ``row_count`` rows and pays no rent.
         """
         source = node.source
         entry = self.catalog.get(source)
         fields = self._columns(node)
         whole = node.bind_whole or entry.format == "json"
         gen = self.touch_generation(source)
-        total = self._file_rows(entry)
+        total = entry.file_rows()
+        snap = self.as_of.get(source)
+        if snap is not None and total is not None:
+            total = snap.row_count if snap.row_count <= total else None
         probe = None if total is None \
             else self._probe(source, node.index_lookup, total)
         if probe is None:
@@ -1059,7 +1013,8 @@ class QueryRuntime:
         self.stats.raw_rows += served
         # rent: these rows were read from the file because their columns
         # are not cached; the planner buys once the rent has paid for a scan
-        self.indexes.rent(source, gen, served, total)
+        if snap is None:
+            self.indexes.rent(source, gen, served, total)
 
     def _fetch_rows_chunk(self, entry, rows: list, fields: tuple,
                           whole: bool, device) -> Chunk:

@@ -11,8 +11,11 @@ was classified (``EngineContext.refresh_source``):
 
 - **live-prefix** (``live=True``): every later mutation was an append, so
   the generation's content survives verbatim as the first ``byte_size``
-  bytes (CSV) / first N semi-index spans (JSON) of the live file. Such a
-  snapshot pins *no* data — the runtime serves it by slicing live state,
+  bytes — the first ``row_count`` rows (CSV) / objects (JSON) — of the live
+  file. Such a snapshot pins *no* data: a query AS OF it is the ordinary
+  scan bounded to those rows, served from whatever the engine holds for
+  the live file (cached columns, value indexes, positional map or
+  semi-index) and tokenised from the bytes only when none of it exists,
   which is why an arbitrarily long append history costs O(1) memory.
 - **pinned** (``live=False``): a non-append mutation destroyed the old
   bytes. At that moment every live-prefix snapshot in the history is
@@ -70,8 +73,8 @@ class GenerationSnapshot:
     fingerprint: FileFingerprint
     byte_size: int
     #: rows/objects the source held at this generation (None when no
-    #: complete posmap/semi-index observed it — then only live-prefix CSV
-    #: byte-slicing can serve it)
+    #: complete posmap/semi-index observed it — then only a scan of its
+    #: ``byte_size`` bytes can serve it)
     row_count: int | None = None
     #: True while every later mutation was an append (content is a live
     #: byte-prefix); flipped False, with ``pinned`` attached, on rewrite

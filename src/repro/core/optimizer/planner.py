@@ -219,10 +219,13 @@ class Planner:
         #: selectivities, and DP join-order enumeration replace the
         #: syntax-order greedy heuristics
         self.adaptive = adaptive
-        #: time travel: source → pinned GenerationSnapshot. Pinned scans are
-        #: forced cold + serial with population, selection pushdown and
-        #: index access all off — live auxiliaries describe the live
-        #: generation, and a pinned query must neither use nor grow them
+        #: time travel: source → pinned GenerationSnapshot. A live-prefix
+        #: generation of known row count is planned like a live scan of that
+        #: many rows — cache, positional map, semi-index and value indexes
+        #: serve it — but serial, with population, index emission and
+        #: selection pushdown off: a pinned query grows no shared state.
+        #: Anything else is a cold scan the runtime serves from the bytes
+        #: or the pinned cache entries
         self.as_of = as_of or {}
 
     # -- public -----------------------------------------------------------
@@ -647,23 +650,17 @@ class Planner:
                 # exact cardinality, collected as a byproduct of an earlier
                 # scan — supersedes the bytes-per-row guess
                 rows = max(1, tstats.row_count)
-        pinned = entry.name in self.as_of
+        snap = self.as_of.get(entry.name)
+        prefix = snap is not None and snap.live and snap.row_count is not None
+        if snap is not None and snap.row_count is not None:
+            rows = max(1, snap.row_count)
         # the cache is shared across tenants, cleaning policies are not: a
         # source this session cleans neither reads cached values nor offers
         # its (repaired or thinned) columns to the cache
         use_cache = self.enable_cache \
             and entry.name not in self.cleaning_sources
-        if pinned:
-            snap = self.as_of[entry.name]
+        if snap is not None and not prefix:
             u.access = "cold"
-            if snap.row_count is not None:
-                rows = max(1, snap.row_count)
-            mode = "live-prefix re-scan" if snap.live \
-                else "pinned cache fallback"
-            decisions.notes.append(
-                f"{u.var}: AS OF generation {snap.generation} "
-                f"({mode}; cold serial, no byproducts)"
-            )
         elif entry.data is not None or fmt == "memory":
             u.access = "memory"
         elif fmt == "dbms":
@@ -678,7 +675,7 @@ class Planner:
         else:
             u.access = "cold"
 
-        if u.access in ("cold", "warm") and use_cache and not pinned:
+        if u.access in ("cold", "warm") and use_cache and snap is None:
             self._choose_population(u, entry)
 
         batched = fmt in ("csv", "json", "array", "xls") and u.access in ("cold", "warm")
@@ -705,15 +702,33 @@ class Planner:
         u.est_rows = max(1.0, est.output_rows)
         u.est_cost = est.total_cost
 
-        if fmt in ("csv", "json") and not pinned \
+        if fmt in ("csv", "json") and (snap is None or prefix) \
                 and entry.name not in self.cleaning_sources \
                 and (u.access in ("cold", "warm")
                      or (u.access == "cache" and u.fields and not u.whole)):
             self._choose_index_access(u, entry, fmt, rows, decisions)
+        if snap is not None:
+            u.index_emit = ()
+            decisions.notes.append(
+                f"{u.var}: AS OF generation {snap.generation} "
+                f"({self._history_path(u, entry, snap)})")
 
         decisions.access[u.var] = u.access
         decisions.est_rows[u.var] = u.est_rows
         decisions.est_cost[u.var] = u.est_cost
+
+    @staticmethod
+    def _history_path(u: _Unit, entry, snap) -> str:
+        """How a pinned scan's generation is served, for its EXPLAIN note."""
+        if not snap.live:
+            return "pinned cache fallback"
+        if snap.row_count is None:
+            return f"live prefix, first {snap.byte_size} bytes; cold"
+        path = "cache+index" if u.access == "cache" and u.index_lookup \
+            else u.access
+        total = entry.file_rows()
+        of = "" if total is None else f" of {total}"
+        return f"live prefix, {snap.row_count}{of} rows; {path}"
 
     def _cache_covers(self, source: str, u: _Unit) -> bool:
         if u.whole:
@@ -852,6 +867,7 @@ class Planner:
             and not u.whole
             and bool(u.fields)
             and entry.name not in self.cleaning_sources
+            and entry.name not in self.as_of
         ):
             return False
         if not u.populate:

@@ -213,15 +213,26 @@ class JSONSource:
         return split_ranges(len(self.semi_index.spans), dop, "spans")
 
     def scan_object_chunks(self, batch_size: int = 1024, device=None,
-                           span_range: tuple[int, int] | None = None) -> Iterator[list]:
+                           span_range: tuple[int, int] | None = None,
+                           byte_range: tuple[int, int] | None = None
+                           ) -> Iterator[list]:
         """Parse top-level objects a batch at a time (chunk pipeline).
 
         Amortises the per-object Python iteration overhead over
         ``batch_size`` objects. A full scan of a file that has no
         semi-index yet leaves one behind (:meth:`_first_parse`).
         ``span_range`` restricts the pass to spans ``[lo, hi)`` and reads
-        only the bytes covering them.
+        only the bytes covering them; ``byte_range`` reads bytes
+        ``[lo, hi)``, which must hold whole objects (a file's prefix as it
+        was before an append), and boundary-scans them without an index.
         """
+        if byte_range is not None:
+            lo, hi = byte_range
+            with RawFile(self.path, device=device) as raw:
+                data = raw.read_at(lo, hi - lo)
+            yield from self._parse_spans(data, list(iter_spans((data,), lo)),
+                                         lo, batch_size)
+            return
         if span_range is None and self._semi_index is None:
             yield from self._first_parse(batch_size, device)
             return
@@ -341,7 +352,8 @@ class JSONSource:
 
         ``paths`` become aligned columns; ``whole`` keeps the parsed objects
         on ``chunk.whole`` for scans that bind the full element. ``split``
-        restricts the scan to one span-range morsel from :meth:`scan_splits`.
+        restricts the scan to one span-range morsel from :meth:`scan_splits`,
+        or to a byte-range morsel holding whole objects.
 
         ``byproducts`` (a :class:`~repro.core.byproducts.ScanByproducts`)
         is advanced once per batch and handed the projected columns of its
@@ -350,9 +362,11 @@ class JSONSource:
         """
         from ...core.chunk import Chunk
 
-        span_range = None
+        span_range = byte_range = None
         row = 0
-        if split is not None and split.kind != "all":
+        if split is not None and split.kind == "bytes":
+            byte_range = (split.lo, split.hi)
+        elif split is not None and split.kind != "all":
             if split.kind != "spans":
                 raise DataFormatError(
                     f"{self.path}: JSON scans cannot interpret a "
@@ -366,7 +380,8 @@ class JSONSource:
         wanted = byproducts.wanted if byproducts is not None else ()
         extra = tuple(f for f in wanted if f not in paths)
         for objs in self.scan_object_chunks(batch_size, device=device,
-                                            span_range=span_range):
+                                            span_range=span_range,
+                                            byte_range=byte_range):
             columns = self.project_paths(objs, paths) if paths else []
             if byproducts is not None:
                 byproducts.advance(row, len(objs))

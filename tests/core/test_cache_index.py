@@ -5,8 +5,8 @@
   (``enable_indexes=False``) and the static engine, over CSV and JSON
   sources with NULLs, duplicates and ``1`` / ``1.0`` / ``true`` twins; with
   full and partial index coverage, after an append and after a rewrite;
-- the path is never taken under a cleaning policy, a whole binding, an
-  ``AS OF`` pin or a morsel split;
+- the path is never taken under a cleaning policy, a whole binding or a
+  morsel split, and serves an ``AS OF`` pin cut at its generation's rows;
 - chooser: range conjuncts intersect into one spec, a dense probe loses,
   the cheaper of two indexed conjuncts wins, a rejected wide range sums no
   bucket;
@@ -227,13 +227,16 @@ def test_probe_is_never_taken_where_rows_may_not_line_up(tmp_path,
     try:
         _warm(db)
         assert "cache+index[k]" in db.query(q).plan_text
-        # an AS OF pin re-scans the pinned generation, byproduct-free
+        # an AS OF pin is served by the same probe, cut at the rows its
+        # generation held
         old = db.generations("T")["live"]
+        want = db.query(q).value
         _write(path, "csv", _rows(5, CSV_KEYS)[:3], "a")
         db.query(q)
         pinned = db.query(q, as_of={"T": old})
-        assert "access=cold" in pinned.plan_text
-        assert "index[" not in pinned.plan_text
+        assert "cache+index[k]" in pinned.plan_text
+        assert pinned.value == want
+        assert pinned.stats.index_hits == 1 and pinned.stats.cache_only
     finally:
         db.close()
 

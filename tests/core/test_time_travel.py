@@ -12,6 +12,8 @@ import json
 import pytest
 
 from repro import GenerationError, ViDa
+from repro.cleaning import DictionaryPolicy, SkipPolicy
+from repro.errors import DataFormatError
 
 Q = "for { t <- T } yield bag (id := t.id, v := t.v)"
 ROWS = 500
@@ -159,3 +161,52 @@ def test_json_as_of_and_delta_refresh(tmp_path):
     assert snap["delta_refreshes"] == 1
     assert snap["delta_tail_bytes"] == len(tail.encode())
     db.close()
+
+
+def write_ages(path, bad):
+    """100 rows of ``id,age``; ``bad`` maps row → the age text it holds."""
+    with open(path, "w") as fh:
+        fh.write("id,age\n")
+        for i in range(100):
+            fh.write(f"{i},{bad.get(i, 30)}\n")
+
+
+def pinned_sum(db, engine):
+    """Live ``sum t.age``, then the same AS OF that generation after an
+    append — or the exception each raised."""
+    q = "for { t <- T } yield sum t.age"
+
+    def run(**kw):
+        try:
+            return db.query(q, engine=engine, **kw).value
+        except Exception as exc:
+            return type(exc)
+
+    live = run()
+    gen = db.generations("T")["live"]
+    with open(db.catalog.get("T").plugin.path, "a") as fh:
+        fh.write("100,30\n")
+    return live, run(as_of={"T": gen})
+
+
+@pytest.mark.parametrize("engine", ["jit", "static"])
+@pytest.mark.parametrize("policy, bad, want", [
+    (DictionaryPolicy(ranges={"age": (0, 120)}),
+     {i: 200 for i in range(0, 100, 10)}, 3900),
+    (SkipPolicy(), {2: "xx"}, 2970),
+    (None, {2: "xx"}, DataFormatError),
+], ids=["dictionary", "skip", "none"])
+def test_as_of_honours_the_sessions_cleaning_policy(tmp_path, engine,
+                                                     policy, bad, want):
+    """A pinned scan cleans (and fails) exactly as the live scan of its
+    generation did."""
+    path = str(tmp_path / "ages.csv")
+    write_ages(path, bad)
+    db = ViDa()
+    db.register_csv("T", path, columns=["id", "age"], types=["int", "int"])
+    if policy is not None:
+        db.set_cleaning("T", policy)
+    try:
+        assert pinned_sum(db, engine) == (want, want)
+    finally:
+        db.close()
