@@ -54,10 +54,18 @@ class CompiledQuery:
     plan: PhysReduce
 
     def __call__(self, runtime):
+        runtime.program = ("jit", self.plan)
         return self.fn(runtime)
+
+    def worker(self, name: str):
+        """The morsel worker ``name``: a top-level function of the
+        generated module."""
+        return self.fn.__globals__[name]
 
 
 class CodeWriter:
+    """One generated function body."""
+
     def __init__(self, indent: int = 1):
         self.lines: list[str] = []
         self.indent = indent
@@ -73,19 +81,6 @@ class CodeWriter:
             yield
         finally:
             self.indent -= 1
-
-    @contextmanager
-    def capture(self, indent: int):
-        """Redirect emission into a fresh line buffer (yielded) at the given
-        indent; the writer's own lines are untouched. Used to build process
-        worker bodies, which must end up as top-level module functions rather
-        than closures inside ``_vida_query``."""
-        saved_lines, saved_indent = self.lines, self.indent
-        self.lines, self.indent = [], indent
-        try:
-            yield self.lines
-        finally:
-            self.lines, self.indent = saved_lines, saved_indent
 
     def text(self) -> str:
         return "\n".join(self.lines)
@@ -158,148 +153,42 @@ def _row_iter(ctx: _ChunkCtx) -> tuple[str, str, bool]:
 
 
 # ---------------------------------------------------------------------------
-# Morsel-parallel regions
+# Morsel-parallel scans
 # ---------------------------------------------------------------------------
 #
 # When the planner marks a scan ``parallel=N`` the generated code wraps that
-# scan's chunk loop in a *morsel worker*: a nested function whose first
-# statements re-initialise every accumulator it writes (the assignments make
-# them worker-locals — the worker is reentrant, sharing only read-only state
-# like hash tables and helper bindings through its closure). The coordinator
-# asks the runtime for splits, fans the worker out over the scheduler, and
-# merges the returned partials *in morsel order*, so parallel results are
-# bit-identical to the serial loop.
+# scan's chunk loop in a *morsel worker*: a top-level function
+# ``worker(_rt, _shared, _split)`` whose first statements bind the read-only
+# state the coordinator built (hash tables, NL-join rows — the compiler knows
+# their names because it allocated them) from ``_shared`` and initialise the
+# partial it returns: the root monoid's accumulator, a hash table, or per-key
+# groups. The coordinator makes one ``_rt.run_parallel`` call, which splits,
+# fans out (threads or worker processes alike), merges the partials in morsel
+# order and finishes the scan.
 
 
-class _FoldRegion:
-    """Root-reduce parallel region: workers fold partial accumulators; the
-    coordinator merges them through the output monoid's merge."""
-
-    def __init__(self, monoid_name: str, generic: bool):
-        self.name = monoid_name if not generic else None
-
-    def result_vars(self) -> list[str]:
-        if self.name == "avg":
-            return ["_sum", "_cnt"]
-        if self.name in ("bag", "list", "set"):
-            return ["_out"]
-        return ["_acc"]
-
-    def emit_init(self, w: CodeWriter) -> None:
-        _emit_fold_init(w, self.name)
-
-    def emit_outer_init(self, w: CodeWriter) -> None:
-        _emit_fold_init(w, self.name)
-
-    def emit_merge(self, w: CodeWriter, part: str) -> None:
-        name = self.name
-        if name in ("sum", "count"):
-            w.emit(f"_acc += {part}[0]")
-        elif name == "prod":
-            w.emit(f"_acc *= {part}[0]")
-        elif name in ("max", "min"):
-            op = ">" if name == "max" else "<"
-            w.emit(f"_h = {part}[0]")
-            with w.block(f"if _h is not None and (_acc is None or _h {op} _acc):"):
-                w.emit("_acc = _h")
-        elif name == "avg":
-            w.emit(f"_sum += {part}[0]")
-            w.emit(f"_cnt += {part}[1]")
-        elif name == "any":
-            w.emit(f"_acc = _acc or {part}[0]")
-        elif name == "all":
-            w.emit(f"_acc = _acc and {part}[0]")
-        elif name in ("bag", "list"):
-            w.emit(f"_out.extend({part}[0])")
-        elif name == "set":
-            # re-dedup across ordered partials: first occurrence wins, same
-            # as the serial scan order
-            with w.block(f"for _h in {part}[0]:"):
-                w.emit("_k = _hashable(_h)")
-                with w.block("if _k not in _seen:"):
-                    w.emit("_seen.add(_k)")
-                    w.emit("_out.append(_h)")
-        else:
-            w.emit(f"_acc = _M.merge(_acc, {part}[0])")
-
-
-class _BuildRegion:
-    """Hash-join build parallel region: workers build partial tables over
-    their morsels; the coordinator merges them per key, extending row lists
-    in morsel order (identical to serial insertion order)."""
-
-    def __init__(self, ht: str):
-        self.ht = ht
-
-    def result_vars(self) -> list[str]:
-        return [self.ht]
-
-    def emit_init(self, w: CodeWriter) -> None:
-        w.emit(f"{self.ht} = {{}}")
-
-    def emit_outer_init(self, w: CodeWriter) -> None:
-        pass  # the outer table was initialised before the worker definition
-
-    def emit_merge(self, w: CodeWriter, part: str) -> None:
-        with w.block(f"for _k, _rows in {part}[0].items():"):
-            w.emit(f"_b = {self.ht}.get(_k)")
-            with w.block("if _b is None:"):
-                w.emit(f"{self.ht}[_k] = _rows")
-            with w.block("else:"):
-                w.emit("_b.extend(_rows)")
-
-
-class _NestRegion:
-    """Nest (group-by) parallel region: workers build per-key partial
-    accumulators over their morsels; the coordinator merges them per key
-    through the group monoid, in morsel order. First occurrence fixes a
-    key's position, so group order is identical to the serial scan."""
-
-    def __init__(self, groups: str, mono: str):
-        self.groups = groups
-        self.mono = mono
-
-    def result_vars(self) -> list[str]:
-        return [self.groups]
-
-    def emit_init(self, w: CodeWriter) -> None:
-        w.emit(f"{self.groups} = {{}}")
-
-    def emit_outer_init(self, w: CodeWriter) -> None:
-        pass  # the coordinator dict was initialised before the worker
-
-    def emit_merge(self, w: CodeWriter, part: str) -> None:
-        with w.block(f"for _k, _g in {part}[0].items():"):
-            w.emit(f"_b = {self.groups}.get(_k)")
-            with w.block("if _b is None:"):
-                w.emit(f"{self.groups}[_k] = _g")
-            with w.block("else:"):
-                w.emit(f"{self.groups}[_k] = {self.mono}.merge(_b, _g)")
-
-
-def _emit_fold_init(w: CodeWriter, name: str | None) -> None:
-    """Accumulator initialisation for the root fold (shared by the serial
-    path, the morsel workers, and the coordinator's merge prologue)."""
+def _fold_init(name: str) -> list[str]:
+    """Accumulator initialisation for the root fold (the serial function
+    and every morsel worker). The accumulator is the monoid's own
+    (``(_sum, _cnt)`` for ``avg``), so a worker's partial merges through
+    ``Monoid.merge``; a ``set`` fold dedups into its ``items`` dict inline."""
     if name in ("sum", "count"):
-        w.emit("_acc = 0")
-    elif name == "prod":
-        w.emit("_acc = 1")
-    elif name in ("max", "min"):
-        w.emit("_acc = None")
-    elif name == "avg":
-        w.emit("_sum = 0.0")
-        w.emit("_cnt = 0")
-    elif name == "any":
-        w.emit("_acc = False")
-    elif name == "all":
-        w.emit("_acc = True")
-    elif name in ("bag", "list"):
-        w.emit("_out = []")
-    elif name == "set":
-        w.emit("_out = []")
-        w.emit("_seen = set()")
-    else:  # generic monoid fold; ``_M`` is bound by the reduce emitter
-        w.emit("_acc = _M.zero()")
+        return ["_acc = 0"]
+    if name == "prod":
+        return ["_acc = 1"]
+    if name in ("max", "min"):
+        return ["_acc = None"]
+    if name == "avg":
+        return ["_sum = 0.0", "_cnt = 0"]
+    if name == "any":
+        return ["_acc = False"]
+    if name == "all":
+        return ["_acc = True"]
+    if name in ("bag", "list"):
+        return ["_acc = []"]
+    if name == "set":
+        return ["_acc = _M.zero()", "_seen = _acc.items"]
+    return ["_acc = _M.zero()"]
 
 
 class _BuildSink:
@@ -425,23 +314,23 @@ class QueryCompiler:
         self.ctx = ExprContext(source_names=self.catalog.names())
         self.w = CodeWriter(indent=1)
         self._counter = 0
-        #: module global → the PhysScan a ``_rt.scan`` call streams
-        self._scans: dict[str, PhysScan] = {}
+        #: module globals: the PhysScan each ``_rt.scan`` call streams and
+        #: the plan's monoids
+        self._globals: dict[str, object] = {}
         #: (monoid name, head expr) when the root fold fuses into chunk kernels
         self._fold: tuple | None = None
         #: chunk-level consumer (join build/probe sink) replacing the row loop
         self._chunk_sink: object | None = None
-        #: id(PhysScan) → parallel region for morsel-sharded scans
-        self._par_regions: dict[int, object] = {}
-        #: top-level worker function sources for process-backed scans
-        self._proc_workers: list[str] = []
-        #: deferred emission hook run at the top of the next worker body
-        #: (selection-pushdown kernels must live inside process workers)
-        self._worker_prelude = None
-        #: the PhysNest acting as the parallel shard point (bottom-most on
-        #: the driver chain) and the driver scan feeding it
-        self._nest_parallel: PhysNest | None = None
-        self._nest_driver: PhysScan | None = None
+        #: id(PhysScan) → (merge kind, partial, merge monoid, partial init
+        #: lines) for morsel-parallel scans
+        self._parallel: dict[int, tuple] = {}
+        #: coordinator-built state the consumer being emitted reads (hash
+        #: tables, NL-join rows): what a morsel worker takes from ``_shared``
+        self._state: list[str] = []
+        #: top-level morsel worker definitions
+        self._workers: list[str] = []
+        #: the Nest a parallel plan shards at, and the driver scan feeding it
+        self._shard: tuple | None = None
 
         self._emit_reduce(plan)
 
@@ -451,7 +340,7 @@ class QueryCompiler:
 
         parts: list[str] = []
         parts.extend(self.ctx.subqueries)
-        parts.extend(self._proc_workers)
+        parts.extend(self._workers)
         parts.append("def _vida_query(_rt):")
         parts.append(prelude.text())
         parts.append(self.w.text())
@@ -463,18 +352,15 @@ class QueryCompiler:
             "_m_exp": math.exp,
             "_m_log": math.log,
         }
-        # Subquery functions resolve helpers via module globals; the main
-        # function shadows them with locals in its prelude for speed.
+        # Subqueries and morsel workers resolve helpers via module globals;
+        # the main function shadows them with locals in its prelude for speed.
         globals_ns.update(HELPERS)
-        globals_ns.update(self._scans)
+        globals_ns.update(self._globals)
         try:
             code = compile(source, "<vida-jit>", "exec")
         except SyntaxError as exc:  # pragma: no cover - codegen bug guard
             raise CodegenError(f"generated code failed to compile: {exc}\n{source}") from exc
         exec(code, globals_ns)
-        # The coordinator ships this very module source to process workers
-        # (resolved as a module global at call time, never in the child).
-        globals_ns["__vida_module_source__"] = source
         return CompiledQuery(source, globals_ns["_vida_query"], plan)
 
     # -- id helpers -----------------------------------------------------------
@@ -486,39 +372,29 @@ class QueryCompiler:
     # -- reduce (root) -----------------------------------------------------------
 
     def _emit_reduce(self, node: PhysReduce) -> None:
-        w = self.w
         mono = node.monoid
         name = mono.name
-
-        specialized = name in (
-            "sum", "count", "prod", "max", "min", "avg", "any", "all",
-            "bag", "list", "set",
-        )
-        fold_name = name if specialized else None
-        if not specialized:
-            # generic monoid object: bound once at the coordinator level so
-            # morsel workers share it read-only through their closure
-            w.emit(f"_M = _rt.monoid({mono.name!r}, {mono.params!r})")
+        self._globals["_M"] = mono
+        acc = "(_sum, _cnt)" if name == "avg" else "_acc"
 
         driver = parallel_driver(node)
-        if driver is not None and driver.parallel > 1:
-            nest = chain_nest(node)
-            if nest is None:
-                # accumulator init moves into the morsel worker; the merge
-                # prologue re-initialises the coordinator's copy
-                self._par_regions[id(driver)] = _FoldRegion(name, not specialized)
-            else:
+        nest = chain_nest(node)
+        if driver is not None and driver.parallel > 1 and nest is None:
+            # the accumulator is the morsel workers' partial; the
+            # coordinator binds the merged one
+            self._parallel[id(driver)] = ("fold", acc, "_M", _fold_init(name))
+        else:
+            if driver is not None and driver.parallel > 1:
                 # the shard point is the bottom-most nest: workers build
                 # per-key group partials, and everything above the nest —
                 # including this root fold — runs serially at the
                 # coordinator over the merged groups
-                self._nest_parallel = nest
-                self._nest_driver = driver
-                _emit_fold_init(w, fold_name)
-        else:
-            _emit_fold_init(w, fold_name)
+                self._shard = (nest, driver)
+            for line in _fold_init(name):
+                self.w.emit(line)
 
         def consume() -> None:
+            w = self.w
             head = compile_expr(node.head, self.ctx)
             if name == "sum":
                 w.emit(f"_h = {head}")
@@ -548,13 +424,12 @@ class QueryCompiler:
             elif name == "all":
                 w.emit(f"_acc = _acc and bool({head})")
             elif name in ("bag", "list"):
-                w.emit(f"_out.append({head})")
+                w.emit(f"_acc.append({head})")
             elif name == "set":
                 w.emit(f"_h = {head}")
-                w.emit("_k = _hashable(_h)")
-                with w.block("if _k not in _seen:"):
-                    w.emit("_seen.add(_k)")
-                    w.emit("_out.append(_h)")
+                w.emit("_hk = _hashable(_h)")
+                with w.block("if _hk not in _seen:"):
+                    w.emit("_seen[_hk] = _h")
             else:
                 w.emit(f"_acc = _M.merge(_acc, _M.lift({head}))")
 
@@ -575,15 +450,7 @@ class QueryCompiler:
                 self._fold = (name, node.head)
         self._emit_node(node.child, consume)
         self._fold = None
-
-        if name in ("bag", "list", "set"):
-            w.emit("return _out")
-        elif name == "avg":
-            w.emit("return (_sum / _cnt) if _cnt else None")
-        elif name in ("sum", "count", "prod", "max", "min", "any", "all"):
-            w.emit("return _acc")
-        else:
-            w.emit("return _M.finalize(_acc)")
+        self.w.emit(f"return _M.finalize({acc})")
 
     # -- plan dispatch -----------------------------------------------------------
 
@@ -643,37 +510,53 @@ class QueryCompiler:
             self.ctx.bindings[node.var] = ScalarBinding(
                 dict(locals_by_path), whole_local=whole_local)
             names = [locals_by_path[f] for f in node.fields]
+        parallel = self._parallel.get(id(node))
+        if parallel is None:
+            self._emit_chunk_loop(node, locals_by_path, names, whole_local,
+                                  consume)
+            return
+        # the chunk loop becomes the body of a top-level morsel worker
+        kind, partial, monoid, init = parallel
+        state = list(self._state)
+        coordinator, self.w = self.w, CodeWriter(indent=1)
+        for name in state:
+            self.w.emit(f"{name} = _shared[{name!r}]")
+        for line in init:
+            self.w.emit(line)
+        scan = self._emit_chunk_loop(node, locals_by_path, names, whole_local,
+                                     consume, split="_split")
+        self.w.emit(f"return {partial}")
+        worker = self._next("mw")
+        body, self.w = self.w, coordinator
+        self._workers.append(f"def {worker}(_rt, _shared, _split):\n"
+                             + body.text())
+        shared = ", ".join(f"{name!r}: {name}" for name in state)
+        self.w.emit(f"{partial} = _rt.run_parallel({scan}, {worker}, "
+                    f"{{{shared}}}, ({kind!r}, {monoid}))")
+
+    def _emit_chunk_loop(self, node: PhysScan, locals_by_path: dict,
+                         names: list[str], whole_local: str | None, consume,
+                         split: str | None = None) -> str:
+        """The loop over one ``_rt.scan`` call's chunks (of morsel ``split``
+        in a morsel worker); returns the module global naming the scan."""
         pred = node.pred
         kernel = None
-        region = self._par_regions.get(id(node))
         if node.sel_push and pred is not None:
-            pushed = self._pred_pushdown_kernel(node, locals_by_path)
-            if pushed is not None:
-                kernel, emit_def = pushed
-                if node.backend == "process" and region is not None:
-                    # the kernel must be a worker-local def: the child
-                    # executes only module-level code plus the worker body
-                    self._worker_prelude = emit_def
-                else:
-                    emit_def()
+            kernel = self._emit_pred_pushdown(node, locals_by_path)
+            if kernel is not None:
                 pred = None  # chunks arrive as dense predicate survivors
         scan = self._next("sc")
-        self._scans[scan] = node
+        self._globals[scan] = node
         args = [scan]
-        if region is not None:
-            args.append("_split")
+        if split is not None:
+            args.append(split)
         if kernel is not None:
             args.append(f"pred_kernel={kernel}")
-        call = f"_rt.scan({', '.join(args)})"
-        total = len(node.chunk_fields())
-        if region is not None:
-            self._emit_parallel_scan(region, node, scan, call, names,
-                                     whole_local, total, pred, consume)
-            return
         ch = self._next("ch")
-        with w.block(f"for {ch} in {call}:"):
-            self._emit_chunk_body(ch, names, whole_local, total, pred,
-                                  consume)
+        with self.w.block(f"for {ch} in _rt.scan({', '.join(args)}):"):
+            self._emit_chunk_body(ch, names, whole_local,
+                                  len(node.chunk_fields()), pred, consume)
+        return scan
 
     def _sinkable(self, node) -> bool:
         """A bare chunked scan whose chunk loop can host a join sink."""
@@ -801,7 +684,7 @@ class QueryCompiler:
         """Merge one chunk-kernel comprehension into the fold accumulator."""
         w = self.w
         if name in ("bag", "list"):
-            w.emit(f"_out.extend({comp})")
+            w.emit(f"_acc.extend({comp})")
             return
         hs = self._next("hs")
         if name == "sum":
@@ -820,113 +703,29 @@ class QueryCompiler:
         else:  # pragma: no cover - guarded by the fusible-monoid list
             raise CodegenError(f"no fold kernel for monoid {name!r}")
 
-    def _emit_parallel_scan(self, region, node: PhysScan, scan: str,
-                            call: str, names: list[str],
-                            whole_local: str | None, total: int, pred,
-                            consume) -> None:
-        """Morsel-sharded scan: worker def + split fan-out + ordered merge.
-
-        The worker re-initialises every accumulator it writes (making them
-        worker-locals — it shares only read-only state through its closure)
-        and runs the identical chunk loop over its morsel. The coordinator
-        charges file-level stats once, runs the scheduler, merges partial
-        accumulators in morsel order, and has the runtime merge what the
-        morsels left behind (``finish_scan``).
-        """
-        w = self.w
-        ret_vars = list(region.result_vars())
-        process = node.backend == "process"
-        worker = self._next("mw")
-
-        def emit_worker_body() -> None:
-            region.emit_init(w)
-            prelude_thunk = self._worker_prelude
-            if prelude_thunk is not None:
-                self._worker_prelude = None
-                prelude_thunk()
-            ch = self._next("ch")
-            with w.block(f"for {ch} in {call}:"):
-                self._emit_chunk_body(ch, names, whole_local, total, pred,
-                                      consume)
-            trailing = "," if len(ret_vars) == 1 else ""
-            w.emit(f"return ({', '.join(ret_vars)}{trailing})")
-
-        shared_names: list[str] = []
-        if process:
-            # process workers cannot be closures: capture the body, scan it
-            # for the coordinator-built read-only state it references (hash
-            # tables, NL-join rows, monoids, the scan itself), and emit it
-            # as a top-level function taking that state through an explicit
-            # ``_shared`` dict rehydrated child-side from the kernel spec
-            with w.capture(indent=1) as body_lines:
-                emit_worker_body()
-            body = "\n".join(body_lines)
-            shared_names = sorted(
-                set(re.findall(r"\b(?:_ht\d+|_nl\d+|_gm\d+|_sc\d+|_M)\b",
-                               body)) - set(ret_vars)
-            )
-            header = [f"def {worker}(_rt, _shared, _split):"]
-            header.extend(f"    {n} = _shared[{n!r}]" for n in shared_names)
-            self._proc_workers.append("\n".join(header) + "\n" + body)
-        else:
-            with w.block(f"def {worker}(_split):"):
-                emit_worker_body()
-        if node.access != "cache":
-            w.emit(f"_rt.account_raw({node.source!r})")
-        # bag/list driver folds are LIMIT-countable: the runtime may
-        # over-partition their splits and stop consuming morsels early
-        limited = isinstance(region, _FoldRegion) and \
-            region.name in ("bag", "list")
-        splits = self._next("sp")
-        w.emit(f"{splits} = _rt.scan_splits({scan}, limited={limited!r})")
-        parts = self._next("pt")
-        if process:
-            shared_var = self._next("sh")
-            items = ", ".join(f"{n!r}: {n}" for n in shared_names)
-            w.emit(f"{shared_var} = {{{items}}}")
-            w.emit(f"{parts} = _rt.run_morsels_spec(__vida_module_source__, "
-                   f"{worker!r}, {shared_var}, {splits}, {node.parallel}, "
-                   f"limited={limited!r})")
-        else:
-            w.emit(f"{parts} = _rt.run_morsels({worker}, {splits}, "
-                   f"{node.parallel}, limited={limited!r})")
-        region.emit_outer_init(w)
-        part = self._next("p")
-        with w.block(f"for {part} in {parts}:"):
-            region.emit_merge(w, part)
-        if node.access != "cache":
-            # merge what the morsels left behind: maps, indexes, statistics,
-            # cache population
-            w.emit(f"_rt.finish_scan({node.source!r}, {splits})")
-
-    def _pred_pushdown_kernel(self, node: PhysScan,
-                              locals_by_path: dict[str, str]):
+    def _emit_pred_pushdown(self, node: PhysScan,
+                            locals_by_path: dict[str, str]) -> str | None:
         """Selection pushdown (late materialization): the predicate becomes
         a standalone kernel function over its columns
-        (``node.pred_fields()``); the plugin runs it right after navigating
-        those columns and materialises the remaining columns only for the
-        surviving row indexes. Returns ``(name, emit_def)`` — the definition
-        is emitted by the caller, either in place (thread/serial) or
-        deferred into the worker body (process)."""
-        src = compile_expr(node.pred, self.ctx)
+        (``node.pred_fields()``), defined in place; the plugin runs it right
+        after navigating those columns and materialises the remaining
+        columns only for the surviving row indexes. Returns its name."""
         used = node.pred_fields()
         if not used:
             return None
+        src = compile_expr(node.pred, self.ctx)
         kernel = self._next("pk")
         params = [f"_pc{i}" for i in range(len(used))]
         targets = [locals_by_path[f] for f in used]
-
-        def emit_def() -> None:
-            w = self.w
-            with w.block(f"def {kernel}({', '.join(params)}):"):
-                if len(params) == 1:
-                    w.emit(f"return [_i for _i, {targets[0]} in "
-                           f"enumerate({params[0]}) if {src}]")
-                else:
-                    w.emit(f"return [_i for _i, ({', '.join(targets)}) in "
-                           f"enumerate(zip({', '.join(params)})) if {src}]")
-
-        return kernel, emit_def
+        w = self.w
+        with w.block(f"def {kernel}({', '.join(params)}):"):
+            if len(params) == 1:
+                w.emit(f"return [_i for _i, {targets[0]} in "
+                       f"enumerate({params[0]}) if {src}]")
+            else:
+                w.emit(f"return [_i for _i, ({', '.join(targets)}) in "
+                       f"enumerate(zip({', '.join(params)})) if {src}]")
+        return kernel
 
     def _emit_expr_scan(self, node: PhysExprScan, consume) -> None:
         local = f"_{_sanitize(node.var)}_obj"
@@ -966,17 +765,19 @@ class QueryCompiler:
         return "(" + ", ".join(compile_expr(k, self.ctx) for k in keys) + ")"
 
     def _emit_hash_join(self, node: PhysHashJoin, consume) -> None:
-        w = self.w
         # a root fold aimed at this join's output fuses into the probe sink;
         # it must never leak into the build/probe scan emitters themselves
         fold = self._fold
         self._fold = None
         ht = self._next("ht")
-        w.emit(f"{ht} = {{}}")
         if isinstance(node.build, PhysScan) and node.build.parallel > 1:
             # morsel-sharded build: workers fill partial tables over their
-            # morsels, merged per key in morsel order by the coordinator
-            self._par_regions[id(node.build)] = _BuildRegion(ht)
+            # morsels, merged per key in morsel order by the runtime
+            self._parallel[id(node.build)] = ("table", ht, "None",
+                                              [f"{ht} = {{}}"])
+        else:
+            self.w.emit(f"{ht} = {{}}")
+        state, self._state = self._state, []
 
         if self._sinkable(node.build):
             # vectorized build: key-column kernel + bulk dict inserts
@@ -987,6 +788,7 @@ class QueryCompiler:
                 self._chunk_sink = None
         else:
             def build_consume():
+                w = self.w
                 locals_list = self._binding_locals(node.build.bound_vars())
                 row = ", ".join(locals_list) + ("," if len(locals_list) == 1 else "")
                 w.emit(f"_k = {self._join_key(node.build_keys)}")
@@ -998,6 +800,7 @@ class QueryCompiler:
 
             self._emit_node(node.build, build_consume)
         build_locals = self._binding_locals(node.build.bound_vars())
+        self._state = state + [ht]
 
         if self._sinkable(node.probe):
             # vectorized probe: batched key lookups → matched-selection
@@ -1008,34 +811,37 @@ class QueryCompiler:
                 self._emit_node(node.probe, consume)
             finally:
                 self._chunk_sink = None
-            return
+        else:
+            def probe_consume():
+                w = self.w
+                matches = self._next("mt")
+                w.emit(f"{matches} = {ht}.get({self._join_key(node.probe_keys)})")
+                with w.block(f"if {matches} is not None:"):
+                    row_var = self._next("r")
+                    with w.block(f"for {row_var} in {matches}:"):
+                        for i, name in enumerate(build_locals):
+                            w.emit(f"{name} = {row_var}[{i}]")
+                        self._emit_pred_then(node.residual, consume)
 
-        def probe_consume():
-            matches = self._next("mt")
-            w.emit(f"{matches} = {ht}.get({self._join_key(node.probe_keys)})")
-            with w.block(f"if {matches} is not None:"):
-                row_var = self._next("r")
-                with w.block(f"for {row_var} in {matches}:"):
-                    for i, name in enumerate(build_locals):
-                        w.emit(f"{name} = {row_var}[{i}]")
-                    self._emit_pred_then(node.residual, consume)
-
-        self._emit_node(node.probe, probe_consume)
+            self._emit_node(node.probe, probe_consume)
+        self._state = state
 
     def _emit_nl_join(self, node: PhysNLJoin, consume) -> None:
-        w = self.w
         inner_rows = self._next("nl")
-        w.emit(f"{inner_rows} = []")
+        self.w.emit(f"{inner_rows} = []")
 
         def inner_consume():
             locals_list = self._binding_locals(node.inner.bound_vars())
             row = ", ".join(locals_list) + ("," if len(locals_list) == 1 else "")
-            w.emit(f"{inner_rows}.append(({row}))")
+            self.w.emit(f"{inner_rows}.append(({row}))")
 
+        state, self._state = self._state, []
         self._emit_node(node.inner, inner_consume)
         inner_locals = self._binding_locals(node.inner.bound_vars())
+        self._state = state + [inner_rows]
 
         def outer_consume():
+            w = self.w
             row_var = self._next("r")
             with w.block(f"for {row_var} in {inner_rows}:"):
                 for i, name in enumerate(inner_locals):
@@ -1043,49 +849,58 @@ class QueryCompiler:
                 self._emit_pred_then(node.pred, consume)
 
         self._emit_node(node.outer, outer_consume)
+        self._state = state
 
     def _emit_unnest(self, node: PhysUnnest, consume) -> None:
-        w = self.w
         local = f"_{_sanitize(node.var)}_obj"
 
         def inner():
             src = compile_expr(node.path, self.ctx)
             self.ctx.bindings[node.var] = ObjectBinding(local)
-            with w.block(f"for {local} in ({src} or ()):"):
+            with self.w.block(f"for {local} in ({src} or ()):"):
                 self._emit_pred_then(node.pred, consume)
 
         self._emit_node(node.child, inner)
 
     def _emit_nest(self, node: PhysNest, consume) -> None:
-        w = self.w
+        """Hash grouping. Groups are keyed by the canonical hashable key
+        tuple and hold ``(raw key tuple, accumulator)`` — the one group
+        shape both engines build, so morsel partials merge per key through
+        the group monoid."""
         groups = self._next("grp")
         mono = self._next("gm")
-        w.emit(f"{mono} = _rt.monoid({node.monoid.name!r}, {node.monoid.params!r})")
-        w.emit(f"{groups} = {{}}")
-        if node is self._nest_parallel:
-            # the driver scan's worker accumulates into a worker-local copy
-            # of ``groups``; the coordinator merges per key in morsel order
-            self._par_regions[id(self._nest_driver)] = _NestRegion(groups, mono)
+        self._globals[mono] = node.monoid
+        if self._shard is not None and node is self._shard[0]:
+            # the driver scan's workers accumulate worker-local groups
+            self._parallel[id(self._shard[1])] = ("groups", groups, mono,
+                                                  [f"{groups} = {{}}"])
+        else:
+            self.w.emit(f"{groups} = {{}}")
 
         def child_consume():
+            w = self.w
             keys = ", ".join(compile_expr(e, self.ctx) for _n, e in node.keys)
             trailing = "," if len(node.keys) == 1 else ""
             head = compile_expr(node.head, self.ctx)
-            w.emit(f"_k = ({keys}{trailing})")
-            w.emit(f"_g = {groups}.get(_k)")
+            w.emit(f"_gr = ({keys}{trailing})")
+            w.emit("_gk = _hashable(_gr)")
+            w.emit(f"_g = {groups}.get(_gk)")
             with w.block("if _g is None:"):
-                w.emit(f"_g = {mono}.zero()")
-            w.emit(f"{groups}[_k] = {mono}.merge(_g, {mono}.lift({head}))")
+                w.emit(f"_g = (_gr, {mono}.zero())")
+            w.emit(f"{groups}[_gk] = (_g[0], "
+                   f"{mono}.merge(_g[1], {mono}.lift({head})))")
 
+        state, self._state = self._state, []
         self._emit_node(node.child, child_consume)
+        self._state = state
 
         local = f"_{_sanitize(node.group_var)}_obj"
         self.ctx.bindings[node.group_var] = ObjectBinding(local)
-        with w.block(f"for _k, _g in {groups}.items():"):
+        with self.w.block(f"for _gr, _g in {groups}.values():"):
             key_items = ", ".join(
-                f"{name!r}: _k[{i}]" for i, (name, _e) in enumerate(node.keys)
+                f"{name!r}: _gr[{i}]" for i, (name, _e) in enumerate(node.keys)
             )
-            w.emit(
+            self.w.emit(
                 f"{local} = {{{key_items}, {node.agg_name!r}: {mono}.finalize(_g)}}"
             )
             consume()

@@ -10,9 +10,11 @@ served, raw bytes touched) that the benchmarks report.
 from __future__ import annotations
 
 import bisect
+import functools
 import os
 import pickle
 import threading
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from operator import itemgetter
 from time import perf_counter
@@ -26,7 +28,7 @@ from ...stats import ScanTiming, StatsPartial
 from ..byproducts import CachePartial, ScanByproducts
 from ..chunk import MORSEL_ALL, Chunk, Morsel, split_ranges
 from ..physical import PhysScan
-from .scheduler import MorselScheduler
+from .scheduler import MorselScheduler, ProcessMorselScheduler
 
 
 @dataclass
@@ -82,6 +84,49 @@ class _CountingPolicy:
             return repaired
 
 
+# -- how a parallel scan's morsel partials combine, always in morsel order --
+
+
+def _merge_fold(monoid, partials):
+    """Partials are the root monoid's own accumulators."""
+    acc = monoid.zero()
+    for part in partials:
+        acc = monoid.merge(acc, part)
+    return acc
+
+
+def _merge_tables(_monoid, partials) -> dict:
+    """Partial hash tables: each key's build rows extend in morsel order —
+    the serial insertion order."""
+    table: dict = {}
+    for part in partials:
+        for key, rows in part.items():
+            have = table.get(key)
+            if have is None:
+                table[key] = rows
+            else:
+                have.extend(rows)
+    return table
+
+
+def _merge_groups(monoid, partials) -> dict:
+    """Partial groups (hashable key → (raw key, accumulator)): each key
+    merges through the group monoid; its first occurrence fixes its place
+    and raw key, as serially."""
+    groups: dict = {}
+    for part in partials:
+        for key, (raw, acc) in part.items():
+            have = groups.get(key)
+            groups[key] = (raw, acc) if have is None \
+                else (have[0], monoid.merge(have[1], acc))
+    return groups
+
+
+#: merge kind → merge rule (:meth:`QueryRuntime.run_parallel`)
+MERGES = {"fold": _merge_fold, "table": _merge_tables,
+          "groups": _merge_groups}
+
+
 class QueryRuntime:
     """Execution-time context handed to compiled/interpreted plans."""
 
@@ -121,6 +166,10 @@ class QueryRuntime:
         #: opened with ``backend="process"`` (scans the planner marked
         #: ``backend="process"`` fan their kernel specs out through it)
         self.process_pool = process_pool
+        #: (engine name, physical plan) of the query being run, set by the
+        #: engine that runs it: what a process-backend scan ships so worker
+        #: processes build the same morsel workers
+        self.program: tuple | None = None
         self.stats = ExecStats()
         #: SQL LIMIT (or query(limit=...)) — lets LIMIT-countable parallel
         #: folds stop consuming morsels once enough rows are in hand
@@ -134,8 +183,8 @@ class QueryRuntime:
         # one cache lookup per (source, fields, whole) per query, shared by
         # every morsel worker slicing row-range chunk views off it
         self._cache_scan_memo: dict[tuple, tuple] = {}
-        # per-morsel by-products of parallel scans awaiting the coordinator's
-        # ordered merge in finish_scan (source → {Morsel: ScanByproducts})
+        # per-morsel by-products of parallel scans awaiting run_parallel's
+        # ordered merge (source → {Morsel: ScanByproducts})
         self._byproducts: dict[str, dict] = {}
         #: shared :class:`~repro.stats.StatsRegistry`, or ``None`` when
         #: adaptive statistics are off (then ``stats_hint`` may still carry
@@ -210,112 +259,100 @@ class QueryRuntime:
             if deltas:
                 self.engine.count(**deltas)
 
-    # -- morsel-parallel scan protocol ------------------------------------------
+    # -- the morsel driver: one parallel scan, start to finish ---------------
 
-    def run_morsels(self, kernel, morsels: list, dop: int,
-                    limited: bool = False) -> list:
-        """Fan per-morsel kernels out over the scheduler; partials return in
-        morsel order so callers merge deterministically.
+    def run_parallel(self, node: PhysScan, worker, shared: dict,
+                     merge: tuple):
+        """One parallel scan of ``node``, start to finish: the one
+        coordinator both engines call. The engine supplies only
+        ``worker(rt, shared, split)``, which returns one morsel's partial,
+        and ``shared``, the read-only state it built first (hash tables, NL
+        inner rows), keyed by names that survive pickling.
 
-        ``limited`` marks a LIMIT-countable fold (``bag``/``list`` driver):
-        each partial's first element is its ordered output-row list, so once
-        the morsel-ordered prefix carries ``row_limit`` rows the scheduler
-        stops consuming and cancels pending morsels — the merged prefix
-        holds the same first ``row_limit`` rows a full run would return.
+        The driver charges the file's bytes once (:meth:`account_raw`), asks
+        for splits and runs the worker per morsel on threads or on worker
+        processes (``node.backend``). A process scan ships the query's
+        ``program`` and the worker's name; each worker process builds the
+        worker with the same engine, and the driver records what each
+        process morsel counted and left behind. Partials merge in morsel
+        order by ``merge = (kind, monoid)`` (:data:`MERGES`), what the
+        morsels left behind goes through the by-product gate, and the merged
+        partial is returned.
+
+        A ``bag``/``list`` fold under a row limit is LIMIT-countable: its
+        splits over-partition and the scheduler stops once the
+        morsel-ordered prefix holds ``row_limit`` rows — the first rows a
+        full run would return. A worker process dying resets the pool and
+        fails the query with :class:`ExecutionError`; the next query runs
+        on fresh workers.
         """
+        kind, monoid = merge
+        source = node.source
+        raw = node.access != "cache"
+        if raw:
+            self.account_raw(source)
+        limited = kind == "fold" and monoid.name in ("bag", "list") \
+            and self.row_limit is not None
+        splits = self._scan_splits(node, limited)
+        process = node.backend == "process"
+        if process:
+            from . import procpool
+
+            spec = pickle.dumps(procpool.kernel_spec(self, worker, shared))
+            kernel = functools.partial(procpool.run_morsel, spec)
+            scheduler = ProcessMorselScheduler(node.parallel,
+                                               self.process_pool)
+        else:
+            def kernel(split):
+                return worker(self, shared, split)
+
+            scheduler = MorselScheduler(node.parallel)
         stop = None
-        if limited and self.row_limit is not None:
-            target = self.row_limit
-            seen = 0
-
-            def stop(partial):
-                nonlocal seen
-                seen += len(partial[0])
-                return seen >= target
-
-        scheduler = MorselScheduler(dop)
-        partials = scheduler.map(kernel, morsels, stop=stop)
-        if len(partials) < len(morsels):
-            # the query saw a prefix of the scan: suppress cache admission
-            # (and posmap adoption skips the holes via finish_scan's guard).
-            # In-flight morsels drain with their results discarded; only the
-            # truly-unstarted ones count as cancelled.
-            self.truncated = True
-            if scheduler.cancelled:
-                with self._lock:
-                    self.stats.morsels_cancelled += scheduler.cancelled
-        return partials
-
-    def run_morsels_spec(self, module_source: str, worker: str, shared: dict,
-                         morsels: list, dop: int, limited: bool = False) -> list:
-        """Process-backend fan-out of a JIT parallel scan.
-
-        Packages the generated module plus the worker's read-only closure
-        state into a picklable :class:`~.procpool.KernelSpec`, runs it over
-        the session's worker-process pool, and returns unpacked worker
-        partials in morsel order — shaped exactly like the thread path's, so
-        the generated merge loop is backend-agnostic. Worker stat deltas are
-        flushed under the runtime lock and each worker's by-products are
-        stored for :meth:`finish_scan`, mirroring the thread contract.
-        """
-        import functools
-
-        from . import procpool
-
-        spec = procpool.jit_spec(self, module_source, worker, shared)
-        kernel = functools.partial(procpool.run_jit_morsel, pickle.dumps(spec))
-        return self._run_spec(kernel, morsels, dop, limited)
-
-    def run_morsels_plan(self, plan, shared_ix: dict, morsels: list, dop: int,
-                         limited: bool = False) -> list:
-        """Process-backend fan-out of a static-engine parallel scan: ships
-        the pickled physical plan plus chain-indexed prebuilt join state."""
-        import functools
-
-        from . import procpool
-
-        spec = procpool.static_spec(self, plan, shared_ix)
-        kernel = functools.partial(procpool.run_static_morsel, pickle.dumps(spec))
-        return self._run_spec(kernel, morsels, dop, limited)
-
-    def _run_spec(self, kernel, morsels: list, dop: int, limited: bool) -> list:
-        """Shared spec-kernel driver: schedule, take worker stat deltas and
-        by-products in the parent (children never touch the parent's cache,
-        maps or registries; :meth:`finish_scan` adopts or discards), and
-        return worker partials in morsel order."""
-        from .scheduler import ProcessMorselScheduler
-
-        stop = None
-        if limited and self.row_limit is not None:
-            target = self.row_limit
+        if limited:
             seen = 0
 
             def stop(result):
                 nonlocal seen
-                # result[0] is the partial; its first element is the ordered
-                # output-row list
-                seen += len(result[0][0])
-                return seen >= target
+                # a process morsel returns (partial, deltas, by-products)
+                seen += len(result[0] if process else result)
+                return seen >= self.row_limit
 
-        scheduler = ProcessMorselScheduler(dop, self.process_pool)
-        results = scheduler.map(kernel, morsels, stop=stop)
-        if len(results) < len(morsels):
+        try:
+            results = scheduler.map(kernel, splits, stop=stop)
+        except BrokenProcessPool as exc:
+            self.process_pool.shutdown(permanent=False)
+            self._byproducts.pop(source, None)
+            raise ExecutionError(
+                f"a worker process died during the parallel scan of "
+                f"{source!r}; the worker pool was reset") from exc
+        if len(results) < len(splits):
+            # the query saw a prefix of the scan: suppress cache admission
+            # (and posmap adoption skips the holes). In-flight morsels
+            # drained with their results discarded; only the truly-unstarted
+            # ones count as cancelled.
             self.truncated = True
             if scheduler.cancelled:
                 with self._lock:
                     self.stats.morsels_cancelled += scheduler.cancelled
-        partials = []
-        for morsel, (partial, deltas, byproducts) in zip(morsels, results):
-            raw_rows, cleaned, skipped, cache_rows = deltas
+        partials = results
+        if process:
+            partials = []
             with self._lock:
-                self.stats.raw_rows += raw_rows
-                self.stats.cleaned_rows += cleaned
-                self.stats.skipped_rows += skipped
-                self.stats.cache_rows += cache_rows
-                for src, part in byproducts.items():
-                    self._byproducts.setdefault(src, {})[morsel] = part
-            partials.append(partial)
-        return partials
+                for morsel, (partial, deltas, byproducts) in zip(splits,
+                                                                 results):
+                    raw_rows, cleaned, skipped, cache_rows = deltas
+                    self.stats.raw_rows += raw_rows
+                    self.stats.cleaned_rows += cleaned
+                    self.stats.skipped_rows += skipped
+                    self.stats.cache_rows += cache_rows
+                    for src, part in byproducts.items():
+                        self._byproducts.setdefault(src, {})[morsel] = part
+                    partials.append(partial)
+        merged = MERGES[kind](monoid, partials)
+        parts = self._byproducts.pop(source, None) if raw else None
+        if parts:
+            self._adopt_byproducts(source, parts, splits)
+        return merged
 
     def account_raw(self, source: str) -> None:
         """File-level raw accounting for a parallel scan, charged once by
@@ -329,17 +366,17 @@ class QueryRuntime:
     #: mean the scheduler can stop sooner once the limit is satisfied
     LIMIT_OVERSPLIT = 4
 
-    def scan_splits(self, node: PhysScan, limited: bool = False) -> list:
+    def _scan_splits(self, node: PhysScan, limited: bool) -> list:
         """Morsels for a parallel scan of ``node`` (at most its ``parallel``).
 
         Cache scans split into row ranges over the (single, memoised)
         lookup; raw formats delegate to the plugin's splittable-range
         contract; anything else degrades to the single-morsel plan.
-        ``limited`` + an active row limit over-partitions (more morsels than
-        workers) so early termination has pending morsels to cancel.
+        ``limited`` over-partitions (more morsels than workers) so early
+        termination has pending morsels to cancel.
         """
         parts = node.parallel
-        if limited and self.row_limit is not None:
+        if limited:
             parts *= self.LIMIT_OVERSPLIT
         source = node.source
         if node.access == "cache":
@@ -356,14 +393,6 @@ class QueryRuntime:
         if splits is None:
             return [MORSEL_ALL]
         return splits(parts)
-
-    def finish_scan(self, source: str, splits: list) -> None:
-        """Coordinator epilogue of a parallel scan: merge what its morsels
-        left behind, in morsel order, and adopt or discard it. No-op for
-        sources whose morsels recorded nothing."""
-        parts = self._byproducts.pop(source, None)
-        if parts:
-            self._adopt_byproducts(source, parts, splits)
 
     # -- scan by-products: request, adopt or discard -------------------------
 
@@ -905,7 +934,7 @@ class QueryRuntime:
         overlap, so theirs isn't wall-clock) and, being the whole scan — as
         is a morsel that is ``own`` — puts its by-products through the
         adopt-or-discard gate when it runs to the end; any other morsel
-        stashes them for :meth:`finish_scan`. Every chunk is recorded into
+        stashes them for :meth:`run_parallel`. Every chunk is recorded into
         the by-products' cache population, if any (chunks are dense: what
         the scan yields is what the cache is offered). An abandoned scan
         (LIMIT) records and adopts nothing. Row and cleaning counters

@@ -18,7 +18,7 @@ from typing import Iterator
 
 from ...errors import ExecutionError
 from ...mcc import ast as A
-from ...mcc.monoids import Monoid, get_monoid
+from ...mcc.monoids import Monoid
 from ..chunk import chunked
 from ..codegen.helpers import HELPERS, get_path, hashable, like
 from ..physical import (
@@ -32,38 +32,10 @@ from ..physical import (
     PhysScan,
     PhysUnnest,
     chain_nest,
+    parallel_driver,
 )
 
 Env = dict
-
-
-def _chain_nodes(node: PhysNode) -> list[PhysNode]:
-    """Join nodes along the driver chain, in a stable top-down order.
-
-    This is the traversal ``_prebuild_chain`` uses to attach shared state,
-    exposed so the process backend can translate its ``id(node)``-keyed
-    shared dict into chain *indexes* — stable across a pickle round-trip,
-    unlike object ids.
-    """
-    out: list[PhysNode] = []
-    while True:
-        if isinstance(node, (PhysFilter, PhysUnnest, PhysNest)):
-            node = node.child
-        elif isinstance(node, PhysHashJoin):
-            out.append(node)
-            node = node.probe
-        elif isinstance(node, PhysNLJoin):
-            out.append(node)
-            node = node.outer
-        else:
-            return out
-
-
-def rekey_shared(plan: PhysReduce, shared_by_index: dict) -> dict:
-    """Child-side inverse of the chain-index translation: rebind shared
-    join state to the ids of *this* process's unpickled plan nodes."""
-    nodes = _chain_nodes(plan.child)
-    return {id(nodes[i]): state for i, state in shared_by_index.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -243,135 +215,84 @@ class StaticExecutor:
         self.catalog = catalog
 
     def execute(self, plan: PhysReduce, rt):
-        from ..physical import parallel_driver
-
+        """Fold the plan's rows. A parallel driver scan runs through the
+        runtime's morsel driver with :meth:`driver_partial` as the worker;
+        hash-table builds and nested-loop inner materialisations along the
+        driver chain run *once*, up front, and are shared read-only, keyed
+        by their nodes' bound variables (names that survive pickling)."""
+        rt.program = ("static", plan)
+        m = plan.monoid
+        shared = None
         driver = parallel_driver(plan)
         if driver is not None and driver.parallel > 1:
-            return self._execute_parallel(plan, rt, driver)
-        m = plan.monoid
-        acc = m.zero()
-        skip_null = m.name in _NUMERIC_SKIP_NULL
-        for env in self._iter(plan.child, rt):
-            head = eval_expr(plan.head, env, rt)
-            if skip_null and head is None:
-                continue
-            if m.name == "count":
-                acc = m.merge(acc, 1)
-            else:
-                acc = m.merge(acc, m.lift(head))
-        return m.finalize(acc)
+            shared = self._prebuild_chain(plan.child, rt)
+            nest = chain_nest(plan)
+            if nest is None:
+                return m.finalize(rt.run_parallel(
+                    driver, self.driver_partial, shared, ("fold", m)))
+            # the bottom-most nest shards: park its merged groups where the
+            # Nest operator looks and run everything above it serially
+            shared[nest.bound_vars()] = rt.run_parallel(
+                driver, self.driver_partial, shared, ("groups", nest.monoid))
+        return m.finalize(self._fold(plan, self._iter(plan.child, rt,
+                                                      shared=shared), rt))
 
-    def _execute_parallel(self, plan: PhysReduce, rt, driver: PhysScan):
-        """Morsel-driven fold: the driver scan shards; workers fold into
-        their own monoid accumulators; partials merge in morsel order.
-
-        Hash-table builds and nested-loop inner materialisations along the
-        driver chain run *once*, up front, and are shared read-only by every
-        worker. What the driver scan leaves behind — cache population
-        included — the runtime merges in morsel order at ``finish_scan``.
-        """
-        m = plan.monoid
-        nest = chain_nest(plan)
-        shared: dict = {}
-        self._prebuild_chain(plan.child, rt, shared)
-        if driver.access != "cache" and driver.format in ("csv", "json", "array"):
-            rt.account_raw(driver.source)
-        # bag/list folds are LIMIT-countable: over-partition so the
-        # scheduler can cancel pending morsels once the limit is satisfied
-        # (never through a nest — group counts don't track row counts)
-        limited = m.name in ("bag", "list") and nest is None
-        splits = rt.scan_splits(driver, limited=limited)
-
-        if driver.backend == "process":
-            nodes = _chain_nodes(plan.child)
-            shared_ix = {i: shared[id(n)] for i, n in enumerate(nodes)
-                         if id(n) in shared}
-            partials = rt.run_morsels_plan(plan, shared_ix, splits,
-                                           driver.parallel, limited=limited)
-        else:
-            def worker(split):
-                return self.driver_partial(plan, rt, split, shared)
-
-            partials = rt.run_morsels(worker, splits, driver.parallel,
-                                      limited=limited)
-        if driver.access != "cache":
-            rt.finish_scan(driver.source, splits)
-        if nest is not None:
-            # merge per-key group partials in morsel order (first occurrence
-            # fixes key order, same as serial), park them where _iter's Nest
-            # operator looks, and run everything above the nest serially
-            gm = nest.monoid
-            merged_groups: dict = {}
-            for (groups,) in partials:
-                for key, (acc, raw_key) in groups.items():
-                    prev = merged_groups.get(key)
-                    if prev is None:
-                        merged_groups[key] = (acc, raw_key)
-                    else:
-                        merged_groups[key] = (gm.merge(prev[0], acc), prev[1])
-            shared[("nest", id(nest))] = merged_groups
-            skip_null = m.name in _NUMERIC_SKIP_NULL
-            acc = m.zero()
-            for env in self._iter(plan.child, rt, shared=shared):
-                head = eval_expr(plan.head, env, rt)
-                if skip_null and head is None:
-                    continue
-                if m.name == "count":
-                    acc = m.merge(acc, 1)
-                else:
-                    acc = m.merge(acc, m.lift(head))
-            return m.finalize(acc)
-        acc = m.zero()
-        for (pacc,) in partials:
-            acc = m.merge(acc, pacc)
-        return m.finalize(acc)
-
-    def driver_partial(self, plan: PhysReduce, rt, split, shared):
-        """One morsel's partial, a 1-tuple like the compiled workers': the
-        fold (or, when the plan shards at a grouping Nest, the per-key group
-        accumulators) over the driver chain restricted to ``split``. Called
-        by thread workers directly and by process-pool children through the
-        kernel-spec protocol."""
+    def driver_partial(self, rt, shared, split):
+        """The morsel worker :meth:`QueryRuntime.run_parallel` runs: the
+        root monoid's accumulator over the driver chain of the plan ``rt``
+        executes (``rt.program``), restricted to ``split`` — or, when the
+        plan shards at a grouping Nest, that nest's groups."""
+        plan = rt.program[1]
         nest = chain_nest(plan)
         if nest is not None:
-            gm = nest.monoid
-            groups: dict = {}
-            for env in self._iter(nest.child, rt, split=split, shared=shared):
-                key = tuple(hashable(eval_expr(e, env, rt))
-                            for _n, e in nest.keys)
-                raw_key = tuple(eval_expr(e, env, rt) for _n, e in nest.keys)
-                acc, _raw = groups.get(key, (gm.zero(), raw_key))
-                groups[key] = (
-                    gm.merge(acc, gm.lift(eval_expr(nest.head, env, rt))),
-                    raw_key,
-                )
-            return (groups,)
+            return self._groups(nest, self._iter(nest.child, rt, split,
+                                                 shared), rt)
+        return self._fold(plan, self._iter(plan.child, rt, split, shared), rt)
+
+    @staticmethod
+    def _fold(plan: PhysReduce, envs, rt):
+        """The root monoid's (unfinalized) accumulator over ``envs``."""
         m = plan.monoid
         skip_null = m.name in _NUMERIC_SKIP_NULL
         acc = m.zero()
-        for env in self._iter(plan.child, rt, split=split, shared=shared):
+        for env in envs:
             head = eval_expr(plan.head, env, rt)
             if skip_null and head is None:
                 continue
-            if m.name == "count":
-                acc = m.merge(acc, 1)
-            else:
-                acc = m.merge(acc, m.lift(head))
-        return (acc,)
+            acc = m.merge(acc, m.lift(head))
+        return acc
 
-    def _prebuild_chain(self, node: PhysNode, rt, shared: dict) -> None:
+    @staticmethod
+    def _groups(node: PhysNest, envs, rt) -> dict:
+        """A Nest's groups over ``envs``: canonical hashable key tuple →
+        (raw key tuple, accumulator), in first-occurrence order — the group
+        shape both engines build."""
+        m = node.monoid
+        groups: dict = {}
+        for env in envs:
+            raw = tuple(eval_expr(e, env, rt) for _n, e in node.keys)
+            key = hashable(raw)
+            have = groups.get(key)
+            if have is None:
+                have = (raw, m.zero())
+            groups[key] = (have[0], m.merge(
+                have[1], m.lift(eval_expr(node.head, env, rt))))
+        return groups
+
+    def _prebuild_chain(self, node: PhysNode, rt) -> dict:
         """Materialise join state along the driver chain, once, serially."""
+        shared: dict = {}
         while True:
             if isinstance(node, (PhysFilter, PhysUnnest, PhysNest)):
                 node = node.child
             elif isinstance(node, PhysHashJoin):
-                shared[id(node)] = self._build_table(node, rt)
+                shared[node.bound_vars()] = self._build_table(node, rt)
                 node = node.probe
             elif isinstance(node, PhysNLJoin):
-                shared[id(node)] = list(self._iter(node.inner, rt))
+                shared[node.bound_vars()] = list(self._iter(node.inner, rt))
                 node = node.outer
             else:
-                return
+                return shared
 
     def _build_table(self, node: PhysHashJoin, rt) -> dict:
         """Vectorized hash-join build: materialise the build rows, run one
@@ -409,7 +330,7 @@ class StaticExecutor:
                 if eval_expr(node.pred, env, rt):
                     yield env
         elif isinstance(node, PhysHashJoin):
-            table = shared.get(id(node)) if shared is not None else None
+            table = shared.get(node.bound_vars()) if shared else None
             if table is None:
                 table = self._build_table(node, rt)
             # vectorized probe: batch the probe stream, run one key kernel
@@ -430,9 +351,8 @@ class StaticExecutor:
                         if residual is None or eval_expr(residual, joined, rt):
                             yield joined
         elif isinstance(node, PhysNLJoin):
-            if shared is not None and id(node) in shared:
-                inner_rows = shared[id(node)]
-            else:
+            inner_rows = shared.get(node.bound_vars()) if shared else None
+            if inner_rows is None:
                 inner_rows = list(self._iter(node.inner, rt))
             for outer_env in self._iter(node.outer, rt, split, shared):
                 for inner_env in inner_rows:
@@ -447,20 +367,14 @@ class StaticExecutor:
                     if node.pred is None or eval_expr(node.pred, child_env, rt):
                         yield child_env
         elif isinstance(node, PhysNest):
-            m = node.monoid
-            groups: dict | None = None
-            if shared is not None:
-                # a parallel run already built and merged this node's groups
-                groups = shared.get(("nest", id(node)))
+            # a parallel run already built and merged this node's groups
+            groups = shared.get(node.bound_vars()) if shared else None
             if groups is None:
-                groups = {}
-                for env in self._iter(node.child, rt, split, shared):
-                    key = tuple(hashable(eval_expr(e, env, rt)) for _n, e in node.keys)
-                    raw_key = tuple(eval_expr(e, env, rt) for _n, e in node.keys)
-                    acc, _raw = groups.get(key, (m.zero(), raw_key))
-                    groups[key] = (m.merge(acc, m.lift(eval_expr(node.head, env, rt))), raw_key)
-            for _key, (acc, raw_key) in groups.items():
-                record = {name: raw_key[i] for i, (name, _e) in enumerate(node.keys)}
+                groups = self._groups(
+                    node, self._iter(node.child, rt, split, shared), rt)
+            m = node.monoid
+            for raw, acc in groups.values():
+                record = {name: raw[i] for i, (name, _e) in enumerate(node.keys)}
                 record[node.agg_name] = m.finalize(acc)
                 yield {node.group_var: record}
         elif isinstance(node, PhysReduce):

@@ -165,11 +165,14 @@ PROD = Monoid("prod", zero=lambda: 1, lift=lambda x: x, merge=lambda a, b: a * b
               finalize=lambda a: a, commutative=True)
 COUNT = Monoid("count", zero=lambda: 0, lift=lambda _x: 1, merge=lambda a, b: a + b,
                finalize=lambda a: a, commutative=True)
+# max/min replace the accumulator only when the new value is strictly better
+# — the rule builtin max/min and the generated code follow, so a NaN (which
+# compares False both ways) never displaces an accumulated value
 MAX = Monoid("max", zero=lambda: None, lift=lambda x: x,
-             merge=lambda a, b: b if a is None else (a if b is None else (a if a >= b else b)),
+             merge=lambda a, b: b if a is None else (a if b is None else (b if b > a else a)),
              finalize=lambda a: a, commutative=True, idempotent=True)
 MIN = Monoid("min", zero=lambda: None, lift=lambda x: x,
-             merge=lambda a, b: b if a is None else (a if b is None else (a if a <= b else b)),
+             merge=lambda a, b: b if a is None else (a if b is None else (b if b < a else a)),
              finalize=lambda a: a, commutative=True, idempotent=True)
 ANY = Monoid("any", zero=lambda: False, lift=bool, merge=lambda a, b: a or b,
              finalize=lambda a: a, commutative=True, idempotent=True)

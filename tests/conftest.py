@@ -18,9 +18,16 @@ def no_stray_workers():
     """Every session, pool and server a test starts is closed by that test:
     when the run ends no worker process and no non-daemon thread is left."""
     yield
-    stray = multiprocessing.active_children() + [
-        t for t in threading.enumerate()
-        if t is not threading.main_thread() and not t.daemon]
+
+    def running():
+        return multiprocessing.active_children() + [
+            t for t in threading.enumerate()
+            if t is not threading.main_thread() and not t.daemon]
+
+    # a pool shut down without waiting may still be reaping its workers
+    for proc_or_thread in running():
+        proc_or_thread.join(timeout=5)
+    stray = running()
     assert not stray, f"left running after the test session: {stray}"
 
 

@@ -5,6 +5,8 @@ different mechanisms; random conjunctive queries must agree. This is the
 strongest correctness check in the suite.
 """
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -101,6 +103,60 @@ def test_nested_head_comprehension_agree(diffdb, limit):
     jit = diffdb.query(q).value
     static = diffdb.query(q, engine="static").value
     assert sorted(map(repr, jit)) == sorted(map(repr, static))
+
+
+NAN_ROWS = 20000
+NAN_AT = {"first": 0, "middle": NAN_ROWS // 2, "last": NAN_ROWS - 1}
+
+
+@pytest.fixture(scope="module")
+def nan_files(tmp_path_factory):
+    """One CSV per NaN position. Rows 1 and 2 hold the column's extremes
+    (and wide padding lets the planner shard the scan, on processes too):
+    a NaN ahead of them makes the strict max/min rule answer NaN; after
+    them it never displaces the accumulator, wherever a chunk or morsel
+    boundary falls."""
+    tmp = tmp_path_factory.mktemp("nan")
+    paths = {}
+    for where, at in NAN_AT.items():
+        path = tmp / f"nan_{where}.csv"
+        with open(path, "w") as fh:
+            fh.write("id,a,pad\n")
+            for i in range(NAN_ROWS):
+                a = {1: 1000.0, 2: -1000.0}.get(i, i % 100 + 0.5)
+                fh.write(f"{i},{'nan' if i == at else a},{'x' * 64}\n")
+        paths[where] = str(path)
+    return paths
+
+
+@pytest.mark.parametrize("config", ["process", "thread", "serial"])
+@pytest.mark.parametrize("where", list(NAN_AT))
+def test_max_min_agree_on_nan(nan_files, where, config):
+    """max/min replace the accumulator only on a strictly better value, on
+    both engines at every DoP and backend (the monoid merge used to let a
+    NaN displace it, so the engines disagreed)."""
+    db = ViDa() if config == "serial" else \
+        ViDa(parallelism=2, backend=config)
+    cases = [(mono, engine) for mono in ("max", "min")
+             for engine in ("jit", "static")]
+    try:
+        # one registration per query, so every query scans the file cold
+        for i, _case in enumerate(cases):
+            db.register_csv(f"T{i}", nan_files[where])
+        for i, (mono, engine) in enumerate(cases):
+            r = db.query(f"for {{ t <- T{i} }} yield {mono} t.a",
+                         engine=engine)
+            if where == "first":
+                assert math.isnan(r.value), (mono, engine)
+            else:
+                assert r.value == (1000.0 if mono == "max" else -1000.0), \
+                    (mono, engine, r.value)
+            if config != "serial":
+                assert r.decisions.parallel.get("t") == 2, \
+                    r.decisions.summary()
+                assert r.decisions.parallel_backend["t"] == config
+    finally:
+        db.close()
 
 
 def test_reference_semantics_against_python(diffdb):

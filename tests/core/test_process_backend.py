@@ -24,7 +24,7 @@ from repro.core.chunk import split_ranges
 from repro.core.executor import procpool as PP
 from repro.core.executor.scheduler import MorselScheduler, ProcessMorselScheduler
 from repro.core.optimizer import cost as C
-from repro.errors import DataFormatError, ViDaError
+from repro.errors import DataFormatError, ExecutionError, ViDaError
 from repro.mcc.monoids import get_monoid
 
 ENGINES = ("jit", "static")
@@ -116,12 +116,35 @@ def test_source_specs_pickle_round_trip(wide_dir):
 def test_kernel_spec_pickle_round_trip(wide_dir):
     with session(wide_dir, 1, backend="thread") as db:
         spec = PP.KernelSpec(
-            kind="jit", payload=b"def _mw0(): pass", worker="_mw0",
-            sources=PP.catalog_specs(db.catalog),
-            shared=pickle.dumps({"_M": get_monoid("sum")}),
+            plan=pickle.dumps(_group_plan(2, "process")), engine="jit",
+            worker="_mw4", sources=PP.catalog_specs(db.catalog),
+            shared=pickle.dumps({"_ht1": {1: [(2, "m")]}}),
             cleaning=pickle.dumps({}), row_limit=17,
         )
         assert pickle.loads(pickle.dumps(spec)) == spec
+
+
+def test_one_plan_compiles_to_one_source(wide_dir):
+    # a worker process compiles the shipped plan itself and looks its morsel
+    # worker up by name: compiling one plan twice — against a catalog rebuilt
+    # from the specs, from an unpickled plan — must yield identical source
+    from repro.core.codegen.compiler import QueryCompiler
+
+    with session(wide_dir, 4) as db:
+        for q in ("for { w <- W, g <- G, w.id = g.id, g.snp = 1 } "
+                  "yield bag (id := w.id, s := g.snp)",
+                  "for { w <- W, w.age > 70 } yield set (a := w.age)"):
+            assert db.query(q).decisions.parallel["w"] > 1
+        compiled = list(db._jit._compiled.values())
+        compiled.append(QueryCompiler(db.catalog).compile(
+            _group_plan(4, "process")))
+        rebuilt = PP.build_catalog(PP.catalog_specs(db.catalog))
+    assert len(compiled) == 3
+    for c in compiled:
+        assert "_rt.run_parallel(" in c.source
+        again = QueryCompiler(rebuilt).compile(pickle.loads(pickle.dumps(
+            c.plan)))
+        assert again.source == c.source
 
 
 def test_warm_csv_spec_ships_complete_posmap(wide_dir):
@@ -211,6 +234,20 @@ QUERIES = [
     "for { d <- Dirty } yield sum d.age",
 ]
 
+#: every other fold merge: prod, exists/all (decided in the last morsel),
+#: list, a generic monoid, a set of records, and predicates that leave whole
+#: morsels empty (None max partials, zero-count avg ones)
+MERGE_RULES = [
+    "for { w <- W, w.id % 2500 = 0 } yield prod w.age",
+    "for { w <- W } yield exists w.id = 19999",
+    "for { w <- W } yield all w.id < 19990",
+    "for { w <- W, w.age >= 79 } yield list w.id",
+    "for { w <- W } yield median w.score",
+    "for { w <- W, w.age > 70 } yield set (a := w.age, g := w.gender)",
+    "for { w <- W, w.id < 100 } yield max w.score",
+    "for { w <- W, w.id >= 19900 } yield avg w.score",
+]
+
 
 @pytest.mark.parametrize("engine", ENGINES)
 def test_process_results_match_serial(wide_dir, engine):
@@ -243,6 +280,23 @@ def test_process_results_match_serial(wide_dir, engine):
             # warm/cache-served second pass must agree too
             for i, q in enumerate(QUERIES):
                 assert_same(db.query(q, engine=engine).value, warm[i])
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("backend", ("thread", "process"))
+def test_every_merge_rule_matches_serial(wide_dir, engine, backend):
+    with session(wide_dir, 1, backend="thread") as serial:
+        want = [serial.query(q, engine=engine).value for q in MERGE_RULES]
+    for dop in (2, 4):
+        with session(wide_dir, dop, backend=backend) as db:
+            for i, q in enumerate(MERGE_RULES):
+                # a source of its own per query: every scan is cold, which
+                # is what the planner shards on this backend
+                db.register_csv(f"W{i}", str(wide_dir / "wide.csv"))
+                r = db.query(q.replace("<- W", f"<- W{i}"), engine=engine)
+                assert_same(r.value, want[i])
+                assert r.decisions.parallel.get("w") == dop, q
+                assert r.decisions.parallel_backend["w"] == backend, q
 
 
 def _group_plan(parallel: int, backend: str):
@@ -380,6 +434,31 @@ def test_worker_exception_propagates_without_hang(tmp_path):
                          engine=engine)
         finally:
             db.close()
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_dead_worker_fails_one_query_and_the_pool_respawns(wide_dir, engine):
+    # SIGKILL one pool worker: the next parallel query fails with a typed
+    # error naming the source (not a raw BrokenProcessPool), adopts nothing,
+    # and the query after it runs on a fresh pool and answers as serial
+    import os
+    import signal
+
+    q = "for { w <- W, w.age > 40 } yield sum w.score"
+    with session(wide_dir, 1, backend="thread") as serial:
+        want = serial.query(q, engine=engine).value
+    with session(wide_dir, 2) as db:
+        db.prestart()
+        pool = db._worker_pool()
+        victim = next(iter(pool._executor._processes.values()))
+        os.kill(victim.pid, signal.SIGKILL)
+        victim.join()
+        with pytest.raises(ExecutionError, match="'W'"):
+            db.query(q, engine=engine)
+        assert not db.catalog.get("W").plugin.posmap.complete
+        r = db.query(q, engine=engine)
+        assert r.decisions.parallel_backend.get("w") == "process"
+        assert_same(r.value, want)
 
 
 # ---------------------------------------------------------------------------

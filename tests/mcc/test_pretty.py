@@ -41,35 +41,34 @@ _names = st.sampled_from(["x", "y", "S", "T", "abc"])
 _fields = st.sampled_from(["a", "b", "val"])
 
 
-def _exprs():
-    leaves = st.one_of(
-        st.integers(min_value=0, max_value=999).map(A.Const),
-        st.booleans().map(A.Const),
-        st.text(alphabet="abcxyz ", min_size=0, max_size=6).map(A.Const),
-        _names.map(A.Var),
-        st.just(A.Null()),
-    )
+_leaves = st.one_of(
+    st.integers(min_value=0, max_value=999).map(A.Const),
+    st.booleans().map(A.Const),
+    st.text(alphabet="abcxyz ", min_size=0, max_size=6).map(A.Const),
+    _names.map(A.Var),
+    st.just(A.Null()),
+)
 
-    def extend(children):
-        return st.one_of(
-            st.tuples(children, _fields).map(lambda t: A.Proj(t[0], t[1])),
-            st.tuples(children, children).map(lambda t: A.BinOp("+", t[0], t[1])),
-            st.tuples(children, children).map(lambda t: A.BinOp("and",
-                A.BinOp("=", t[0], t[1]), A.Const(True))),
-            st.tuples(children, children, children).map(
-                lambda t: A.If(A.BinOp("=", t[0], t[1]), t[2], A.Const(0))),
-            st.lists(st.tuples(_fields, children), min_size=1, max_size=3,
-                     unique_by=lambda p: p[0]).map(
-                lambda fs: A.RecordCons(tuple(fs))),
-            st.tuples(_names, children, children).map(
-                lambda t: A.Comprehension(
-                    get_monoid("bag"), t[2], (A.Generator(t[0], t[1]),))),
-        )
+# the recursion goes through the name ``_exprs``, so the strategy's repr
+# stays one line instead of nesting every level's alternatives
+_exprs = st.deferred(lambda: st.one_of(
+    _leaves,
+    st.tuples(_exprs, _fields).map(lambda t: A.Proj(t[0], t[1])),
+    st.tuples(_exprs, _exprs).map(lambda t: A.BinOp("+", t[0], t[1])),
+    st.tuples(_exprs, _exprs).map(lambda t: A.BinOp("and",
+        A.BinOp("=", t[0], t[1]), A.Const(True))),
+    st.tuples(_exprs, _exprs, _exprs).map(
+        lambda t: A.If(A.BinOp("=", t[0], t[1]), t[2], A.Const(0))),
+    st.lists(st.tuples(_fields, _exprs), min_size=1, max_size=3,
+             unique_by=lambda p: p[0]).map(
+        lambda fs: A.RecordCons(tuple(fs))),
+    st.tuples(_names, _exprs, _exprs).map(
+        lambda t: A.Comprehension(
+            get_monoid("bag"), t[2], (A.Generator(t[0], t[1]),))),
+))
 
-    return st.recursive(leaves, extend, max_leaves=12)
 
-
-@given(_exprs())
+@given(_exprs)
 @settings(max_examples=150, deadline=None)
 def test_round_trip_random(expr):
     text = pretty(expr)
