@@ -93,6 +93,9 @@ class Catalog:
         #: bumps on any shape change (register/deregister) or generation
         #: bump — one component of the plan-cache epoch
         self.version = 0
+        #: bumps on register/deregister only: what a SQL translation, which
+        #: resolves columns against the schemas, was made under
+        self.schema_version = 0
 
     def source_lock(self, name: str) -> threading.Lock:
         """The lock serialising ``name``'s freshness checks, generation
@@ -118,6 +121,7 @@ class Catalog:
                 raise CatalogError(f"source {name!r} is already registered")
             self._entries[name] = entry
             self.version += 1
+            self.schema_version += 1
             return entry
 
     def register_csv(
@@ -238,6 +242,7 @@ class Catalog:
                 raise CatalogError(f"unknown source {name!r}")
             del self._entries[name]
             self.version += 1
+            self.schema_version += 1
 
     # -- lookup ---------------------------------------------------------------
 
@@ -262,34 +267,7 @@ class Catalog:
     # -- update detection ---------------------------------------------------------
 
     def bump_version(self) -> None:
-        """Register a visible state change (generation bump by a refresh
-        path outside the catalog) so plan epochs move."""
+        """Register a visible state change (a generation bump by
+        :meth:`EngineContext.refresh_source`) so plan epochs move."""
         with self._lock:
             self.version += 1
-
-    def check_freshness(self, name: str) -> bool:
-        """True if the backing file is unchanged; False after dropping stale
-        auxiliary structures (paper §2.1: in-place updates drop auxiliaries).
-
-        The re-fingerprint and generation bump run atomically under the
-        source lock: of N threads observing the same mutation, exactly one
-        bumps the generation (the rest re-check under the lock and see the
-        refreshed fingerprint) — a double bump would strand in-flight
-        index/posmap rebuilds keyed on the intermediate token.
-        """
-        entry = self.get(name)
-        if entry.fingerprint is None or entry.description.path is None:
-            return True
-        if entry.fingerprint.matches(entry.description.path):
-            return True
-        with self.source_lock(name):
-            # re-check: another thread may have refreshed while we waited
-            if entry.fingerprint.matches(entry.description.path):
-                return True
-            if hasattr(entry.plugin, "invalidate_auxiliary"):
-                entry.plugin.invalidate_auxiliary()
-            entry.fingerprint = FileFingerprint.of(entry.description.path)
-            entry.generation = next(_GENERATIONS)
-            with self._lock:
-                self.version += 1
-        return False

@@ -2,7 +2,8 @@
 
 This is the Python analogue of ViDa's LLVM code generation (paper §4): one
 fused, push-style (produce/consume, a la HyPer) function is generated *per
-query*, with
+plan shape* — the plan with its values taken out (:func:`plan_shape`) —
+with
 
 - *vectorized* scans: every scan is one ``_rt.scan(...)`` call streaming
   columnar chunks (tokenized and converted batch-at-a-time by the format
@@ -14,6 +15,14 @@ query*, with
   no operator boundaries, no per-tuple interpretation, and
 - "general-purpose checks stripped": whole-element binding and predicate
   tests are emitted only when the plan asks for them.
+
+Generated code never inlines a value it reads from a plan. Literals,
+scan nodes (which carry index probe values) and monoids arrive as the
+parameter tuple ``_P`` that the function unpacks into locals on entry, so
+one compiled function serves every literal of a shape — the way JIT
+database engines amortise compile time over prepared statements. Kernels
+read a lifted literal as a local, exactly as they read a constant; a
+lifted literal is never null, so it adds no null guard.
 
 The generated module source is kept on the result object for inspection
 (``QueryResult.code``) — the moral equivalent of dumping the LLVM IR.
@@ -28,6 +37,7 @@ from dataclasses import dataclass
 
 from ...errors import CodegenError
 from ...mcc import ast as A
+from ...mcc.monoids import Monoid
 from ..physical import (
     PhysExprScan,
     PhysFilter,
@@ -38,8 +48,10 @@ from ..physical import (
     PhysReduce,
     PhysScan,
     PhysUnnest,
+    PlanShape,
     chain_nest,
     parallel_driver,
+    plan_shape,
 )
 from .exprs import ExprContext, ObjectBinding, ScalarBinding, compile_expr
 from .helpers import HELPERS
@@ -47,15 +59,20 @@ from .helpers import HELPERS
 
 @dataclass
 class CompiledQuery:
-    """A compiled query: callable + its generated source for inspection."""
+    """One compiled plan shape: callable + its generated source for
+    inspection. ``key`` is the shape's compile key."""
 
     source: str
     fn: object
-    plan: PhysReduce
+    key: str
 
-    def __call__(self, runtime):
-        runtime.program = ("jit", self.plan)
-        return self.fn(runtime)
+    def __call__(self, runtime, shape: PlanShape):
+        """Run the plan of ``shape`` — any plan of this compiled shape,
+        with its own values."""
+        if shape.key != self.key:
+            raise CodegenError("plan shape does not match the compiled code")
+        runtime.program = ("jit", shape.plan)
+        return self.fn(runtime, shape.params)
 
     def worker(self, name: str):
         """The morsel worker ``name``: a top-level function of the
@@ -158,13 +175,16 @@ def _row_iter(ctx: _ChunkCtx) -> tuple[str, str, bool]:
 #
 # When the planner marks a scan ``parallel=N`` the generated code wraps that
 # scan's chunk loop in a *morsel worker*: a top-level function
-# ``worker(_rt, _shared, _split)`` whose first statements bind the read-only
-# state the coordinator built (hash tables, NL-join rows — the compiler knows
-# their names because it allocated them) from ``_shared`` and initialise the
-# partial it returns: the root monoid's accumulator, a hash table, or per-key
-# groups. The coordinator makes one ``_rt.run_parallel`` call, which splits,
-# fans out (threads or worker processes alike), merges the partials in morsel
-# order and finishes the scan.
+# ``worker(_rt, _shared, _split)`` whose first statements bind the plan's
+# parameters and the read-only state the coordinator built (hash tables,
+# NL-join rows — the compiler knows their names because it allocated them)
+# from ``_shared`` and initialise the partial it returns: the root monoid's
+# accumulator, a hash table, or per-key groups. The parameters travel in
+# ``_shared`` too, so a worker process reads the values of the plan being
+# run, whichever plan of the shape it compiled. The coordinator makes one
+# ``_rt.run_parallel`` call, which splits, fans out (threads or worker
+# processes alike), merges the partials in morsel order and finishes the
+# scan.
 
 
 def _fold_init(name: str) -> list[str]:
@@ -311,12 +331,28 @@ class QueryCompiler:
         self.catalog = catalog
 
     def compile(self, plan: PhysReduce) -> CompiledQuery:
-        self.ctx = ExprContext(source_names=self.catalog.names())
+        shape = plan_shape(plan)
+        #: id(value owner) → the local its parameter slot unpacks into
+        self._params: dict[int, str] = {}
+        names = []
+        owners = {slot: owner for owner, slot in shape.slots.items()}
+        for slot, value in enumerate(shape.params):
+            if owners[slot] == id(plan):
+                name = "_M"  # the root fold's monoid
+            elif isinstance(value, PhysScan):
+                name = f"_sc{slot}"
+            elif isinstance(value, Monoid):
+                name = f"_gm{slot}"
+            else:
+                name = f"_p{slot}"
+            self._params[owners[slot]] = name
+            names.append(name)
+        #: the statement binding every parameter to its local
+        self._unpack = ", ".join(names) + ("," if len(names) == 1 else "")
+        self.ctx = ExprContext(source_names=self.catalog.names(),
+                               params=self._params)
         self.w = CodeWriter(indent=1)
         self._counter = 0
-        #: module globals: the PhysScan each ``_rt.scan`` call streams and
-        #: the plan's monoids
-        self._globals: dict[str, object] = {}
         #: (monoid name, head expr) when the root fold fuses into chunk kernels
         self._fold: tuple | None = None
         #: chunk-level consumer (join build/probe sink) replacing the row loop
@@ -335,13 +371,14 @@ class QueryCompiler:
         self._emit_reduce(plan)
 
         prelude = CodeWriter(indent=1)
+        prelude.emit(f"{self._unpack} = _P")
         for helper_name in sorted(HELPERS):
             prelude.emit(f"{helper_name} = _H[{helper_name!r}]")
 
         parts: list[str] = []
         parts.extend(self.ctx.subqueries)
         parts.extend(self._workers)
-        parts.append("def _vida_query(_rt):")
+        parts.append("def _vida_query(_rt, _P):")
         parts.append(prelude.text())
         parts.append(self.w.text())
         source = "\n".join(parts)
@@ -355,13 +392,12 @@ class QueryCompiler:
         # Subqueries and morsel workers resolve helpers via module globals;
         # the main function shadows them with locals in its prelude for speed.
         globals_ns.update(HELPERS)
-        globals_ns.update(self._globals)
         try:
             code = compile(source, "<vida-jit>", "exec")
         except SyntaxError as exc:  # pragma: no cover - codegen bug guard
             raise CodegenError(f"generated code failed to compile: {exc}\n{source}") from exc
         exec(code, globals_ns)
-        return CompiledQuery(source, globals_ns["_vida_query"], plan)
+        return CompiledQuery(source, globals_ns["_vida_query"], shape.key)
 
     # -- id helpers -----------------------------------------------------------
 
@@ -372,9 +408,7 @@ class QueryCompiler:
     # -- reduce (root) -----------------------------------------------------------
 
     def _emit_reduce(self, node: PhysReduce) -> None:
-        mono = node.monoid
-        name = mono.name
-        self._globals["_M"] = mono
+        name = node.monoid.name
         acc = "(_sum, _cnt)" if name == "avg" else "_acc"
 
         driver = parallel_driver(node)
@@ -496,7 +530,8 @@ class QueryCompiler:
             if node.index_eq is None:
                 call = f"_rt.memory({node.source!r})"
             else:
-                call = f"_rt.dbms_rows({node.source!r}, {node.index_eq!r})"
+                call = (f"_rt.dbms_rows({node.source!r}, "
+                        f"{self._params[id(node)]}.index_eq)")
             with w.block(f"for {local} in {call}:"):
                 self._emit_pred_then(node.pred, consume)
             return
@@ -519,6 +554,7 @@ class QueryCompiler:
         kind, partial, monoid, init = parallel
         state = list(self._state)
         coordinator, self.w = self.w, CodeWriter(indent=1)
+        self.w.emit(f"{self._unpack} = _shared['_P']")
         for name in state:
             self.w.emit(f"{name} = _shared[{name!r}]")
         for line in init:
@@ -530,7 +566,7 @@ class QueryCompiler:
         body, self.w = self.w, coordinator
         self._workers.append(f"def {worker}(_rt, _shared, _split):\n"
                              + body.text())
-        shared = ", ".join(f"{name!r}: {name}" for name in state)
+        shared = ", ".join(f"{name!r}: {name}" for name in ["_P", *state])
         self.w.emit(f"{partial} = _rt.run_parallel({scan}, {worker}, "
                     f"{{{shared}}}, ({kind!r}, {monoid}))")
 
@@ -538,15 +574,14 @@ class QueryCompiler:
                          names: list[str], whole_local: str | None, consume,
                          split: str | None = None) -> str:
         """The loop over one ``_rt.scan`` call's chunks (of morsel ``split``
-        in a morsel worker); returns the module global naming the scan."""
+        in a morsel worker); returns the local naming the scan node."""
         pred = node.pred
         kernel = None
         if node.sel_push and pred is not None:
             kernel = self._emit_pred_pushdown(node, locals_by_path)
             if kernel is not None:
                 pred = None  # chunks arrive as dense predicate survivors
-        scan = self._next("sc")
-        self._globals[scan] = node
+        scan = self._params[id(node)]
         args = [scan]
         if split is not None:
             args.append(split)
@@ -868,8 +903,7 @@ class QueryCompiler:
         shape both engines build, so morsel partials merge per key through
         the group monoid."""
         groups = self._next("grp")
-        mono = self._next("gm")
-        self._globals[mono] = node.monoid
+        mono = self._params[id(node)]
         if self._shard is not None and node is self._shard[0]:
             # the driver scan's workers accumulate worker-local groups
             self._parallel[id(self._shard[1])] = ("groups", groups, mono,

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 from ...errors import CodegenError
 from ...mcc import ast as A
+from ..physical import LIFTED_TYPES
 
 #: operators that compile 1:1 onto Python
 _DIRECT_BINOPS = {"+": "+", "-": "-", "*": "*", "/": "/", "%": "%",
@@ -57,12 +58,20 @@ Binding = ScalarBinding | ObjectBinding
 
 @dataclass
 class ExprContext:
-    """Compilation context: variable bindings + subquery collection."""
+    """Compilation context: variable bindings + subquery collection.
+
+    ``params`` maps each lifted literal of the plan being compiled (by
+    ``id``) to the local its parameter slot is bound to. ``None`` compiles
+    a free-standing expression, whose literals are inlined; with a plan, a
+    liftable literal missing from ``params`` is a codegen error — generated
+    code never inlines a value it reads from a plan.
+    """
 
     bindings: dict[str, Binding] = field(default_factory=dict)
     subqueries: list[str] = field(default_factory=list)
     counter: int = 0
     source_names: frozenset = frozenset()
+    params: dict | None = None
 
     def fresh(self, prefix: str) -> str:
         self.counter += 1
@@ -74,7 +83,7 @@ def compile_expr(expr: A.Expr, ctx: ExprContext) -> str:
     if isinstance(expr, A.Null):
         return "None"
     if isinstance(expr, A.Const):
-        return repr(expr.value)
+        return _compile_const(expr, ctx)
     if isinstance(expr, A.Var):
         return _compile_var(expr.name, ctx)
     if isinstance(expr, A.Proj):
@@ -113,6 +122,18 @@ def compile_expr(expr: A.Expr, ctx: ExprContext) -> str:
             "evaluate via the interpreter instead"
         )
     raise CodegenError(f"cannot compile {type(expr).__name__}")
+
+
+def _compile_const(expr: A.Const, ctx: ExprContext) -> str:
+    if ctx.params is None:
+        return repr(expr.value)
+    local = ctx.params.get(id(expr))
+    if local is not None:
+        return local
+    if type(expr.value) in LIFTED_TYPES:
+        raise CodegenError(
+            f"literal {expr.value!r} has no parameter slot in the plan shape")
+    return repr(expr.value)
 
 
 def _compile_var(name: str, ctx: ExprContext) -> str:
@@ -246,6 +267,10 @@ def _compile_subquery(comp: A.Comprehension, ctx: ExprContext) -> str:
             params.extend(binding.locals_by_path.values())
             inner_bindings[v] = binding
 
+    if ctx.params:
+        # the subquery's lifted literals arrive as parameters too
+        params.extend(dict.fromkeys(
+            ctx.params[id(e)] for e in A.walk(comp) if id(e) in ctx.params))
     name = f"_subq{len(ctx.subqueries)}"
     sub = _SubqueryEmitter(ctx, inner_bindings)
     body = sub.emit(comp)
@@ -273,6 +298,7 @@ class _SubqueryEmitter:
             subqueries=self.ctx.subqueries,
             counter=self.ctx.counter + 1000,
             source_names=self.ctx.source_names,
+            params=self.ctx.params,
         )
         depth = 0
         body: list[str] = []

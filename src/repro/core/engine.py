@@ -5,10 +5,11 @@ data caches and value indexes across later queries — only compound when
 that JIT-built state outlives a single session. :class:`EngineContext`
 owns everything that is a property of the *data* rather than of one user:
 the catalog, the shared :class:`~repro.caching.DataCache`, the
-:class:`~repro.indexing.IndexRegistry`, the JIT compile cache, the
-worker-process pool, and cross-tenant sharing statistics. A
-:class:`~repro.core.session.ViDa` session borrows all of it and keeps only
-per-tenant concerns (language bindings, cleaning policies, knobs, quotas).
+:class:`~repro.indexing.IndexRegistry`, the prepared statements, the JIT
+compile cache, the worker-process pool, and cross-tenant sharing
+statistics. A :class:`~repro.core.session.ViDa` session borrows all of it
+and keeps only per-tenant concerns (language bindings, cleaning policies,
+knobs, quotas).
 
 Concurrency contract (ARCHITECTURE.md §Engine vs Session):
 
@@ -29,12 +30,13 @@ Concurrency contract (ARCHITECTURE.md §Engine vs Session):
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from ..caching import AdmissionPolicy, DataCache
 from ..errors import ViDaError
 from ..indexing import IndexRegistry
 from ..stats import CostCalibration, StatsRegistry
+from ..storage.io import FRESH_BY_STAT
 from .catalog import Catalog, next_generation
 from .executor.engine import JITExecutor
 from .executor.static_engine import StaticExecutor
@@ -72,8 +74,43 @@ class EngineStats:
     delta_tail_bytes: int = 0
     #: refreshes that fell back to dropping every auxiliary structure
     full_invalidations: int = 0
+    #: freshness checks of an unchanged file that a ``stat`` decided alone
+    fresh_by_stat: int = 0
+    #: ... that hashed the file's head and tail (it was racily clean)
+    fresh_by_hash: int = 0
+    #: planned queries whose plan came from the prepared-statement cache
+    prepared_hits: int = 0
+    #: planned queries that had to plan (new text, moved epoch, new knobs)
+    prepared_misses: int = 0
     sessions_opened: int = 0
     sessions_closed: int = 0
+
+
+#: prepared statements an engine keeps, least recently used dropped first
+#: (about 5 KB each with their plan; one engine-wide set serves both
+#: dialects for every tenant)
+MAX_PREPARED = 512
+
+
+@dataclass
+class PreparedStatement:
+    """One query text as every tenant of the engine shares it.
+
+    ``expr`` is the parsed AST (for SQL, the translated one) and ``norm``
+    its normal form: pure functions of the text — for SQL also of the
+    catalog's schemas, which ``schema`` records. ``limit`` and ``pins``
+    are a SQL statement's LIMIT and ``AS OF`` clauses. ``plans`` maps a
+    session's knob salt to ``(plan epoch, plan, decisions, plan text,
+    plan shape)``: tenants with the same knobs share one plan, and a plan
+    is served only while the epoch it was made under is current.
+    """
+
+    expr: object
+    norm: object
+    limit: int | None = None
+    pins: dict | None = None
+    schema: int = 0
+    plans: dict = field(default_factory=dict)
 
 
 class QuotaCacheView:
@@ -155,6 +192,9 @@ class EngineContext:
         self.static = StaticExecutor(self.catalog)
         self._lock = threading.Lock()
         self._stats_lock = threading.Lock()
+        #: (dialect, text) → PreparedStatement, in LRU order
+        self._prepared: dict[tuple, PreparedStatement] = {}
+        self._prepared_lock = threading.Lock()
         self._sessions = 0
         self._pool = None
         self._closed = False
@@ -244,6 +284,11 @@ class EngineContext:
                 "delta_refreshes": self.stats.delta_refreshes,
                 "delta_tail_bytes": self.stats.delta_tail_bytes,
                 "full_invalidations": self.stats.full_invalidations,
+                "fresh_by_stat": self.stats.fresh_by_stat,
+                "fresh_by_hash": self.stats.fresh_by_hash,
+                "prepared": {"hits": self.stats.prepared_hits,
+                             "misses": self.stats.prepared_misses,
+                             "entries": len(self._prepared)},
             }
         cs = self.cache.stats
         engine["cache"] = {
@@ -279,6 +324,44 @@ class EngineContext:
                 cs.admissions, cs.evictions, cs.invalidations,
                 self.indexes.buys_due) + aux
 
+    # -- prepared statements ---------------------------------------------------
+
+    def prepared(self, key: tuple) -> PreparedStatement | None:
+        """The statement prepared for ``key = (dialect, text)``, if kept."""
+        with self._prepared_lock:
+            stmt = self._prepared.pop(key, None)
+            if stmt is not None:
+                self._prepared[key] = stmt  # LRU move-to-end
+            return stmt
+
+    def prepare(self, key: tuple, stmt: PreparedStatement) -> None:
+        """Keep ``stmt`` for ``key``, dropping the least recently used
+        statement beyond :data:`MAX_PREPARED`."""
+        with self._prepared_lock:
+            if key not in self._prepared \
+                    and len(self._prepared) >= MAX_PREPARED:
+                self._prepared.pop(next(iter(self._prepared)))
+            self._prepared[key] = stmt
+
+    def prepared_plan(self, stmt: PreparedStatement, salt: tuple,
+                      epoch: tuple) -> tuple | None:
+        """``(plan, decisions, plan text, plan shape)`` prepared for
+        ``stmt`` under this knob salt and plan epoch, or None. The four are
+        written and read together, so a concurrent query of the same text
+        never pairs one plan with another's shape."""
+        with self._prepared_lock:
+            slot = stmt.plans.get(salt)
+        if slot is None or slot[0] != epoch:
+            self.count(prepared_misses=1)
+            return None
+        self.count(prepared_hits=1)
+        return slot[1:]
+
+    def keep_plan(self, stmt: PreparedStatement, salt: tuple, epoch: tuple,
+                  planned: tuple) -> None:
+        with self._prepared_lock:
+            stmt.plans[salt] = (epoch,) + planned
+
     # -- generation-aware refresh --------------------------------------------
 
     def refresh_source(self, name: str) -> bool:
@@ -300,21 +383,28 @@ class EngineContext:
           :class:`PinnedState` rescuing current cache entries/stats, and
           all auxiliary structures drop (paper §2.1 behaviour).
 
-        Runs atomically under the catalog's per-source lock, exactly like
-        ``Catalog.check_freshness``: of N racing observers one refreshes.
+        The check itself is a ``stat`` (:meth:`FileFingerprint.check`); the
+        file's bytes are read only while it is racily clean. The refresh
+        runs atomically under the catalog's per-source lock: of N racing
+        observers exactly one refreshes, and the generation bumps once.
         """
         entry = self.catalog.get(name)
         path = entry.description.path
         if entry.fingerprint is None or path is None:
             return True
-        if entry.fingerprint.matches(path):
-            return True
-        with self.catalog.source_lock(name):
-            # re-check: another thread may have refreshed while we waited
-            if entry.fingerprint.matches(path):
-                return True
-            self._refresh_locked(entry, name, path)
-        return False
+        verdict = entry.fingerprint.check(path)
+        if verdict is None:
+            with self.catalog.source_lock(name):
+                # re-check: another thread may have refreshed while we waited
+                verdict = entry.fingerprint.check(path)
+                if verdict is None:
+                    self._refresh_locked(entry, name, path)
+                    return False
+        if verdict == FRESH_BY_STAT:
+            self.count(fresh_by_stat=1)
+        else:
+            self.count(fresh_by_hash=1)
+        return True
 
     def _refresh_locked(self, entry, name: str, path: str) -> None:
         old_fp = entry.fingerprint

@@ -1,40 +1,24 @@
 """JIT executor: compile the physical plan, run the generated function.
 
 Compilation is cheap (Python's ``compile`` on a few hundred lines) but not
-free, so compiled queries are memoised by plan fingerprint — re-running the
-same query shape skips codegen, the analogue of ViDa reusing generated
-operators across a workload with locality. The cache is engine-wide: every
-tenant session of an :class:`~repro.core.engine.EngineContext` shares it,
-so one tenant's compilation warms the next tenant's identical query shape.
+free, so compiled functions are memoised by *plan shape*
+(:func:`~repro.core.physical.plan_shape`): the plan rendered with typed
+slots where its literals, scan nodes and monoids are, without estimates or
+pinned generations. Every literal of a query template, every file
+generation and every time-travel pin runs one compiled function — the
+analogue of ViDa reusing generated operators across a workload with
+locality. The cache is engine-wide: every tenant session of an
+:class:`~repro.core.engine.EngineContext` shares it, so one tenant's
+compilation warms the next tenant's queries of the same shape.
 """
 
 from __future__ import annotations
 
-import re
 import threading
 from dataclasses import dataclass
 
 from ..codegen.compiler import CompiledQuery, QueryCompiler
-from ..physical import PhysReduce, explain_physical
-
-
-#: a scan line's pinned generation and its row and cost estimates as
-#: EXPLAIN renders them
-_UNREAD = re.compile(
-    r", (?:generation=\d+|est_rows=~\S+ est_cost=~[^\s,)]+)")
-
-
-def plan_fingerprint(plan: PhysReduce, plan_text: str | None = None) -> str:
-    """A structural key identifying a physical plan (for the compile cache):
-    its EXPLAIN rendering (``plan_text`` when the caller already holds it)
-    without the scans' pinned generations and row and cost estimates.
-    Generated code reads none of them (the runtime serves a pinned scan),
-    and they move whenever a file grows or a query travels to another
-    generation — with them in the key every query after a delta refresh
-    recompiled the function it already had."""
-    if plan_text is None:
-        plan_text = explain_physical(plan)
-    return _UNREAD.sub("", plan_text)
+from ..physical import PhysReduce, PlanShape, plan_shape
 
 
 @dataclass
@@ -47,10 +31,10 @@ class JITStats:
 class JITExecutor:
     """Compiles plans to Python functions; caches compilations (true LRU).
 
-    Concurrency-safe and multi-tenant: the cache is keyed by plan
-    fingerprint, LRU bookkeeping runs under a mutex, and compilation
-    itself happens outside the lock — two sessions racing the same cold
-    plan compile twice, the second insert wins, nothing corrupts.
+    Concurrency-safe and multi-tenant: the cache is keyed by plan shape,
+    LRU bookkeeping runs under a mutex, and compilation itself happens
+    outside the lock — two sessions racing the same cold shape compile
+    twice, the second insert wins, nothing corrupts.
     """
 
     def __init__(self, catalog, max_cached: int = 256):
@@ -63,11 +47,11 @@ class JITExecutor:
         self.stats = JITStats()
 
     def compile(self, plan: PhysReduce,
-                plan_text: str | None = None) -> CompiledQuery:
-        """Compiled function for ``plan``. ``plan_text`` is the plan's
-        EXPLAIN rendering when the caller already holds it (the session
-        keeps it beside the prepared plan)."""
-        key = plan_fingerprint(plan, plan_text)
+                shape: PlanShape | None = None) -> CompiledQuery:
+        """The compiled function of ``plan``'s shape. ``shape`` is the
+        plan's :class:`PlanShape` when the caller already holds it (the
+        session keeps it beside the prepared plan)."""
+        key = (shape or plan_shape(plan)).key
         with self._mutex:
             hit = self._compiled.pop(key, None)
             if hit is not None:
@@ -84,16 +68,16 @@ class JITExecutor:
             self._compiled[key] = compiled
         return compiled
 
-    def is_cached(self, plan: PhysReduce,
-                  plan_text: str | None = None) -> bool:
-        """True when this plan is already compiled (no compile cost to pay).
+    def is_cached(self, shape: PlanShape) -> bool:
+        """True when this plan shape is already compiled (no compile cost
+        to pay).
 
         A pure probe: no LRU move, no stats bump — the auto engine chooser
         asks before deciding whether JIT's compile latency is sunk.
         """
-        key = plan_fingerprint(plan, plan_text)
         with self._mutex:
-            return key in self._compiled
+            return shape.key in self._compiled
 
     def execute(self, plan: PhysReduce, runtime):
-        return self.compile(plan)(runtime)
+        shape = plan_shape(plan)
+        return self.compile(plan, shape)(runtime, shape)

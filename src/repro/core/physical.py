@@ -372,9 +372,83 @@ def plan_scans(node: PhysNode) -> list[PhysScan]:
     return out
 
 
-def explain_physical(node: PhysNode, indent: int = 0) -> str:
-    """Readable physical-plan rendering (EXPLAIN output)."""
+#: literal types generated code reads as parameters, with their slot tags;
+#: ``bool`` (generated code branches on it) and null stay inline
+LIFTED_TYPES = {int: "int", float: "float", str: "str"}
+
+
+class _Slots:
+    """The run-time values of a plan, in rendering order: what generated
+    code reads from the plan it runs — lifted literals, the scan nodes
+    (whose index probes and DBMS lookups carry values) and the fold and
+    group monoids (``topk`` carries its ``k``)."""
+
+    def __init__(self):
+        self.values: list = []
+        #: id(owner) → slot; one slot per owner however often it is seen
+        self.index: dict[int, int] = {}
+
+    def take(self, owner, value) -> int:
+        slot = self.index.get(id(owner))
+        if slot is None:
+            slot = self.index[id(owner)] = len(self.values)
+            self.values.append(value)
+        return slot
+
+    def lift(self, const: A.Const) -> str | None:
+        """A type-tagged slot for a liftable literal (``?int3``): the slot
+        number shows which occurrences share one value, the tag keeps
+        ``1``, ``1.0`` and ``"1"`` apart. None keeps the value inline."""
+        tag = LIFTED_TYPES.get(type(const.value))
+        if tag is None:
+            return None
+        return f"?{tag}{self.take(const, const.value)}"
+
+
+def _tag(value) -> str:
+    tag = LIFTED_TYPES.get(type(value))
+    return f"?{tag}" if tag is not None else repr(value)
+
+
+@dataclass(frozen=True)
+class PlanShape:
+    """A physical plan as the code compiled for it sees it.
+
+    ``key`` — the compile-cache key — is the plan rendered with a typed
+    slot wherever it holds a value generated code reads at run time, and
+    without row/cost estimates or pinned generations, which generated code
+    never reads. ``params`` holds those values in slot order: every plan
+    with this key runs the one compiled function, called with its own
+    ``params``. ``slots`` maps each value's owner (by ``id``) to its slot,
+    for the compiler.
+    """
+
+    plan: PhysReduce
+    key: str
+    params: tuple
+    slots: dict = field(compare=False, repr=False)
+
+
+def plan_shape(plan: PhysReduce) -> PlanShape:
+    """The shape of ``plan``: one rendering pass, no copy."""
+    slots = _Slots()
+    key = explain_physical(plan, slots=slots)
+    return PlanShape(plan, key, tuple(slots.values), slots.index)
+
+
+def explain_physical(node: PhysNode, indent: int = 0,
+                     slots: _Slots | None = None) -> str:
+    """Readable physical-plan rendering (EXPLAIN output). With ``slots``
+    it renders the compile key instead (:func:`plan_shape`)."""
     from ..mcc.pretty import pretty
+
+    lift = slots.lift if slots is not None else None
+
+    def pp(expr: A.Expr) -> str:
+        return pretty(expr, lift)
+
+    def child(sub: PhysNode) -> str:
+        return explain_physical(sub, indent + 1, slots)
 
     pad = "  " * indent
     if isinstance(node, PhysScan):
@@ -384,6 +458,9 @@ def explain_physical(node: PhysNode, indent: int = 0) -> str:
             extras = [f"access=cache+index[{node.index_lookup[1]}]"]
         else:
             extras = [f"access={node.access}"]
+        if slots is not None:
+            slots.take(node, node)
+            extras.insert(0, node.format)
         if node.access in (ACCESS_COLD, ACCESS_WARM) and node.format in (
             "csv", "json", "array", "xls"
         ):
@@ -400,7 +477,7 @@ def explain_physical(node: PhysNode, indent: int = 0) -> str:
         if node.populate:
             extras.append(f"populate=[{', '.join(node.populate)}]->{node.populate_layout}")
         if node.pred is not None:
-            extras.append(f"pred={pretty(node.pred)}")
+            extras.append(f"pred={pp(node.pred)}")
             if node.sel_push:
                 extras.append("filter=vec+push")
             else:
@@ -408,60 +485,62 @@ def explain_physical(node: PhysNode, indent: int = 0) -> str:
                     "filter=vec" if node.vectorized_filter() else "filter=row"
                 )
         if node.index_eq is not None:
-            if len(node.index_eq) == 3 and node.index_eq[2] == "in":
-                extras.append(
-                    f"index[{node.index_eq[0]} in {node.index_eq[1]!r}]"
-                )
+            field_name, value = node.index_eq[0], node.index_eq[1]
+            in_list = len(node.index_eq) == 3 and node.index_eq[2] == "in"
+            if slots is not None:
+                # the lookup reads the values off the scan node, a parameter
+                value = tuple(map(_tag, value)) if in_list else _tag(value)
+            if in_list:
+                extras.append(f"index[{field_name} in {value!r}]")
             else:
-                extras.append(f"index[{node.index_eq[0]}={node.index_eq[1]!r}]")
+                extras.append(f"index[{field_name}={value!r}]")
         if node.index_emit:
             extras.append(f"index-emit=[{', '.join(node.index_emit)}]")
-        if node.as_of is not None:
+        if slots is None and node.as_of is not None:
             extras.append(f"generation={node.as_of}")
-        if node.est_rows or node.est_cost:
+        if slots is None and (node.est_rows or node.est_cost):
             extras.append(
                 f"est_rows=~{node.est_rows:.0f} est_cost=~{node.est_cost:.0f}"
             )
         return f"{pad}Scan({node.source} as {node.var}; {', '.join(extras)})"
     if isinstance(node, PhysExprScan):
-        s = f"{pad}ExprScan({pretty(node.expr)} as {node.var}"
+        s = f"{pad}ExprScan({pp(node.expr)} as {node.var}"
         if node.pred is not None:
-            s += f"; pred={pretty(node.pred)}"
+            s += f"; pred={pp(node.pred)}"
         return s + ")"
     if isinstance(node, PhysFilter):
-        return f"{pad}Filter[{pretty(node.pred)}]\n" + explain_physical(node.child, indent + 1)
+        return f"{pad}Filter[{pp(node.pred)}]\n" + child(node.child)
     if isinstance(node, PhysHashJoin):
         keys = ", ".join(
-            f"{pretty(b)}={pretty(p)}" for b, p in zip(node.build_keys, node.probe_keys)
+            f"{pp(b)}={pp(p)}" for b, p in zip(node.build_keys, node.probe_keys)
         )
         s = f"{pad}HashJoin[{keys}]"
         if node.residual is not None:
-            s += f" residual[{pretty(node.residual)}]"
-        return (
-            s + "\n" + explain_physical(node.build, indent + 1)
-            + "\n" + explain_physical(node.probe, indent + 1)
-        )
+            s += f" residual[{pp(node.residual)}]"
+        return s + "\n" + child(node.build) + "\n" + child(node.probe)
     if isinstance(node, PhysNLJoin):
-        pred = pretty(node.pred) if node.pred is not None else "true"
-        return (
-            f"{pad}NLJoin[{pred}]\n"
-            + explain_physical(node.outer, indent + 1)
-            + "\n" + explain_physical(node.inner, indent + 1)
-        )
+        pred = pp(node.pred) if node.pred is not None else "true"
+        return (f"{pad}NLJoin[{pred}]\n" + child(node.outer)
+                + "\n" + child(node.inner))
     if isinstance(node, PhysUnnest):
-        s = f"{pad}Unnest[{pretty(node.path)} as {node.var}"
+        s = f"{pad}Unnest[{pp(node.path)} as {node.var}"
         if node.pred is not None:
-            s += f"; pred={pretty(node.pred)}"
-        return s + "]\n" + explain_physical(node.child, indent + 1)
+            s += f"; pred={pp(node.pred)}"
+        return s + "]\n" + child(node.child)
     if isinstance(node, PhysNest):
-        keys = ", ".join(f"{n}={pretty(e)}" for n, e in node.keys)
+        if slots is not None:
+            slots.take(node, node.monoid)
+        keys = ", ".join(f"{n}={pp(e)}" for n, e in node.keys)
+        agg = f" ({node.agg_name})" if slots is not None else ""
         return (
-            f"{pad}Nest[{keys}; {node.monoid.name} {pretty(node.head)} as {node.group_var}]\n"
-            + explain_physical(node.child, indent + 1)
+            f"{pad}Nest[{keys}; {node.monoid.name} {pp(node.head)} as "
+            f"{node.group_var}{agg}]\n" + child(node.child)
         )
     if isinstance(node, PhysReduce):
+        if slots is not None:
+            slots.take(node, node.monoid)
         return (
-            f"{pad}Reduce[{node.monoid.name} {pretty(node.head)}]\n"
-            + explain_physical(node.child, indent + 1)
+            f"{pad}Reduce[{node.monoid.name} {pp(node.head)}]\n"
+            + child(node.child)
         )
     raise TypeError(f"cannot explain {type(node).__name__}")

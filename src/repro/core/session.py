@@ -9,8 +9,8 @@ effect of query execution and amortise across the workload.
 
 A session is a thin per-tenant view over an
 :class:`~repro.core.engine.EngineContext`, which owns everything that is a
-property of the *data* (catalog, cache, positional maps, value indexes, JIT
-compile cache, worker pool). A standalone ``ViDa()`` creates a private
+property of the *data* (catalog, cache, positional maps, value indexes,
+prepared statements, JIT compile cache, worker pool). A standalone ``ViDa()`` creates a private
 context; passing ``context=`` shares one across many sessions, so one
 tenant's cold scan warms every other tenant's queries::
 
@@ -54,11 +54,11 @@ from ..mcc.normalize import normalize
 from ..mcc.parser import parse
 from ..mcc.translate import referenced_sources, translate
 from ..mcc.typecheck import typecheck
-from .engine import EngineContext, QuotaCacheView
+from .engine import EngineContext, PreparedStatement, QuotaCacheView
 from .executor.runtime import QueryRuntime
 from .executor.static_engine import eval_expr
 from .optimizer.planner import PlanDecisions, Planner
-from .physical import explain_physical
+from .physical import PlanShape, explain_physical, plan_shape
 
 
 @dataclass
@@ -87,8 +87,8 @@ class QueryStats:
     index_hits: int = 0
     #: rows fetched via index candidate lists (vs. full-scan raw_rows)
     index_rows_served: int = 0
-    #: physical plan reused from the prepared-statement cache (same text,
-    #: same plan epoch — planning was skipped entirely)
+    #: physical plan reused from the engine's prepared statements (same
+    #: text, same plan epoch, same session knobs — planning was skipped)
     plan_cached: bool = False
     #: planner's total cost estimate for the chosen plan, in cost units
     est_cost_units: float = 0.0
@@ -228,24 +228,6 @@ class ViDa:
         self._queries = 0
         self._cache_only_queries = 0
         self._log_lock = threading.Lock()
-        # prepared-statement cache: query text →
-        # [parsed, normalized, plan_epoch, plan, decisions, plan_text]. The
-        # plan text (EXPLAIN rendering, which the compile-cache key is cut
-        # from) is rendered once per (re)plan, not per query; the four plan
-        # slots are written and read together under the lock, so a
-        # concurrent query of the same text never pairs one plan with
-        # another's text. The ASTs are
-        # pure functions of the text, so their reuse is always safe; the
-        # physical plan is only reused while the plan epoch (catalog shape,
-        # file generations, table statistics, cost calibration, session
-        # knobs) is unchanged — a plan built before stats arrived or before
-        # a file mutated is replanned, never served stale. LRU-bounded
-        # alongside the JIT compile cache; the lock keeps the pop/re-insert
-        # LRU dance atomic when a tenant pipelines concurrent queries
-        # through one session.
-        self._prepared: dict[str, list] = {}
-        self._max_prepared = 256
-        self._prepared_lock = threading.Lock()
 
     # -- shared engine state (delegates to the context) -----------------------
 
@@ -328,47 +310,147 @@ class ViDa:
         (source name → generation token) time-travels the named sources
         to a retained generation; an unknown or evicted generation raises
         :class:`~repro.errors.GenerationError`.
+
+        A query text is prepared once per engine: its AST, normal form and
+        plan are kept by the :class:`EngineContext` for every tenant.
         """
+        stats, t_start = self._begin(engine)
+        if not isinstance(text_or_expr, str):
+            return self._run(None, self._prepare(None, text_or_expr, stats),
+                             stats, t_start, output, limit, as_of)
+        key = ("mcc", text_or_expr)
+        stmt = self._prepared(key, stats)
+        if stmt is None:
+            t0 = time.perf_counter()
+            expr = parse(text_or_expr)
+            stats.parse_ms = (time.perf_counter() - t0) * 1e3
+            stmt = self._prepare(key, expr, stats)
+        return self._run(key, stmt, stats, t_start, output, limit, as_of)
+
+    def explain(self, text_or_expr) -> str:
+        """Logical + physical EXPLAIN of a query, without running it."""
+        expr = parse(text_or_expr) if isinstance(text_or_expr, str) else text_or_expr
+        typecheck(expr, self.catalog.type_env())
+        norm = normalize(expr)
+        if not isinstance(norm, A.Comprehension):
+            from ..mcc.pretty import pretty
+
+            return f"InterpretedExpression[{pretty(norm)}]"
+        algebra = translate(norm, self.catalog.names())
+        plan, decisions = self._planner().plan(algebra)
+        return (
+            "== logical ==\n" + explain_algebra(algebra)
+            + "\n== physical ==\n" + explain_physical(plan)
+            + "\n== decisions ==\n" + decisions.summary()
+        )
+
+    def path(self, query: str, engine: str | None = None,
+             output: str = "python") -> QueryResult:
+        """Run a PathQL (XPath-flavoured) query over registered sources."""
+        from ..languages.pathql import translate_path
+
+        expr = translate_path(query, self.catalog)
+        return self.query(expr, engine=engine, output=output)
+
+    def sql(self, statement: str, engine: str | None = None,
+            output: str = "python",
+            as_of: dict[str, int] | None = None) -> QueryResult:
+        """Run a SQL query by translation to the comprehension calculus.
+
+        LIMIT is applied to the raw result rows *before* output shaping, so
+        columnar/JSON/BSON outputs honour it too. Generation pins come from
+        ``FROM t AS OF GENERATION k`` clauses and/or the ``as_of`` mapping
+        (the NDJSON server's per-query field); an in-query clause wins over
+        the mapping for the same source. Statements are prepared once per
+        engine, like comprehension texts; a translation is reused only
+        while the schemas it resolved columns against are registered.
+        """
+        from ..languages.sql import parse_sql, translate_sql
+
+        stats, t_start = self._begin(engine)
+        key = ("sql", statement)
+        stmt = self._prepared(key, stats)
+        if stmt is None:
+            t0 = time.perf_counter()
+            schema = self.catalog.schema_version
+            parsed = parse_sql(statement)
+            expr = translate_sql(parsed, self.catalog)
+            stats.parse_ms = (time.perf_counter() - t0) * 1e3
+            pins = {ref.name: ref.as_of
+                    for ref in (parsed.table, *(j.table for j in parsed.joins))
+                    if ref.as_of is not None}
+            stmt = self._prepare(key, expr, stats, limit=parsed.limit,
+                                 pins=pins, schema=schema)
+        pins = {**(as_of or {}), **stmt.pins}
+        return self._run(key, stmt, stats, t_start, output, stmt.limit,
+                         pins or None)
+
+    def generations(self, source: str) -> dict:
+        """Time-travel introspection: the live generation token of
+        ``source`` plus every retained historical generation (oldest
+        first) with its classification state."""
+        entry = self.catalog.get(source)
+        retained = []
+        for gen in entry.history.generations():
+            snap = entry.history.get(gen)
+            if snap is None:
+                continue
+            retained.append({
+                "generation": snap.generation,
+                "byte_size": snap.byte_size,
+                "row_count": snap.row_count,
+                "live_prefix": snap.live,
+                "pinned": snap.pinned is not None,
+            })
+        return {"live": entry.generation, "retained": retained}
+
+    # -- internals -----------------------------------------------------------
+
+    def _begin(self, engine: str | None) -> tuple[QueryStats, float]:
         if self._closed:
             raise ViDaError(
                 "session is closed — open a new ViDa against the engine "
                 "context to keep querying"
             )
-        engine = engine or self.default_engine
-        stats = QueryStats(engine=engine)
         self._engine.count(queries=1)
-        t_start = time.perf_counter()
+        return QueryStats(engine=engine or self.default_engine), \
+            time.perf_counter()
 
-        with self._prepared_lock:
-            prepared = self._prepared.pop(text_or_expr, None) \
-                if isinstance(text_or_expr, str) else None
-        if prepared is not None:
-            with self._prepared_lock:
-                self._prepared[text_or_expr] = prepared  # LRU move-to-end
-            expr, norm = prepared[0], prepared[1]
-            t0 = time.perf_counter()
-            typecheck(expr, self.catalog.type_env())
-            stats.typecheck_ms = (time.perf_counter() - t0) * 1e3
-        else:
-            t0 = time.perf_counter()
-            expr = parse(text_or_expr) if isinstance(text_or_expr, str) \
-                else text_or_expr
-            stats.parse_ms = (time.perf_counter() - t0) * 1e3
+    def _prepared(self, key: tuple, stats: QueryStats):
+        """The engine's statement for ``key``, typechecked against the
+        current catalog, or None when it must be prepared afresh."""
+        stmt = self._engine.prepared(key)
+        if stmt is None or (key[0] == "sql"
+                            and stmt.schema != self.catalog.schema_version):
+            return None
+        t0 = time.perf_counter()
+        typecheck(stmt.expr, self.catalog.type_env())
+        stats.typecheck_ms = (time.perf_counter() - t0) * 1e3
+        return stmt
 
-            t0 = time.perf_counter()
-            typecheck(expr, self.catalog.type_env())
-            stats.typecheck_ms = (time.perf_counter() - t0) * 1e3
+    def _prepare(self, key: tuple | None, expr, stats: QueryStats,
+                 **clauses) -> PreparedStatement:
+        """Typecheck and normalise a freshly parsed statement and, under a
+        ``key``, keep it in the engine for every tenant."""
+        t0 = time.perf_counter()
+        typecheck(expr, self.catalog.type_env())
+        stats.typecheck_ms = (time.perf_counter() - t0) * 1e3
+        t0 = time.perf_counter()
+        norm = normalize(expr)
+        stats.normalize_ms = (time.perf_counter() - t0) * 1e3
+        stmt = PreparedStatement(expr, norm, **clauses)
+        if key is not None:
+            self._engine.prepare(key, stmt)
+        return stmt
 
-            t0 = time.perf_counter()
-            norm = normalize(expr)
-            stats.normalize_ms = (time.perf_counter() - t0) * 1e3
-            if isinstance(text_or_expr, str):
-                prepared = [expr, norm, None, None, None, None]
-                with self._prepared_lock:
-                    if len(self._prepared) >= self._max_prepared:
-                        self._prepared.pop(next(iter(self._prepared)))
-                    self._prepared[text_or_expr] = prepared
-
+    def _run(self, key: tuple | None, stmt: PreparedStatement,
+             stats: QueryStats, t_start: float, output: str,
+             limit: int | None, as_of: dict | None) -> QueryResult:
+        """Execute a prepared statement: freshness, AS OF pins, a plan
+        (the engine's prepared one when its epoch and this session's knobs
+        match), the engine, and output shaping."""
+        norm = stmt.norm
+        engine = stats.engine
         # freshness: a mutated file either delta-extends its auxiliary
         # structures (append classification) or drops them, snapshotting
         # the superseded generation into its bounded history either way
@@ -422,41 +504,39 @@ class ViDa:
                 return QueryResult(self._shape_output(value, output), stats)
 
             t0 = time.perf_counter()
-            epoch = self._plan_epoch()
-            # a pinned query never reuses or feeds the prepared-plan cache:
-            # its plan is specialised to the snapshot, not the live source
+            # a pinned query never reuses or feeds the prepared plans: its
+            # plan is specialised to the snapshot, not the live source
+            shared = key is not None and not pins
             planned = None
-            if prepared is not None and not pins:
-                with self._prepared_lock:
-                    planned = prepared[2:]
-            if planned is not None and planned[1] is not None \
-                    and planned[0] == epoch:
-                plan, decisions, plan_text = planned[1:]
+            if shared:
+                salt, epoch = self._knob_salt(), self._engine.plan_epoch()
+                planned = self._engine.prepared_plan(stmt, salt, epoch)
+            if planned is not None:
+                plan, decisions, plan_text, shape = planned
                 decisions = decisions.clone()
                 stats.plan_cached = True
             else:
                 algebra = translate(norm, self.catalog.names())
                 plan, decisions = self._planner(pins).plan(algebra)
                 plan_text = explain_physical(plan)
-                if prepared is not None and not pins:
-                    with self._prepared_lock:
-                        prepared[2:] = (epoch, plan, decisions.clone(),
-                                        plan_text)
+                shape = plan_shape(plan)
+                if shared:
+                    self._engine.keep_plan(stmt, salt, epoch, (
+                        plan, decisions.clone(), plan_text, shape))
             stats.plan_ms = (time.perf_counter() - t0) * 1e3
             stats.est_cost_units = decisions.total_est_cost
 
             if engine == "auto":
-                stats.engine = engine = self._resolve_engine(
-                    plan, plan_text, decisions)
+                stats.engine = engine = self._resolve_engine(shape, decisions)
 
             code = ""
             t0 = time.perf_counter()
             if engine == "jit":
-                compiled = self._jit.compile(plan, plan_text)
+                compiled = self._jit.compile(plan, shape)
                 code = compiled.source
                 stats.codegen_ms = (time.perf_counter() - t0) * 1e3
                 t0 = time.perf_counter()
-                value = compiled(runtime)
+                value = compiled(runtime, shape)
             else:
                 value = self._static.execute(plan, runtime)
             stats.execute_ms = (time.perf_counter() - t0) * 1e3
@@ -479,74 +559,6 @@ class ViDa:
         finally:
             for history, snap in acquired:
                 history.release(snap)
-
-    def explain(self, text_or_expr) -> str:
-        """Logical + physical EXPLAIN of a query, without running it."""
-        expr = parse(text_or_expr) if isinstance(text_or_expr, str) else text_or_expr
-        typecheck(expr, self.catalog.type_env())
-        norm = normalize(expr)
-        if not isinstance(norm, A.Comprehension):
-            from ..mcc.pretty import pretty
-
-            return f"InterpretedExpression[{pretty(norm)}]"
-        algebra = translate(norm, self.catalog.names())
-        plan, decisions = self._planner().plan(algebra)
-        return (
-            "== logical ==\n" + explain_algebra(algebra)
-            + "\n== physical ==\n" + explain_physical(plan)
-            + "\n== decisions ==\n" + decisions.summary()
-        )
-
-    def path(self, query: str, engine: str | None = None,
-             output: str = "python") -> QueryResult:
-        """Run a PathQL (XPath-flavoured) query over registered sources."""
-        from ..languages.pathql import translate_path
-
-        expr = translate_path(query, self.catalog)
-        return self.query(expr, engine=engine, output=output)
-
-    def sql(self, statement: str, engine: str | None = None,
-            output: str = "python",
-            as_of: dict[str, int] | None = None) -> QueryResult:
-        """Run a SQL query by translation to the comprehension calculus.
-
-        LIMIT is applied to the raw result rows *before* output shaping, so
-        columnar/JSON/BSON outputs honour it too. Generation pins come from
-        ``FROM t AS OF GENERATION k`` clauses and/or the ``as_of`` mapping
-        (the NDJSON server's per-query field); an in-query clause wins over
-        the mapping for the same source.
-        """
-        from ..languages.sql import parse_sql, translate_sql
-
-        stmt = parse_sql(statement)
-        expr = translate_sql(stmt, self.catalog)
-        pins = dict(as_of) if as_of else {}
-        for ref in (stmt.table, *(j.table for j in stmt.joins)):
-            if ref.as_of is not None:
-                pins[ref.name] = ref.as_of
-        return self.query(expr, engine=engine, output=output,
-                          limit=stmt.limit, as_of=pins or None)
-
-    def generations(self, source: str) -> dict:
-        """Time-travel introspection: the live generation token of
-        ``source`` plus every retained historical generation (oldest
-        first) with its classification state."""
-        entry = self.catalog.get(source)
-        retained = []
-        for gen in entry.history.generations():
-            snap = entry.history.get(gen)
-            if snap is None:
-                continue
-            retained.append({
-                "generation": snap.generation,
-                "byte_size": snap.byte_size,
-                "row_count": snap.row_count,
-                "live_prefix": snap.live,
-                "pinned": snap.pinned is not None,
-            })
-        return {"live": entry.generation, "retained": retained}
-
-    # -- internals -----------------------------------------------------------
 
     def _planner(self, pinned: dict[str, object] | None = None) -> Planner:
         """A planner seeing this session's configuration and cache state.
@@ -575,19 +587,24 @@ class ViDa:
                        if self.adaptive_stats else None,
                        adaptive=self.adaptive_stats)
 
-    def _plan_epoch(self) -> tuple:
-        """Every planner input beyond the query text: the engine-level
-        epoch (catalog, generations, stats, calibration, cache movement)
-        plus this session's knobs. A prepared plan is reused only while
-        this whole tuple is unchanged."""
-        return self._engine.plan_epoch() + (
+    def _knob_salt(self) -> tuple:
+        """Every planner input that is this session's rather than the
+        engine's: its knobs, the sources it cleans (with which policy
+        class) or charges to devices, its cache-write quota. Sessions with
+        equal salts share prepared plans; a plan is reused only under the
+        salt and the engine's plan epoch it was made under."""
+        return (
             self.enable_cache, self.enable_posmap, self.batch_size,
             self.parallelism, self.backend,
             self.enable_indexes, self.adaptive_stats,
-            tuple(sorted(self.cleaning)), tuple(sorted(self.devices)),
+            tuple(sorted((name, type(policy).__qualname__)
+                         for name, policy in self.cleaning.items())),
+            tuple(sorted(self.devices)),
+            self._quota_view.quota_bytes if self._quota_view is not None
+            else None,
         )
 
-    def _resolve_engine(self, plan, plan_text: str,
+    def _resolve_engine(self, shape: PlanShape,
                         decisions: PlanDecisions) -> str:
         """Pick jit vs static for one query (``default_engine="auto"``).
 
@@ -598,7 +615,7 @@ class ViDa:
         """
         from .optimizer import cost as C
 
-        if self._jit.is_cached(plan, plan_text):
+        if self._jit.is_cached(shape):
             decisions.engine_choice = "jit (compiled plan cached)"
             return "jit"
         if decisions.total_est_cost >= C.COMPILE_COST:

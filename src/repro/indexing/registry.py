@@ -2,8 +2,9 @@
 
 Indexes are keyed by ``(source name, source generation, field)``. The
 generation is the catalog's per-source file-generation token: it bumps
-whenever ``Catalog.check_freshness`` sees the file's fingerprint change,
-which is the same moment positional maps and cached columns are dropped —
+whenever ``EngineContext.refresh_source`` sees the file's fingerprint
+change, which is the same moment positional maps and cached columns are
+dropped or delta-extended —
 so a registry hit is by construction consistent with the bytes the posmap
 describes. A peek or adoption under a different generation silently drops
 the stale entry (second line of defense behind the session's freshness

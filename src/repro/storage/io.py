@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import time
 from dataclasses import dataclass, field
 
 from .device import StorageDevice
@@ -18,6 +19,20 @@ from .device import StorageDevice
 #: bytes of file head/tail folded into a :class:`FileFingerprint` content
 #: hash — bounded, so fingerprinting a multi-GB file stays O(1)
 FINGERPRINT_REGION = 64 << 10
+
+#: timestamp-granularity window of the racily-clean rule
+#: (:meth:`FileFingerprint.check`): a file whose mtime or ctime lies within
+#: this many nanoseconds of the moment its content was last verified may be
+#: rewritten again under the same timestamps, so only its bytes can say it
+#: did not change. Two seconds covers the coarsest filesystem clocks in use
+#: (FAT stores even seconds; ext3 and HFS+ whole seconds; ext4, XFS, Btrfs,
+#: tmpfs, APFS and NTFS stamp nanoseconds from a kernel clock that ticks
+#: every few milliseconds).
+RACY_WINDOW_NS = 2_000_000_000
+
+#: :meth:`FileFingerprint.check` verdicts for an unchanged file
+FRESH_BY_STAT = "stat"
+FRESH_BY_HASH = "hash"
 
 #: positional fetches (:func:`read_spans`) read neighbouring spans with one
 #: call when the bytes between them are fewer than this: a gap under a page
@@ -50,26 +65,38 @@ def _region_hash(fh, offset: int, nbytes: int) -> str:
     return _hash(fh.read(nbytes))
 
 
-@dataclass(frozen=True)
+def _stat_key(st) -> tuple:
+    return (st.st_size, st.st_mtime_ns, st.st_ctime_ns, st.st_ino)
+
+
+@dataclass
 class FileFingerprint:
-    """Identity of a file's content at registration time.
+    """Identity of a file's content, and when that content was verified.
 
     ViDa handles in-place updates by dropping (or delta-extending)
     auxiliary structures whose underlying file changed (paper Section
-    2.1); a fingerprint mismatch is the trigger. ``size``/``mtime_ns``
-    alone miss same-size rewrites under a frozen mtime (coarse-mtime
-    filesystems, fast tests), so the fingerprint also folds in bounded
-    blake2b hashes of the file's head and tail (``FINGERPRINT_REGION``
-    bytes each) and whether the file ends in a newline — the latter is
-    what append classification needs to know that the last record was
-    complete when the fingerprint was taken.
+    2.1); a fingerprint mismatch is the trigger. The stat tuple ``(size,
+    mtime_ns, ctime_ns, ino)`` decides: ``ctime`` moves on every write and
+    on every ``utime``, so a rewrite whose mtime was restored still shows,
+    and ``ino`` catches a rename over the file. Bounded blake2b hashes of
+    the file's head and tail (``FINGERPRINT_REGION`` bytes each) settle the
+    one case stat cannot — a rewrite within the filesystem's timestamp
+    granularity of the last verification (:meth:`check`) — and serve append
+    classification (:meth:`successor`), together with whether the file
+    ends in a newline (its last record was complete).
+
+    ``verified_ns`` — the wall-clock time the content was last read or
+    confirmed — is bookkeeping, not identity: it takes no part in equality.
     """
 
     size: int
     mtime_ns: int
+    ctime_ns: int = 0
+    ino: int = 0
     head_hash: str = ""
     tail_hash: str = ""
     ends_nl: bool = False
+    verified_ns: int = field(default=0, compare=False)
 
     @staticmethod
     def of(path: str | os.PathLike) -> "FileFingerprint":
@@ -78,7 +105,10 @@ class FileFingerprint:
 
     @staticmethod
     def _read(fh) -> "tuple[FileFingerprint, bytes]":
-        """Fingerprint of the open file, plus its head region's bytes."""
+        """Fingerprint of the open file, plus its head region's bytes. The
+        verification time is taken before the stat, so it never postdates
+        the bytes it vouches for."""
+        verified_ns = time.time_ns()
         st = os.fstat(fh.fileno())
         size = st.st_size
         fh.seek(0)
@@ -92,30 +122,50 @@ class FileFingerprint:
         if size:
             fh.seek(size - 1)
             ends_nl = fh.read(1) == b"\n"
-        return (FileFingerprint(size, st.st_mtime_ns, head_hash, tail_hash,
-                                ends_nl), head)
+        return (FileFingerprint(size, st.st_mtime_ns, st.st_ctime_ns,
+                                st.st_ino, head_hash, tail_hash, ends_nl,
+                                verified_ns), head)
+
+    def _stat_key(self) -> tuple:
+        return (self.size, self.mtime_ns, self.ctime_ns, self.ino)
 
     def stat_matches(self, path: str | os.PathLike) -> bool:
-        """Cheap size+mtime comparison (no content read) — the mid-scan
-        adoption gate uses it to drop partials of a file that visibly
-        changed while the scan ran."""
+        """Stat-tuple comparison (no content read) — the mid-scan adoption
+        gate uses it to drop partials of a file that visibly changed while
+        the scan ran."""
         try:
             st = os.stat(path)
         except FileNotFoundError:
             return False
-        return st.st_size == self.size and st.st_mtime_ns == self.mtime_ns
+        return _stat_key(st) == self._stat_key()
 
-    def matches(self, path: str | os.PathLike) -> bool:
-        """Full freshness check: a stat mismatch is a definite change; a
-        stat *match* is confirmed against the head/tail content hashes so
-        an in-place rewrite under a frozen mtime is still caught."""
+    def check(self, path: str | os.PathLike) -> str | None:
+        """Freshness verdict: ``None`` when the file changed, else how that
+        was decided — :data:`FRESH_BY_STAT` or :data:`FRESH_BY_HASH`.
+
+        A different stat tuple is a change. An equal one is trusted unless
+        the file is *racily clean* (git's index rule): its mtime or ctime
+        lies within :data:`RACY_WINDOW_NS` of the last verification, so a
+        rewrite right after it could carry the very same timestamps. Only
+        then are head and tail hashed; a confirmation moves the
+        verification time forward, and once it lands outside the window
+        stat alone decides from then on.
+        """
         try:
             st = os.stat(path)
-            if st.st_size != self.size or st.st_mtime_ns != self.mtime_ns:
-                return False
-            return FileFingerprint.of(path) == self
+            if _stat_key(st) != self._stat_key():
+                return None
+            if max(st.st_mtime_ns, st.st_ctime_ns) \
+                    < self.verified_ns - RACY_WINDOW_NS:
+                return FRESH_BY_STAT
+            now = FileFingerprint.of(path)
         except FileNotFoundError:
-            return False
+            return None
+        if now != self:
+            return None
+        # racing checkers may each confirm; the latest confirmation wins
+        self.verified_ns = max(self.verified_ns, now.verified_ns)
+        return FRESH_BY_HASH
 
     def successor(self, path: str | os.PathLike) -> "tuple[FileFingerprint, bool]":
         """Fingerprint of the file now at ``path``, and whether this

@@ -143,7 +143,7 @@ def test_stale_stats_partial_discarded(csv_path, tmp_path):
 
     with open(path, "a") as fh:
         fh.write(f"{10**6},99,1\n")
-    assert ctx.catalog.check_freshness("T") is False  # generation bumped
+    assert ctx.refresh_source("T") is False  # generation bumped
 
     for _ in rt.scan(PhysScan("T", "t", "csv", ("age",), "cold")):
         pass
@@ -384,7 +384,8 @@ def test_prepared_plan_reuse_does_not_leak_decisions(csv_path):
     # the cached entry's decisions are cloned per execution: engine_choice
     # set on one result never accretes into the stored copy
     assert r.decisions.engine_choice.startswith(("jit", "static"))
-    assert db._prepared[SUM_Q][4].engine_choice == ""
+    (slot,) = ctx.prepared(("mcc", SUM_Q)).plans.values()
+    assert slot[2].engine_choice == ""  # (epoch, plan, decisions, ...)
     db.close()
 
 

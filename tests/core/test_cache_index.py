@@ -412,22 +412,24 @@ def test_cheaper_of_two_indexed_conjuncts_wins(wide):
 
 
 def test_plan_text_is_rendered_once_per_plan(wide, monkeypatch):
+    """EXPLAIN text and compile key are rendered once per (re)plan and kept
+    beside the prepared plan, never once per query."""
     from repro.core import physical, session
-    from repro.core.executor import engine
 
     calls = []
-    render = physical.explain_physical
 
-    def counting(node, indent=0):
-        if indent == 0:
-            calls.append(node)
-        return render(node, indent)
+    def counting(render):
+        def wrapper(plan):
+            calls.append(render.__name__)
+            return render(plan)
+        return wrapper
 
-    monkeypatch.setattr(session, "explain_physical", counting)
-    monkeypatch.setattr(engine, "explain_physical", counting)
+    monkeypatch.setattr(session, "explain_physical",
+                        counting(physical.explain_physical))
+    monkeypatch.setattr(session, "plan_shape", counting(physical.plan_shape))
     q = "for { t <- T, t.u = 5 } yield sum t.b"
     results = [wide.query(q) for _ in range(3)]
-    assert len(calls) == 1
+    assert sorted(calls) == ["explain_physical", "plan_shape"]
     assert results[2].stats.plan_cached
     assert results[2].plan_text == results[0].plan_text != ""
 

@@ -5,6 +5,7 @@ import os
 import pytest
 
 from repro.core.catalog import Catalog
+from repro.core.engine import EngineContext
 from repro.errors import CatalogError
 from repro.formats import write_csv
 from repro.mcc import types as T
@@ -56,27 +57,30 @@ def test_explicit_csv_schema(tmp_path):
 
 
 def test_freshness_drops_auxiliaries(tmp_path):
+    # freshness is the engine's (EngineContext.refresh_source): the catalog
+    # only holds the fingerprint it decides by
     path = tmp_path / "f.csv"
     write_csv(path, ["a"], [(1,), (2,)])
-    cat = Catalog()
-    entry = cat.register_csv("F", path)
+    ctx = EngineContext()
+    entry = ctx.catalog.register_csv("F", path)
     list(entry.plugin.scan(["a"]))
     assert entry.plugin.posmap.complete
-    assert cat.check_freshness("F")  # unchanged
+    assert ctx.refresh_source("F")  # unchanged
 
     write_csv(path, ["a"], [(9,), (8,), (7,)])
     os.utime(path, ns=(123, 456))
-    assert not cat.check_freshness("F")
+    assert not ctx.refresh_source("F")
     assert not entry.plugin.posmap.complete  # auxiliary dropped (paper §2.1)
     # fingerprint refreshed: next check is clean
-    assert cat.check_freshness("F")
+    assert ctx.refresh_source("F")
 
 
 def test_memory_entries_have_no_fingerprint():
-    cat = Catalog()
-    cat.register_memory("M", [{"v": 1}])
-    assert cat.check_freshness("M")
-    assert cat.get("M").data == [{"v": 1}]
+    ctx = EngineContext()
+    ctx.catalog.register_memory("M", [{"v": 1}])
+    assert ctx.catalog.get("M").fingerprint is None
+    assert ctx.refresh_source("M")
+    assert ctx.catalog.get("M").data == [{"v": 1}]
 
 
 def test_names_frozen(patients_csv):

@@ -105,15 +105,15 @@ def test_jit_compile_cache(db):
     db.query(q)
     db.query(q)  # same text, same plan shape after cache warm? plans differ
     assert executor.stats.compilations > before
-    # identical plan fingerprints hit the compile cache
-    from repro.core.executor.engine import plan_fingerprint
-    from repro.mcc import normalize, parse as mcc_parse, translate
+    # identical plan shapes hit the compile cache
     from repro.core.optimizer.planner import Planner
+    from repro.core.physical import plan_shape
+    from repro.mcc import normalize, parse as mcc_parse, translate
 
     algebra = translate(normalize(mcc_parse(q)), db.catalog.names())
     plan1, _ = Planner(db.catalog, db.cache).plan(algebra)
     plan2, _ = Planner(db.catalog, db.cache).plan(algebra)
-    assert plan_fingerprint(plan1) == plan_fingerprint(plan2)
+    assert plan_shape(plan1).key == plan_shape(plan2).key
     executor.compile(plan1)
     hits_before = executor.stats.cache_hits
     executor.compile(plan2)
@@ -121,19 +121,25 @@ def test_jit_compile_cache(db):
 
 
 def test_generated_source_is_specialised(db):
-    """Generated code contains the inlined constant, not a generic reader."""
-    r = db.query('for { p <- Patients, p.city = "geneva" } yield count 1')
-    assert "'geneva'" in r.code
-    # the root count fuses into a per-chunk kernel
-    assert "_acc += sum(1 for" in r.code
+    """Generated code is specialised to the plan's shape, not its values:
+    two cities run one compiled function that inlines neither literal."""
+    q = 'for {{ p <- Patients, p.city = "{}" }} yield count 1'
+    for _ in range(3):  # cold scan, then the cache-served shape settles
+        db.query(q.format("zurich"))
+    compilations = db._jit.stats.compilations
+    geneva, lausanne = (db.query(q.format(c)) for c in ("geneva", "lausanne"))
+    assert db._jit.stats.compilations == compilations
+    assert geneva.code == lausanne.code
+    assert "geneva" not in geneva.code and "lausanne" not in geneva.code
+    assert (geneva.value, lausanne.value) == (20, 20)
+    # the root count still fuses into a per-chunk kernel over a local
+    assert "_acc += sum(1 for" in geneva.code
 
 
 def test_moved_estimates_reuse_the_compiled_function(db, patients_csv):
     """A file that grew re-plans its queries with new row and cost
     estimates. Generated code reads neither, so they are not part of the
     compile-cache key: the re-planned query runs the function it had."""
-    from repro.core.executor.engine import plan_fingerprint
-
     q = "for { p <- Patients, p.age > 33 } yield count 1"
     db.query(q)                      # cold: builds posmap, fills the cache
     before = db.query(q)             # the cache-served plan shape
@@ -144,7 +150,6 @@ def test_moved_estimates_reuse_the_compiled_function(db, patients_csv):
     after = db.query(q)
     assert after.value == 2 * before.value
     assert after.plan_text != before.plan_text       # est_rows / est_cost
-    assert plan_fingerprint(None, after.plan_text) \
-        == plan_fingerprint(None, before.plan_text)
+    assert after.code == before.code
     assert db._jit.stats.compilations == compilations
     db.close()

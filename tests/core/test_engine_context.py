@@ -142,7 +142,7 @@ def test_stale_cache_admission_dropped(csv_path):
     rt.touch_generation("T")
 
     _mutate(csv_path)
-    assert ctx.catalog.check_freshness("T") is False  # generation bumped
+    assert ctx.refresh_source("T") is False  # generation bumped
 
     # a populating scan's offer, finished after the mutation
     byproducts = rt._request_byproducts("T", None, populate=("age",))
@@ -164,7 +164,7 @@ def test_stale_posmap_partial_discarded(csv_path):
     byproducts = rt._request_byproducts("T", None, posmap_of=plugin)
 
     _mutate(csv_path)
-    assert ctx.catalog.check_freshness("T") is False
+    assert ctx.refresh_source("T") is False
 
     rt._adopt_byproducts("T", {MORSEL_ALL: byproducts}, [MORSEL_ALL])
     assert ctx.stats.posmap_discards == 1
@@ -173,7 +173,7 @@ def test_stale_posmap_partial_discarded(csv_path):
     db.close()
 
 
-def test_check_freshness_bumps_generation_exactly_once(csv_path):
+def test_refresh_source_bumps_generation_exactly_once(csv_path):
     ctx = EngineContext()
     db = ViDa(context=ctx)
     db.register_csv("T", csv_path)
@@ -187,7 +187,7 @@ def test_check_freshness_bumps_generation_exactly_once(csv_path):
 
     def run(i):
         barrier.wait()
-        results[i] = ctx.catalog.check_freshness("T")
+        results[i] = ctx.refresh_source("T")
 
     threads = [threading.Thread(target=run, args=(i,)) for i in range(n)]
     for t in threads:
@@ -198,7 +198,8 @@ def test_check_freshness_bumps_generation_exactly_once(csv_path):
     # re-checked under the lock and saw the refreshed fingerprint
     assert results.count(False) == 1
     assert entry.generation != gen0
-    assert ctx.catalog.check_freshness("T") is True  # stable afterwards
+    assert ctx.refresh_source("T") is True  # stable afterwards
+    assert ctx.stats.full_invalidations + ctx.stats.delta_refreshes == 1
     db.close()
 
 
@@ -282,6 +283,82 @@ def test_compile_cache_shared_across_tenants(csv_path):
     assert ctx.jit.stats.cache_hits > hits_before
     a.close()
     b.close()
+
+
+# ---------------------------------------------------------------------------
+# engine-owned prepared statements: shared by knobs, both dialects
+# ---------------------------------------------------------------------------
+
+
+def _settle(db, text, run=None):
+    """Query until the plan epoch stops moving (stats, cache, indexes)."""
+    run = run or db.query
+    for _ in range(6):
+        r = run(text)
+        if r.stats.plan_cached:
+            return r
+    raise AssertionError("plan epoch never settled")
+
+
+def test_prepared_plans_are_shared_by_tenants_with_equal_knobs(csv_path):
+    ctx = EngineContext()
+    a, b = ViDa(context=ctx), ViDa(context=ctx)
+    other = ViDa(context=ctx, enable_indexes=False)
+    a.register_csv("T", csv_path)
+    _settle(a, SUM_Q)
+    hits = ctx.stats.prepared_hits
+    r = b.query(SUM_Q)             # b never saw the text: a's plan serves it
+    assert r.stats.plan_cached and r.stats.normalize_ms == 0.0
+    assert ctx.stats.prepared_hits == hits + 1
+    r = other.query(SUM_Q)         # other knobs: never a's plan
+    assert not r.stats.plan_cached and r.stats.normalize_ms == 0.0
+    _settle(other, SUM_Q)
+    assert len(ctx.prepared(("mcc", SUM_Q)).plans) == 2
+    answers = {db.query(SUM_Q).value for db in (a, b, other)}
+    assert answers == {serial_answer(csv_path, SUM_Q)}
+    snap = ctx.stats_snapshot()["prepared"]
+    assert snap["hits"] == ctx.stats.prepared_hits >= hits + 4
+    assert snap["misses"] == ctx.stats.prepared_misses >= 3
+    for db in (a, b, other):
+        db.close()
+
+
+def test_sql_statements_are_prepared_once_per_engine(csv_path):
+    ctx = EngineContext()
+    a, b = ViDa(context=ctx), ViDa(context=ctx)
+    a.register_csv("T", csv_path)
+    sql = "SELECT id, score FROM T WHERE age > 40 LIMIT 3"
+    first = a.sql(sql)
+    assert first.stats.parse_ms > 0 and first.stats.normalize_ms > 0
+    _settle(a, sql, a.sql)
+    r = b.sql(sql)
+    assert r.stats.plan_cached
+    assert r.stats.parse_ms == r.stats.normalize_ms == 0.0
+    assert r.value == first.value and len(r.value) == 3  # LIMIT kept
+    assert ("sql", sql) in ctx._prepared and ("mcc", sql) not in ctx._prepared
+    a.close()
+    b.close()
+
+
+def test_sql_translation_follows_re_registered_schemas(csv_path, tmp_path):
+    """A SQL translation resolves unqualified columns against the schemas:
+    re-registering sources re-translates the statement."""
+    bonus = tmp_path / "u.csv"
+    bonus.write_text("id,bonus\n" + "".join(f"{i},1\n" for i in range(ROWS)))
+    # no data cache: it keys columns by source name, so a re-registered
+    # name would still be served its predecessor's cached columns
+    db = ViDa(enable_cache=False)
+    db.register_csv("T", csv_path)
+    db.register_csv("U", str(bonus))
+    sql = "SELECT SUM(bonus) AS s FROM T t JOIN U u ON t.id = u.id"
+    assert db.sql(sql).value == ROWS            # bonus resolves to u
+    for name in ("T", "U"):
+        db.catalog.deregister(name)
+    db.register_csv("T", str(bonus))
+    db.register_csv("U", csv_path)
+    again = db.sql(sql)                         # ... and now to t
+    assert again.value == ROWS and again.stats.parse_ms > 0
+    db.close()
 
 
 # ---------------------------------------------------------------------------

@@ -17,13 +17,17 @@ specs and never see the parent's wrapper, so the process-backend runs mutate
 from a background thread instead.
 """
 
+import dataclasses
+import json
 import os
+import shutil
 import threading
 import time
 
 import pytest
 
 from repro import ViDa
+from repro.storage import io as storage_io
 
 ROWS = 4000
 
@@ -209,4 +213,145 @@ def test_frozen_mtime_rewrite_detected(csv_path):
     after = db.query("for { t <- T } yield sum t.id").value
     assert after == expected  # stat-only freshness would serve the old sum
     assert db.query(Q, output="records").value == ground_truth(csv_path)
+    db.close()
+
+
+# ---------------------------------------------------------------------------
+# same-size edits past the hashed head and tail: ctime and inode decide
+# ---------------------------------------------------------------------------
+
+MID_ROWS = 40_000
+
+
+def _mid_source(tmp_path, fmt):
+    """A file several times the hashed head + tail regions, its query, and
+    the answer as a function of the file's current bytes."""
+    if fmt == "csv":
+        path = tmp_path / "mid.csv"
+        path.write_text("id,v\n" + "".join(
+            f"{i},{i % 997}\n" for i in range(MID_ROWS)))
+
+        def truth():
+            with open(path) as fh:
+                next(fh)
+                return sum(int(line.split(",")[1]) for line in fh)
+    else:
+        path = tmp_path / "mid.json"
+        path.write_text("".join(
+            json.dumps({"id": i, "v": i % 997}) + "\n"
+            for i in range(MID_ROWS)))
+
+        def truth():
+            with open(path) as fh:
+                return sum(json.loads(line)["v"] for line in fh)
+    return str(path), truth
+
+
+def _edit_middle(data: bytes) -> bytes:
+    """Change the last digit of the record holding the file's midpoint —
+    same size, nowhere near the hashed head and tail regions."""
+    mid = len(data) // 2
+    end = data.index(b"\n", mid)
+    at = end - 1 - (data[end - 1:end] == b"}")
+    digit = data[at:at + 1]
+    assert digit.isdigit()
+    return data[:at] + (b"1" if digit != b"1" else b"2") + data[at + 1:]
+
+
+def _write_in_place_restore_mtime(path):
+    st = os.stat(path)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    with open(path, "r+b") as fh:
+        fh.write(_edit_middle(data))
+    os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns))
+
+
+def _replace_with_same_size_copy(path):
+    with open(path, "rb") as fh:
+        data = fh.read()
+    tmp = path + ".new"
+    with open(tmp, "wb") as fh:
+        fh.write(_edit_middle(data))
+    shutil.copystat(path, tmp)
+    os.replace(tmp, path)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("edit", [_write_in_place_restore_mtime,
+                                  _replace_with_same_size_copy])
+def test_same_size_mid_file_edit_with_restored_mtime(tmp_path, fmt, edit):
+    """Head/tail hashes cannot see the middle of a large file: an edit
+    there, same size, mtime restored, was served stale. ``utime`` moves
+    ctime and a rename-over moves the inode, so stat alone now sees it."""
+    path, truth = _mid_source(tmp_path, fmt)
+    db = ViDa()
+    getattr(db, f"register_{fmt}")("T", path)
+    q = "for { t <- T } yield sum t.v"
+    for _ in range(2):  # cold, then warm: posmap/semi-index, cache, stats
+        assert db.query(q).value == truth()
+    size, mtime = os.stat(path).st_size, os.stat(path).st_mtime_ns
+    edit(path)
+    assert (os.stat(path).st_size, os.stat(path).st_mtime_ns) == (size, mtime)
+    assert db.query(q).value == truth()
+    assert db.engine_context.stats.full_invalidations == 1
+    db.close()
+
+
+# ---------------------------------------------------------------------------
+# the racily-clean rule: bytes are read only while stat cannot tell
+# ---------------------------------------------------------------------------
+
+
+class _Clock:
+    """Wall clock the fingerprint reads, movable forward by the test."""
+
+    def __init__(self):
+        self.offset = 0
+
+    def time_ns(self):
+        return time.time_ns() + self.offset
+
+
+def _fresh_counts(db):
+    snap = db.engine_context.stats_snapshot()
+    return snap["fresh_by_stat"], snap["fresh_by_hash"]
+
+
+def test_racily_clean_file_is_hashed_until_a_check_outside_the_window(
+        csv_path, monkeypatch):
+    clock = _Clock()
+    monkeypatch.setattr(storage_io, "time", clock)
+    db = ViDa()
+    db.register_csv("T", csv_path)   # content verified now, just written
+    q = "for { t <- T } yield sum t.v"
+    db.query(q)
+    assert _fresh_counts(db) == (0, 1)   # inside the window: hashed
+    clock.offset = 10 * storage_io.RACY_WINDOW_NS
+    db.query(q)
+    assert _fresh_counts(db) == (0, 2)   # confirmed outside the window
+    for _ in range(3):
+        db.query(q)
+    assert _fresh_counts(db) == (3, 2)   # from then on stat alone decides
+    db.close()
+
+
+def test_rewrite_stat_cannot_show_is_caught_inside_the_window(csv_path):
+    """A same-size rewrite whose stat tuple equals the recorded one — what
+    a rewrite within the timestamp granularity looks like — is caught by
+    the head/tail hash while the file is racily clean."""
+    db = ViDa()
+    db.register_csv("T", csv_path)
+    q = "for { t <- T } yield sum t.id"
+    db.query(q)
+    entry = db.catalog.get("T")
+    with open(csv_path, "r+b") as fh:
+        fh.seek(len("id,v\n"))
+        fh.write(b"7")                   # row 0's id: 0 -> 7, same size
+    st = os.stat(csv_path)
+    entry.fingerprint = dataclasses.replace(
+        entry.fingerprint, size=st.st_size, mtime_ns=st.st_mtime_ns,
+        ctime_ns=st.st_ctime_ns, ino=st.st_ino)
+    assert db.query(q).value == sum(i for i, _v in old_rows()) + 7
+    assert db.engine_context.stats.full_invalidations == 1
     db.close()

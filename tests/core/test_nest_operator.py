@@ -12,7 +12,13 @@ from repro.core.catalog import Catalog
 from repro.core.codegen.compiler import QueryCompiler
 from repro.core.executor.runtime import QueryRuntime
 from repro.core.executor.static_engine import StaticExecutor
-from repro.core.physical import PhysNest, PhysReduce, PhysScan, explain_physical
+from repro.core.physical import (
+    PhysNest,
+    PhysReduce,
+    PhysScan,
+    explain_physical,
+    plan_shape,
+)
 from repro.mcc import ast as A
 from repro.mcc.monoids import get_monoid
 
@@ -57,7 +63,7 @@ def test_nest_jit(catalog):
     plan = group_plan()
     compiled = QueryCompiler(catalog).compile(plan)
     rt = QueryRuntime(catalog, DataCache())
-    out = compiled(rt)
+    out = compiled(rt, plan_shape(plan))
     expected = reference(catalog)
     assert {r["gender"]: r["avg_age"] for r in out} == pytest.approx(expected)
 
@@ -84,7 +90,7 @@ def test_nest_multi_key_count(catalog):
     )
     plan = PhysReduce(nest, get_monoid("sum"), A.Proj(A.Var("g"), "n"))
     rt = QueryRuntime(catalog, DataCache())
-    total = QueryCompiler(catalog).compile(plan)(rt)
+    total = QueryCompiler(catalog).compile(plan)(rt, plan_shape(plan))
     assert total == 60  # group counts sum back to the row count
 
 

@@ -24,6 +24,7 @@ from repro.core.chunk import split_ranges
 from repro.core.executor import procpool as PP
 from repro.core.executor.scheduler import MorselScheduler, ProcessMorselScheduler
 from repro.core.optimizer import cost as C
+from repro.core.physical import plan_shape
 from repro.errors import DataFormatError, ExecutionError, ViDaError
 from repro.mcc.monoids import get_monoid
 
@@ -131,19 +132,23 @@ def test_one_plan_compiles_to_one_source(wide_dir):
     from repro.core.codegen.compiler import QueryCompiler
 
     with session(wide_dir, 4) as db:
+        plans = []
         for q in ("for { w <- W, g <- G, w.id = g.id, g.snp = 1 } "
                   "yield bag (id := w.id, s := g.snp)",
                   "for { w <- W, w.age > 70 } yield set (a := w.age)"):
             assert db.query(q).decisions.parallel["w"] > 1
-        compiled = list(db._jit._compiled.values())
-        compiled.append(QueryCompiler(db.catalog).compile(
-            _group_plan(4, "process")))
+            (slot,) = db.engine_context.prepared(("mcc", q)).plans.values()
+            plans.append(slot[1])  # (epoch, plan, ...)
+        plans.append(_group_plan(4, "process"))
+        compiled = [QueryCompiler(db.catalog).compile(p) for p in plans]
+        cached = {c.source for c in db._jit._compiled.values()}
         rebuilt = PP.build_catalog(PP.catalog_specs(db.catalog))
     assert len(compiled) == 3
-    for c in compiled:
+    assert cached == {c.source for c in compiled[:2]}
+    for plan, c in zip(plans, compiled):
         assert "_rt.run_parallel(" in c.source
         again = QueryCompiler(rebuilt).compile(pickle.loads(pickle.dumps(
-            c.plan)))
+            plan)))
         assert again.source == c.source
 
 
@@ -342,7 +347,7 @@ def test_group_by_shards_across_morsels(wide_dir, engine, backend):
         rt = QueryRuntime(cat, DataCache(), process_pool=pool)
         plan = _group_plan(parallel, run_backend)
         if engine == "jit":
-            return QueryCompiler(cat).compile(plan)(rt)
+            return QueryCompiler(cat).compile(plan)(rt, plan_shape(plan))
         return StaticExecutor(cat).execute(plan, rt)
 
     try:

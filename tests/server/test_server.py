@@ -108,6 +108,30 @@ def test_sixteen_concurrent_clients_share_warm_state(csv_path):
     assert engine["sessions_opened"] >= 17  # bootstrap + one per connection
 
 
+def test_stats_op_reports_freshness_and_prepared_plans(csv_path):
+    """Every request is a new tenant with the same knobs: after the first
+    sight of each text, the engine's prepared plans serve them all."""
+    sql = "SELECT SUM(score) AS s FROM T WHERE age > 40"
+
+    async def scenario():
+        server = await make_server(csv_path)()
+        host, port = server.address
+        try:
+            for payload in [{"q": SUM_Q}, {"sql": sql}] * 4:
+                assert (await request(host, port, payload))["ok"]
+            return await request(host, port, {"op": "stats"})
+        finally:
+            await server.stop()
+
+    engine = run(scenario())["engine"]
+    prepared = engine["prepared"]
+    assert prepared["entries"] == 2                       # both dialects
+    assert prepared["hits"] + prepared["misses"] == 8
+    assert prepared["hits"] >= 2
+    # one freshness check per query, each decided by stat or by hash
+    assert engine["fresh_by_stat"] + engine["fresh_by_hash"] == 8
+
+
 # ---------------------------------------------------------------------------
 # per-tenant admission control: structured quota errors
 # ---------------------------------------------------------------------------

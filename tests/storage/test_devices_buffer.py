@@ -97,12 +97,12 @@ def test_fingerprint_detects_change(tmp_path):
     p = tmp_path / "f.txt"
     p.write_text("v1")
     fp = FileFingerprint.of(p)
-    assert fp.matches(p)
+    assert fp.check(p) is not None
     import os
     p.write_text("v2!")
     os.utime(p, ns=(1, 1))
-    assert not fp.matches(p)
-    assert not fp.matches(tmp_path / "missing.txt")
+    assert fp.check(p) is None
+    assert fp.check(tmp_path / "missing.txt") is None
 
 
 @pytest.mark.parametrize("size", [0, 10, 70_000, 200_000])
