@@ -1,14 +1,19 @@
 """ViDa's data caches (paper §2.1, §5, §6).
 
 "ViDa also maintains caches of previously accessed data [fields]." In the
-evaluation, ~80% of the HBP workload is served from these caches. Entries
-are keyed by ``(source, fields, layout)``; a columnar entry can serve any
-subset of its fields, so successive queries touching overlapping attribute
-sets hit.
+evaluation, ~80% of the HBP workload is served from these caches. An entry
+belongs to one source registration — it lives in that registration's
+:class:`~repro.core.source_state.SourceState`, keyed by ``(layout,
+fields)`` — and a columnar entry can serve any subset of its fields, so
+successive queries touching overlapping attribute sets hit.
 
-Eviction is LRU under a byte budget; admission and layout demotion are
-delegated to :class:`~repro.caching.policy.AdmissionPolicy`. In-place file
-updates invalidate all entries of the affected source (paper §2.1).
+:class:`DataCache` is the one engine-wide byte budget, admission policy and
+LRU clock over every state's entries. Eviction is LRU under the budget;
+admission and layout demotion are delegated to
+:class:`~repro.caching.policy.AdmissionPolicy`. An in-place file update
+drops a state's entries (:meth:`DataCache.drop`, called by
+``SourceState.drop``), an append grows them (:meth:`extend_source`) — paper
+§2.1 — and a re-registered name starts with none.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from __future__ import annotations
 import itertools
 import json
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .layouts import (
@@ -49,23 +54,24 @@ class CacheStats:
 
 @dataclass
 class CacheEntry:
-    source: str
     cached: CachedData
     last_used: int = 0
     uses: int = 0
 
     @property
     def key(self) -> tuple:
-        return (self.source, self.cached.layout, self.cached.fields)
+        return (self.cached.layout, self.cached.fields)
 
 
 class DataCache:
-    """Byte-budgeted, LRU, multi-layout field cache.
+    """Byte-budgeted, LRU, multi-layout field cache over source states.
 
-    Concurrency-safe for many tenant sessions: every public operation runs
-    under one reentrant mutex (lookup mutates LRU state, admissions merge
-    and evict), so interleaved scans can never observe a half-merged entry.
-    The mutex is a leaf lock — nothing else is acquired while holding it.
+    Every method takes the :class:`~repro.core.source_state.SourceState`
+    whose entries it reads or changes. Concurrency-safe for many tenant
+    sessions: every public operation runs under one reentrant mutex (lookup
+    mutates LRU state, admissions merge and evict), so interleaved scans can
+    never observe a half-merged entry. The mutex is a leaf lock — nothing
+    else is acquired while holding it.
     """
 
     def __init__(
@@ -75,9 +81,10 @@ class DataCache:
     ):
         self.budget_bytes = budget_bytes
         self.policy = policy or DEFAULT_POLICY
-        self._entries: dict[tuple, CacheEntry] = {}
-        #: running ``sum(nbytes)`` over ``_entries``; every mutation of the
-        #: dict goes through :meth:`_insert` / :meth:`_remove`
+        #: the states holding resident entries, in first-admission order
+        self._holders: dict = {}
+        #: running ``sum(nbytes)`` over every resident entry; every mutation
+        #: goes through :meth:`_insert` / :meth:`_remove`
         self._used_bytes = 0
         self._clock = itertools.count()
         self._mutex = threading.RLock()
@@ -89,29 +96,34 @@ class DataCache:
     def used_bytes(self) -> int:
         return self._used_bytes
 
-    def _insert(self, entry: CacheEntry) -> None:
-        self._remove(entry.key)
-        self._entries[entry.key] = entry
+    def _insert(self, state, entry: CacheEntry) -> None:
+        self._remove(state, entry.key)
+        state.cached[entry.key] = entry
+        self._holders[state] = None
         self._used_bytes += entry.cached.nbytes
 
-    def _remove(self, key: tuple) -> None:
-        entry = self._entries.pop(key, None)
+    def _remove(self, state, key: tuple) -> None:
+        entry = state.cached.pop(key, None)
         if entry is not None:
             self._used_bytes -= entry.cached.nbytes
+            if not state.cached:
+                del self._holders[state]
 
-    def entries(self) -> list[CacheEntry]:
+    def entries(self, state=None) -> list[CacheEntry]:
+        """Resident entries of ``state``, or of every state."""
         with self._mutex:
-            return list(self._entries.values())
+            states = self._holders if state is None else (state,)
+            return [e for s in states for e in s.cached.values()]
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return sum(len(s.cached) for s in list(self._holders))
 
     # -- lookup ----------------------------------------------------------------
 
     def lookup(
-        self, source: str, fields: Sequence[str], layouts: Sequence[str] | None = None
+        self, state, fields: Sequence[str], layouts: Sequence[str] | None = None
     ) -> CacheEntry | None:
-        """Find an entry of ``source`` able to serve ``fields``.
+        """Find an entry of ``state`` able to serve ``fields``.
 
         Preference order: exact columnar cover, then whole-element layouts
         (objects > bson > json_text). ``layouts`` restricts candidates.
@@ -119,9 +131,7 @@ class DataCache:
         with self._mutex:
             self.stats.lookups += 1
             ranked: list[tuple[int, CacheEntry]] = []
-            for entry in self._entries.values():
-                if entry.source != source:
-                    continue
+            for entry in state.cached.values():
                 if layouts is not None and entry.cached.layout not in layouts:
                     continue
                 if entry.cached.covers(fields):
@@ -135,16 +145,16 @@ class DataCache:
             self.stats.hits += 1
             return entry
 
-    def peek(self, source: str, fields: Sequence[str], whole: bool = False) -> bool:
-        """Non-counting check: could ``fields`` of ``source`` be cache-served?
+    def peek(self, state, fields: Sequence[str], whole: bool = False) -> bool:
+        """Non-counting check: could ``fields`` of ``state`` be cache-served?
 
         ``whole=True`` asks for full-element service, which only the
         object-ish layouts (objects / bson / json_text) can provide.
         """
         whole_layouts = ("objects", "bson", "json_text")
         with self._mutex:
-            for e in self._entries.values():
-                if e.source != source or e.cached.layout == "positions":
+            for e in state.cached.values():
+                if e.cached.layout == "positions":
                     continue
                 if whole:
                     if e.cached.layout in whole_layouts and not e.cached.fields:
@@ -154,11 +164,11 @@ class DataCache:
                     return True
             return False
 
-    def can_add_columns(self, source: str, fields: Sequence[str],
+    def can_add_columns(self, state, fields: Sequence[str],
                         rows: int, source_width: int) -> bool:
         """Dry run of :meth:`put_columns` for columns no scan has produced
         yet: would ``rows``-long columns for those of ``fields`` that
-        ``source`` does not hold merge into its resident entry, pass the
+        ``state`` does not hold merge into its resident entry, pass the
         policy and evict nothing — and would the entry still pass with all
         ``source_width`` columns of the source merged into it? (Columns of
         one source merge into one entry, and a merged entry the policy
@@ -168,8 +178,8 @@ class DataCache:
         mean of the resident ones it would merge with; with none resident
         there is nothing to price by and the answer is no."""
         with self._mutex:
-            resident = [self._entries[k].cached
-                        for k in self._aligned(source, rows)]
+            resident = [state.cached[k].cached
+                        for k in self._aligned(state, rows)]
             held = {f for c in resident for f in c.fields}
             if not held:
                 return False
@@ -185,7 +195,7 @@ class DataCache:
 
     def put(
         self,
-        source: str,
+        state,
         layout: str,
         fields: Sequence[str],
         rows: Iterable,
@@ -202,12 +212,12 @@ class DataCache:
         cached = materialize(layout, fields, rows)
         with self._mutex:
             if layout == "columns":
-                cached = self._merge_columns(source, cached)
-            return self._admit(source, cached, expected_reuse)
+                cached = self._merge_columns(state, cached)
+            return self._admit(state, cached, expected_reuse)
 
     def put_columns(
         self,
-        source: str,
+        state,
         fields: Sequence[str],
         columns: Sequence[list],
         expected_reuse: int = 1,
@@ -219,78 +229,75 @@ class DataCache:
         """
         cached = materialize_columns(fields, columns)
         with self._mutex:
-            cached = self._merge_columns(source, cached)
-            return self._admit(source, cached, expected_reuse)
+            cached = self._merge_columns(state, cached)
+            return self._admit(state, cached, expected_reuse)
 
-    def _admit(self, source: str, cached: CachedData,
+    def _admit(self, state, cached: CachedData,
                expected_reuse: int) -> CacheEntry | None:
-        with self._mutex:
-            if not self.policy.admit(cached.nbytes, self.budget_bytes,
-                                     expected_reuse):
-                self.stats.rejections += 1
-                return None
-            entry = CacheEntry(source, cached, last_used=next(self._clock))
-            self._insert(entry)
-            self.stats.admissions += 1
-            self._evict_to_budget(protected=entry.key)
-            return self._entries.get(entry.key)
+        if not self.policy.admit(cached.nbytes, self.budget_bytes,
+                                 expected_reuse):
+            self.stats.rejections += 1
+            return None
+        entry = CacheEntry(cached, last_used=next(self._clock))
+        self._insert(state, entry)
+        self.stats.admissions += 1
+        self._evict_to_budget(protected=entry)
+        return state.cached.get(entry.key)
 
-    def _aligned(self, source: str, count: int) -> list[tuple]:
-        """Keys of ``source``'s columnar entries a ``count``-row columnar
+    @staticmethod
+    def _aligned(state, count: int) -> list[tuple]:
+        """Keys of ``state``'s columnar entries a ``count``-row columnar
         admission merges with; any other count is a different row universe
         (e.g. cleaning skipped rows)."""
-        return [key for key, entry in self._entries.items()
-                if entry.source == source
-                and entry.cached.layout == "columns"
+        return [key for key, entry in state.cached.items()
+                if entry.cached.layout == "columns"
                 and entry.cached.count == count]
 
-    def _merge_columns(self, source: str, cached: CachedData) -> CachedData:
-        """Fold existing aligned columnar entries of ``source`` into ``cached``."""
-        victims = self._aligned(source, cached.count)
+    def _merge_columns(self, state, cached: CachedData) -> CachedData:
+        """Fold existing aligned columnar entries of ``state`` into ``cached``."""
+        victims = self._aligned(state, cached.count)
         if not victims:
             return cached
         columns: dict = dict(cached.data)  # type: ignore[arg-type]
         nbytes = cached.nbytes
         for key in victims:
-            resident = self._entries[key].cached
+            resident = state.cached[key].cached
             for f, col in resident.data.items():  # type: ignore[union-attr]
                 if f not in columns:
                     columns[f] = col
             nbytes += resident.nbytes
         for key in victims:
-            self._remove(key)
+            self._remove(state, key)
         fields = tuple(sorted(columns))
         return CachedData("columns", fields, columns, nbytes, cached.count)
 
-    def put_cached(self, source: str, cached: CachedData,
-                   expected_reuse: int = 1) -> CacheEntry | None:
-        """Admit pre-materialised data (used by generated code)."""
-        return self._admit(source, cached, expected_reuse)
-
-    def _evict_to_budget(self, protected: tuple | None = None) -> None:
-        while self._used_bytes > self.budget_bytes and len(self._entries) > 1:
-            victim_key = min(
-                (k for k in self._entries if k != protected),
-                key=lambda k: self._entries[k].last_used,
-                default=None,
+    def _evict_to_budget(self, protected: CacheEntry | None = None) -> None:
+        """Evict least recently used entries, across every state, until the
+        budget holds (``protected``, the entry just admitted, stays)."""
+        while self._used_bytes > self.budget_bytes and len(self) > 1:
+            victim = min(
+                ((e.last_used, state, key)
+                 for state in self._holders
+                 for key, e in state.cached.items() if e is not protected),
+                key=lambda v: v[0], default=None,
             )
-            if victim_key is None:
+            if victim is None:
                 return
-            self._remove(victim_key)
+            self._remove(victim[1], victim[2])
             self.stats.evictions += 1
 
-    # -- delta refresh ---------------------------------------------------------
+    # -- a state's generation moves ----------------------------------------------
 
     def extend_source(
         self,
-        source: str,
+        state,
         base_count: int,
         tail_rows: int,
         tail_columns: dict[str, list],
         tail_objects: list | None = None,
     ) -> int:
-        """Grow ``source``'s aligned entries by an appended tail in place of
-        invalidating them (append-classified refresh).
+        """Grow ``state``'s aligned entries by an appended tail in place of
+        dropping them (``SourceState.extend``).
 
         Columnar entries whose row count equals ``base_count`` and whose
         fields all have tail values are extended by ``tail_rows``; object
@@ -305,10 +312,7 @@ class DataCache:
         """
         extended = 0
         with self._mutex:
-            for key in list(self._entries):
-                entry = self._entries[key]
-                if entry.source != source:
-                    continue
+            for key, entry in list(state.cached.items()):
                 old = entry.cached
                 grown: CachedData | None = None
                 if old.layout == "columns" and old.count == base_count \
@@ -334,31 +338,32 @@ class DataCache:
                                        old.data + tail,
                                        old.nbytes + tail_bytes,
                                        base_count + tail_rows)
-                self._remove(key)
+                self._remove(state, key)
                 if grown is None:
                     self.stats.invalidations += 1
                     continue
-                self._insert(CacheEntry(source, grown,
-                                        last_used=entry.last_used,
-                                        uses=entry.uses))
+                self._insert(state, CacheEntry(grown,
+                                               last_used=entry.last_used,
+                                               uses=entry.uses))
                 extended += 1
             if extended:
                 self._evict_to_budget()
         return extended
 
-    # -- invalidation ---------------------------------------------------------------
-
-    def invalidate_source(self, source: str) -> int:
-        """Drop every entry of ``source`` (in-place update handling)."""
+    def drop(self, state) -> int:
+        """Unlink every entry of ``state`` (``SourceState.drop``). The
+        :class:`CachedData` objects are not touched: generation snapshots
+        pinned before a rewrite keep serving from them."""
         with self._mutex:
-            victims = [k for k, e in self._entries.items()
-                       if e.source == source]
-            for k in victims:
-                self._remove(k)
+            victims = list(state.cached)
+            for key in victims:
+                self._remove(state, key)
             self.stats.invalidations += len(victims)
             return len(victims)
 
     def clear(self) -> None:
         with self._mutex:
-            self._entries.clear()
+            for state in self._holders:
+                state.cached.clear()
+            self._holders.clear()
             self._used_bytes = 0

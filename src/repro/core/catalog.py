@@ -3,13 +3,14 @@
 "ViDa requires an elementary description of each data format. The equivalent
 concept in a DBMS is a catalog containing the schema of each table"
 (paper §3). The catalog owns the plugin instance for each source (which in
-turn owns its auxiliary structures), tracks file fingerprints to detect
-in-place updates, and exposes the type environment the type checker needs.
+turn owns its auxiliary structures) and the
+:class:`~repro.core.source_state.SourceState` holding everything else the
+engine derives from it, tracks file fingerprints to detect in-place
+updates, and exposes the type environment the type checker needs.
 """
 
 from __future__ import annotations
 
-import itertools
 import os
 import threading
 from dataclasses import dataclass, field
@@ -27,35 +28,29 @@ from ..formats import (
 )
 from ..mcc import types as T
 from ..storage.io import FileFingerprint
-from .generations import GenerationHistory
-
-
-#: process-wide generation sequence — re-registering a name never reuses a
-#: generation, so stale registry entries can never match a fresh source
-_GENERATIONS = itertools.count()
-
-
-def next_generation() -> int:
-    """Allocate a fresh generation token (refresh paths outside the
-    catalog — :meth:`EngineContext.refresh_source` — share the sequence)."""
-    return next(_GENERATIONS)
+from .source_state import SourceState
 
 
 @dataclass
 class CatalogEntry:
-    """One registered source: description + live plugin + fingerprint."""
+    """One registered source: description + live plugin + fingerprint, and
+    the :class:`SourceState` holding everything derived from it."""
 
     description: SourceDescription
     plugin: object
     fingerprint: FileFingerprint | None = None
     #: in-memory collections registered directly (no file behind them)
     data: list | None = None
-    #: file-generation token shared by cache/posmap/index invalidation:
-    #: bumps whenever the backing file's fingerprint changes
-    generation: int = field(default_factory=lambda: next(_GENERATIONS))
-    #: bounded history of superseded generations (time travel / AS OF);
-    #: populated by ``EngineContext.refresh_source`` on fingerprint change
-    history: GenerationHistory = field(default_factory=GenerationHistory)
+    state: SourceState = field(init=False)
+
+    def __post_init__(self):
+        self.state = SourceState(self.plugin)
+
+    @property
+    def generation(self) -> int | None:
+        """The live generation token: it moves whenever the backing file's
+        fingerprint changes (``SourceState.drop`` / ``extend``)."""
+        return self.state.generation
 
     @property
     def name(self) -> str:
@@ -80,32 +75,24 @@ class Catalog:
     """Name → :class:`CatalogEntry` registry with update detection.
 
     Safe to share across sessions/threads: registration and name lookups
-    serialise on a registry lock, and each source carries a **per-source
-    lock** (:meth:`source_lock`) that makes generation bumps and
-    auxiliary-structure adoption mutually exclusive — the atomic
-    adopt-or-discard gate every concurrent merge point goes through.
+    serialise on a registry lock, a leaf under each entry's
+    ``state.lock`` (which makes generation moves and by-product adoption
+    mutually exclusive — the atomic adopt-or-discard gate every concurrent
+    merge point goes through).
     """
 
-    def __init__(self):
+    def __init__(self, cache=None):
+        #: the DataCache holding the entries' cache entries (dropped with a
+        #: registration that ends)
+        self.cache = cache
         self._entries: dict[str, CatalogEntry] = {}
         self._lock = threading.Lock()
-        self._source_locks: dict[str, threading.Lock] = {}
         #: bumps on any shape change (register/deregister) or generation
         #: bump — one component of the plan-cache epoch
         self.version = 0
         #: bumps on register/deregister only: what a SQL translation, which
         #: resolves columns against the schemas, was made under
         self.schema_version = 0
-
-    def source_lock(self, name: str) -> threading.Lock:
-        """The lock serialising ``name``'s freshness checks, generation
-        bumps, and posmap/index/cache adoptions. Survives re-registration
-        (keyed by name, not entry), so stale adopters still serialise."""
-        with self._lock:
-            lock = self._source_locks.get(name)
-            if lock is None:
-                lock = self._source_locks[name] = threading.Lock()
-            return lock
 
     # -- registration ---------------------------------------------------------
 
@@ -237,12 +224,20 @@ class Catalog:
         raise CatalogError(f"cannot auto-register format {desc.format!r}")
 
     def deregister(self, name: str) -> None:
-        with self._lock:
-            if name not in self._entries:
-                raise CatalogError(f"unknown source {name!r}")
-            del self._entries[name]
-            self.version += 1
-            self.schema_version += 1
+        """End ``name``'s registration: unpublish it and drop its state, so
+        a scan still running over it adopts nothing and a later registration
+        of the name starts from nothing."""
+        entry = self._entries.get(name)
+        if entry is None:
+            raise CatalogError(f"unknown source {name!r}")
+        with entry.state.lock:
+            with self._lock:
+                if self._entries.get(name) is not entry:
+                    raise CatalogError(f"unknown source {name!r}")
+                del self._entries[name]
+                self.version += 1
+                self.schema_version += 1
+            entry.state.drop(self.cache, end=True)
 
     # -- lookup ---------------------------------------------------------------
 

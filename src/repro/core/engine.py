@@ -4,25 +4,26 @@ The paper's economics — pay the scan cost once, amortise positional maps,
 data caches and value indexes across later queries — only compound when
 that JIT-built state outlives a single session. :class:`EngineContext`
 owns everything that is a property of the *data* rather than of one user:
-the catalog, the shared :class:`~repro.caching.DataCache`, the
-:class:`~repro.indexing.IndexRegistry`, the prepared statements, the JIT
-compile cache, the worker-process pool, and cross-tenant sharing
-statistics. A :class:`~repro.core.session.ViDa` session borrows all of it
-and keeps only per-tenant concerns (language bindings, cleaning policies,
-knobs, quotas).
+the catalog (whose entries each carry a
+:class:`~repro.core.source_state.SourceState` — cache entries, value
+indexes, statistics, history), the shared :class:`~repro.caching.DataCache`
+budget, the prepared statements, the JIT compile cache, the worker-process
+pool, and cross-tenant sharing statistics. A
+:class:`~repro.core.session.ViDa` session borrows all of it and keeps only
+per-tenant concerns (language bindings, cleaning policies, knobs, quotas).
 
 Concurrency contract (ARCHITECTURE.md §Engine vs Session):
 
 - every auxiliary-structure merge point (positional-map adoption, value-
   index adoption, cache admission) is an **atomic adopt-or-discard**
-  operation: it runs under the catalog's per-source lock and compares the
-  source's generation token captured at scan start against the current
-  one — two sessions racing a cold scan of the same file produce exactly
-  one winner and zero torn state, and a scan of a since-mutated file can
-  never poison fresh structures;
-- lock order is always ``catalog source lock → structure-internal lock``
-  (DataCache / IndexRegistry / plugin auxiliary locks are leaves and never
-  taken first), so the context cannot deadlock;
+  operation: it runs under the lock of the source state captured at scan
+  start and compares the generation token captured with it against the
+  state's current one — two sessions racing a cold scan of the same file
+  produce exactly one winner and zero torn state, and a scan of a
+  since-mutated or deregistered source can never poison fresh structures;
+- lock order is always ``state lock → leaf lock`` (the DataCache mutex,
+  the catalog's registry lock and plugin auxiliary locks are leaves and
+  never taken first), so the context cannot deadlock;
 - the worker-process pool is refcounted by attached sessions: the last
   session out shuts it down, a later attach respawns it lazily.
 """
@@ -33,11 +34,10 @@ import threading
 from dataclasses import dataclass, field
 
 from ..caching import AdmissionPolicy, DataCache
-from ..errors import ViDaError
-from ..indexing import IndexRegistry
-from ..stats import CostCalibration, StatsRegistry
+from ..errors import CatalogError, ViDaError
+from ..stats import CostCalibration
 from ..storage.io import FRESH_BY_STAT
-from .catalog import Catalog, next_generation
+from .catalog import Catalog
 from .executor.engine import JITExecutor
 from .executor.static_engine import StaticExecutor
 from .generations import (
@@ -64,7 +64,7 @@ class EngineStats:
     index_discards: int = 0
     #: cache admissions dropped because the source mutated mid-query
     stale_admissions_dropped: int = 0
-    #: table-statistics partials merged into the shared registry
+    #: table-statistics partials merged into a source state
     stats_adoptions: int = 0
     #: table-statistics partials dropped at the generation-token gate
     stats_discards: int = 0
@@ -74,6 +74,9 @@ class EngineStats:
     delta_tail_bytes: int = 0
     #: refreshes that fell back to dropping every auxiliary structure
     full_invalidations: int = 0
+    #: rent tallies that reached their break-even; part of the plan epoch,
+    #: so a prepared index plan re-plans when a buy falls due
+    buys_due: int = 0
     #: freshness checks of an unchanged file that a ``stat`` decided alone
     fresh_by_stat: int = 0
     #: ... that hashed the file's head and tail (it was racily clean)
@@ -152,11 +155,6 @@ class QuotaCacheView:
             return None
         return self._charge(self._cache.put_columns(*args, **kwargs))
 
-    def put_cached(self, *args, **kwargs):
-        if not self._allow():
-            return None
-        return self._charge(self._cache.put_cached(*args, **kwargs))
-
     def can_add_columns(self, *args, **kwargs) -> bool:
         with self._quota_lock:
             if self.admitted_bytes >= self.quota_bytes:
@@ -182,10 +180,8 @@ class EngineContext:
         if retain_generations < 1:
             raise ViDaError("retain_generations must be at least 1")
         self.retain_generations = retain_generations
-        self.catalog = Catalog()
         self.cache = DataCache(cache_budget_bytes, admission_policy)
-        self.indexes = IndexRegistry()
-        self.table_stats = StatsRegistry()
+        self.catalog = Catalog(self.cache)
         self.calibration = CostCalibration()
         self.stats = EngineStats()
         self.jit = JITExecutor(self.catalog)
@@ -302,27 +298,46 @@ class EngineContext:
             "compilations": js.compilations, "hits": js.cache_hits,
             "evictions": js.evictions,
         }
-        engine["table_stats"] = self.table_stats.summary()
+        engine["table_stats"] = self._stats_summary()
         engine["calibration"] = self.calibration.snapshot()
         return engine
+
+    def _stats_summary(self) -> dict:
+        """Per registered source, its table statistics without raw sketch
+        hashes (server /stats)."""
+        out = {}
+        for name in sorted(self.catalog.names()):
+            try:
+                stats = self.catalog.get(name).state.stats
+            except CatalogError:
+                continue  # deregistered meanwhile
+            if stats is not None:
+                out[name] = {
+                    "row_count": stats.row_count,
+                    "columns": {
+                        cname: {"ndv": cs.ndv,
+                                "null_fraction": round(cs.null_fraction, 4)}
+                        for cname, cs in sorted(stats.columns.items())
+                    },
+                }
+        return out
 
     def plan_epoch(self) -> tuple:
         """Fingerprint of every input the planner reads beyond the query
         text. A prepared plan cached under one epoch is replanned the
-        moment any component moves — catalog shape or file generations,
-        table statistics, cost calibration — so a stale plan (built before
-        stats arrived, or before a file mutated) can never be served.
+        moment any component moves — catalog shape or file generations
+        (every statistics drop or extension happens under one), adopted
+        statistics, cost calibration — so a stale plan (built before stats
+        arrived, or before a file mutated) can never be served.
         """
-        with self._stats_lock:
-            aux = (self.stats.posmap_adoptions, self.stats.index_adoptions,
-                   self.stats.stats_adoptions)
         cs = self.cache.stats
-        # buys_due: an index plan prepared while renting was cheaper must be
-        # re-planned once the rent tally says buy, or it rents forever
-        return (self.catalog.version, self.table_stats.version,
-                self.calibration.version,
-                cs.admissions, cs.evictions, cs.invalidations,
-                self.indexes.buys_due) + aux
+        with self._stats_lock:
+            # buys_due: an index plan prepared while renting was cheaper must
+            # be re-planned once the rent tally says buy, or it rents forever
+            aux = (self.stats.buys_due, self.stats.posmap_adoptions,
+                   self.stats.index_adoptions, self.stats.stats_adoptions)
+        return (self.catalog.version, self.calibration.version,
+                cs.admissions, cs.evictions, cs.invalidations) + aux
 
     # -- prepared statements ---------------------------------------------------
 
@@ -370,7 +385,7 @@ class EngineContext:
         unchanged.
 
         On a fingerprint change the superseded generation is snapshotted
-        into the entry's bounded history, then the mutation is classified:
+        into the state's bounded history, then the mutation is classified:
 
         - **append** (old content is a byte-prefix of the new file) with a
           complete posmap / built semi-index → the tail past the last
@@ -385,8 +400,9 @@ class EngineContext:
 
         The check itself is a ``stat`` (:meth:`FileFingerprint.check`); the
         file's bytes are read only while it is racily clean. The refresh
-        runs atomically under the catalog's per-source lock: of N racing
-        observers exactly one refreshes, and the generation bumps once.
+        runs atomically under the source state's lock: of N racing
+        observers exactly one refreshes, and the generation moves once —
+        by one ``drop`` or one ``extend`` of the state.
         """
         entry = self.catalog.get(name)
         path = entry.description.path
@@ -394,11 +410,11 @@ class EngineContext:
             return True
         verdict = entry.fingerprint.check(path)
         if verdict is None:
-            with self.catalog.source_lock(name):
+            with entry.state.lock:
                 # re-check: another thread may have refreshed while we waited
                 verdict = entry.fingerprint.check(path)
                 if verdict is None:
-                    self._refresh_locked(entry, name, path)
+                    self._refresh_locked(entry, path)
                     return False
         if verdict == FRESH_BY_STAT:
             self.count(fresh_by_stat=1)
@@ -406,17 +422,16 @@ class EngineContext:
             self.count(fresh_by_hash=1)
         return True
 
-    def _refresh_locked(self, entry, name: str, path: str) -> None:
+    def _refresh_locked(self, entry, path: str) -> None:
+        state = entry.state
         old_fp = entry.fingerprint
-        old_gen = entry.generation
         new_fp, is_prefix = old_fp.successor(path)
         old_rows = entry.file_rows()
-        entry.history.capacity = self.retain_generations
-        entry.history.add(GenerationSnapshot(
-            generation=old_gen, fingerprint=old_fp,
+        state.history.capacity = self.retain_generations
+        state.history.add(GenerationSnapshot(
+            generation=state.generation, fingerprint=old_fp,
             byte_size=old_fp.size, row_count=old_rows,
         ))
-        new_gen = next_generation()
         appended = (
             is_prefix
             and entry.format in ("csv", "json")
@@ -424,37 +439,28 @@ class EngineContext:
             # *extended* by the append — its old rows are not a row-prefix
             and (entry.format == "json" or old_fp.ends_nl)
         )
-        if not (appended and self._try_extend(entry, name, old_fp, new_fp,
-                                              old_gen, new_gen, old_rows)):
+        if not (appended and self._try_extend(entry, old_fp, new_fp,
+                                              old_rows)):
             if not appended:
-                # rewrite: the old bytes are gone — rescue references to
-                # current cache entries/stats for every live-prefix snapshot
-                # *before* unlinking them from the live registries
-                mine = [e.cached for e in self.cache.entries()
-                        if e.source == name]
+                # rewrite: the old bytes are gone — rescue references to the
+                # state's cache entries and stats for every live-prefix
+                # snapshot *before* the drop unlinks them
+                mine = [e.cached for e in self.cache.entries(state)]
                 total = old_rows
                 if total is None:
                     counts = {c.count for c in mine}
                     if len(counts) == 1:
                         total = counts.pop()
-                entry.history.pin_all(PinnedState(
-                    cached=mine,
-                    stats=self.table_stats.peek(name, old_gen),
-                    total_rows=total,
-                ))
-            if hasattr(entry.plugin, "invalidate_auxiliary"):
-                entry.plugin.invalidate_auxiliary()
-            self.cache.invalidate_source(name)
-            self.indexes.invalidate_source(name)
-            self.table_stats.invalidate_source(name)
+                state.history.pin_all(PinnedState(
+                    cached=mine, stats=state.stats, total_rows=total))
+            state.drop(self.cache)
             self.count(full_invalidations=1)
         entry.fingerprint = new_fp
-        entry.generation = new_gen
         self.catalog.bump_version()
 
-    def _try_extend(self, entry, name: str, old_fp, new_fp,
-                    old_gen: int, new_gen: int, old_rows: int | None) -> bool:
-        """Attempt the O(delta) tail extension; False → caller invalidates.
+    def _try_extend(self, entry, old_fp, new_fp,
+                    old_rows: int | None) -> bool:
+        """Attempt the O(delta) tail extension; False → caller drops.
 
         A failure inside the plugin (dirty tail rows, I/O error) leaves
         the live structures untouched — the plugin only swaps its extended
@@ -464,7 +470,7 @@ class EngineContext:
         if old_rows is None:
             return False
         try:
-            fields = self._tail_fields(name, entry, old_gen, old_rows)
+            fields = self._tail_fields(entry, old_rows)
             if entry.format == "csv":
                 if not plugin.posmap.complete:
                     return False
@@ -481,27 +487,22 @@ class EngineContext:
                     fields, plugin.project_paths(tail_objects, fields)))
         except (ViDaError, ValueError, IndexError, OSError):
             return False
-        self.cache.extend_source(name, old_rows, tail_rows, tail_columns,
-                                 tail_objects)
-        self.indexes.extend_source(name, old_gen, new_gen, old_rows,
-                                   tail_columns)
-        self.table_stats.extend_source(name, old_gen, new_gen, tail_rows,
-                                       tail_columns)
+        entry.state.extend(self.cache, old_rows, tail_rows, tail_columns,
+                           tail_objects)
         self.count(delta_refreshes=1, delta_tail_bytes=tail_bytes)
         return True
 
-    def _tail_fields(self, name: str, entry, old_gen: int,
-                     old_rows: int) -> list[str]:
+    def _tail_fields(self, entry, old_rows: int) -> list[str]:
         """Fields whose auxiliary state must see the appended tail for a
         delta refresh to be lossless: every fully-covering cached column,
         every built index field, every known stats column."""
-        fields: set[str] = set()
-        for e in self.cache.entries():
-            if e.source == name and e.cached.layout == "columns" \
-                    and e.cached.count == old_rows:
+        state = entry.state
+        fields: set[str] = set(state.indexes)
+        for e in self.cache.entries(state):
+            if e.cached.layout == "columns" and e.cached.count == old_rows:
                 fields.update(e.cached.fields)
-        fields.update(self.indexes.fields(name, old_gen))
-        fields.update(self.table_stats.known(name, old_gen)[1])
+        if state.stats is not None:
+            fields.update(state.stats.columns)
         if entry.format == "csv":
             fields &= set(entry.plugin.col_index)
         return sorted(fields)

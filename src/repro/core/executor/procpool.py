@@ -80,7 +80,7 @@ class KernelSpec:
     row_limit: int | None = None
     #: table-statistics marching orders: (source, row count known?, known
     #: column names) per source — children collect only what the parent's
-    #: shared registry is missing, and ship the partials home
+    #: source state is missing, and ship the partials home
     stats_sources: tuple = ()
 
 
@@ -219,8 +219,8 @@ def _child_runtime(catalog, cleaning, row_limit, stats_sources=()):
 def _finish(rt, partial) -> tuple:
     """Package one morsel's result: partial + stat deltas + the morsel's
     by-products (source → ScanByproducts, cache population included), all
-    taken by the parent under its lock. The child runtime has no index
-    registry, so no index partial is ever built or shipped from a worker."""
+    taken by the parent under its lock. The child runtime runs with indexes
+    off, so no index partial is ever built or shipped from a worker."""
     stats = (rt.stats.raw_rows, rt.stats.cleaned_rows,
              rt.stats.skipped_rows, rt.stats.cache_rows)
     byproducts = {src: part for src, by_split in rt._byproducts.items()

@@ -1,7 +1,8 @@
 """Query runtime: the services generated (and interpreted) plans call into.
 
 A fresh :class:`QueryRuntime` is created per query execution. It owns no
-data itself — it mediates access to the catalog's plugins, the session-wide
+data itself — it mediates access to the catalog's plugins and source states
+(cache entries, value indexes, statistics), the session-wide
 :class:`~repro.caching.DataCache`, cleaning policies, and optional simulated
 devices, while accounting execution statistics (raw rows parsed, cache rows
 served, raw bytes touched) that the benchmarks report.
@@ -138,9 +139,9 @@ class QueryRuntime:
         devices: dict | None = None,
         row_limit: int | None = None,
         process_pool=None,
-        indexes=None,
+        indexes: bool = False,
         engine=None,
-        table_stats=None,
+        table_stats: bool = False,
         stats_hint: dict | None = None,
         as_of: dict | None = None,
     ):
@@ -156,9 +157,9 @@ class QueryRuntime:
         #: children and standalone uses) — receives cross-tenant sharing
         #: counters from the adopt-or-discard merge points
         self.engine = engine
-        #: session-wide :class:`~repro.indexing.IndexRegistry`, or ``None``
-        #: when JIT value indexes are disabled (worker-process children run
-        #: without one, so byproduct emission degrades to a no-op there)
+        #: JIT value indexes on: scans probe their source state's indexes and
+        #: emit index partials (worker-process children run with them off,
+        #: so index emission degrades to a no-op there)
         self.indexes = indexes
         self.cleaning = cleaning or {}
         self.devices = devices or {}
@@ -186,10 +187,10 @@ class QueryRuntime:
         # per-morsel by-products of parallel scans awaiting run_parallel's
         # ordered merge (source → {Morsel: ScanByproducts})
         self._byproducts: dict[str, dict] = {}
-        #: shared :class:`~repro.stats.StatsRegistry`, or ``None`` when
-        #: adaptive statistics are off (then ``stats_hint`` may still carry
-        #: a worker child's marching orders: source → (have_rows, known
-        #: fields), so children collect exactly what the parent is missing)
+        #: adaptive statistics on: scans collect what their source state's
+        #: table stats miss (off, ``stats_hint`` may still carry a worker
+        #: child's marching orders: source → (have_rows, known fields), so
+        #: children collect exactly what the parent is missing)
         self.table_stats = table_stats
         self._stats_hint = stats_hint or {}
         # per-source collection state memoised at first touch so every
@@ -199,10 +200,9 @@ class QueryRuntime:
         #: workers overlap, so their per-worker times aren't wall-clock);
         #: the session feeds these into the shared CostCalibration
         self.scan_timings: list[ScanTiming] = []
-        # generation token of each source captured at scan start; adoption
-        # and cache admission compare it against the catalog's current token
-        # under the per-source lock (adopt-or-discard)
-        self._generations: dict[str, int] = {}
+        # source → (catalog entry, generation token) captured at its first
+        # scan: the one name resolution of the query (touch_generation)
+        self._touched: dict[str, tuple] = {}
         # the posmap object observed at scan start, per source — an
         # in-place update swaps the map, so identity doubles as a guard
         self._posmap_expect: dict[str, object] = {}
@@ -217,33 +217,33 @@ class QueryRuntime:
 
     # -- generation-token adoption gates -----------------------------------
 
-    def touch_generation(self, source: str) -> int:
-        """Capture ``source``'s generation token at scan start (memoised
-        per query). Everything this scan produces — posmap partials, index
-        partials, cache columns — may only merge into shared state while
-        the catalog still carries this token."""
-        gen = self._generations.get(source)
-        if gen is None:
-            # setdefault: concurrent morsel workers agree on one token
-            gen = self._generations.setdefault(
-                source, self.catalog.get(source).generation)
-        return gen
+    def touch_generation(self, source: str) -> tuple:
+        """Resolve ``source`` once per query, at its first scan: ``(catalog
+        entry, generation token)``. Every later step — cache reads, index
+        probes, rent, statistics, the by-product gate — uses that entry's
+        state and token, never the name again. What a scan produces merges
+        into the state only while it still carries the token; a source
+        rewritten, deregistered or re-registered meanwhile is a state the
+        token no longer matches."""
+        hit = self._touched.get(source)
+        if hit is None:
+            entry = self.catalog.get(source)
+            # setdefault: concurrent morsel workers agree on one capture
+            hit = self._touched.setdefault(source, (entry, entry.generation))
+        return hit
 
-    def _generation_current(self, source: str) -> bool:
-        """True when the captured token still matches the catalog's (call
-        under the source lock for an atomic adopt-or-discard decision).
+    @staticmethod
+    def _generation_current(entry, token) -> bool:
+        """True when ``token`` is still ``entry``'s live generation (call
+        under its state's lock for an atomic adopt-or-discard decision).
 
         Beyond the token compare, the file's current stat is checked against
         the catalog fingerprint: a mutation that happened *during* the scan
-        has not bumped the generation yet (no refresh ran), but the partials
+        has not moved the generation yet (no refresh ran), but the partials
         were built over a mix of dead and live bytes — discard them."""
-        gen = self._generations.get(source)
-        if gen is None:
-            return True
-        entry = self.catalog.get(source)
-        if gen != entry.generation:
+        if token != entry.state.generation:
             return False
-        fp = getattr(entry, "fingerprint", None)
+        fp = entry.fingerprint
         path = getattr(entry.plugin, "path", None)
         if fp is not None and path is not None:
             try:
@@ -357,7 +357,7 @@ class QueryRuntime:
     def account_raw(self, source: str) -> None:
         """File-level raw accounting for a parallel scan, charged once by
         the coordinator (split scans skip it so workers don't multiply it)."""
-        entry = self.catalog.get(source)
+        entry, _token = self.touch_generation(source)
         with self._lock:
             self.stats.raw_sources.add(source)
             self.stats.raw_bytes += os.path.getsize(entry.plugin.path)
@@ -385,8 +385,7 @@ class QueryRuntime:
                                                   whole)
             count = len(data) if whole else (len(data[0]) if data else 0)
             return split_ranges(count, parts, "rows")
-        self.touch_generation(source)
-        plugin = self.catalog.get(source).plugin
+        plugin = self.touch_generation(source)[0].plugin
         if hasattr(plugin, "posmap"):
             self._posmap_expect[source] = plugin.posmap
         splits = getattr(plugin, "scan_splits", None)
@@ -403,9 +402,9 @@ class QueryRuntime:
         across DoP depends on it)."""
         if source in self._stats_states:
             return self._stats_states[source]
-        if self.table_stats is not None:
-            gen = self.touch_generation(source)
-            state = self.table_stats.known(source, gen)
+        if self.table_stats:
+            entry, token = self.touch_generation(source)
+            state = entry.state.known(token)
         else:
             state = self._stats_hint.get(source)
         self._stats_states[source] = state
@@ -418,8 +417,8 @@ class QueryRuntime:
         behind, or None: a detached positional-map partial for a cold pass
         of CSV plugin ``posmap_of``, a value-index partial over
         ``index_fields`` when indexes are on, a statistics partial over
-        whichever ``stat_fields`` (None = collect none) the shared registry
-        doesn't know yet, and the cache population the plan chose
+        whichever ``stat_fields`` (None = collect none) the source state's
+        statistics don't know yet, and the cache population the plan chose
         (``populate`` fields, or ``("*",)`` for whole elements in
         ``layout``) — in the steady state scans carry none of it, and a
         scan of a pinned generation never does."""
@@ -432,7 +431,7 @@ class QueryRuntime:
             posmap = posmap_of.new_posmap_partial()
             if split is None:
                 self._posmap_expect[source] = posmap_of.posmap
-        if index_fields and self.indexes is not None:
+        if index_fields and self.indexes:
             # byte morsels count rows from 0; adoption shifts them
             index = IndexPartial(index_fields, local_rows=split is not None
                                  and split.kind == "bytes")
@@ -455,45 +454,46 @@ class QueryRuntime:
         (``parts``: Morsel → ScanByproducts) in ``splits`` order and install
         every kind its coverage rule lets through — or none of them.
 
-        One decision under the source lock: the generation token captured at
-        scan start must still be the catalog's and the file's stat must still
-        match it (a scan over since-mutated bytes poisons nothing). The map
-        adopts only into the map object seen at scan start (one winner per
-        concurrent cold race); indexes and statistics merge idempotently;
-        the cache is offered the scan's columns (or elements), and with that
-        offer what index fetches were renting of the source is settled —
-        bought, or refused and left to accrue another scan's worth of rent.
+        One decision under the lock of the source state captured at scan
+        start (:meth:`touch_generation`): the state must still carry the
+        token captured with it and the file's stat must still match (a scan
+        over since-mutated bytes, or of a since-deregistered source, poisons
+        nothing). The map adopts only into the map object seen at scan
+        start (one winner per concurrent cold race); indexes and statistics
+        merge idempotently into the state; the cache is offered the scan's
+        columns (or elements) for the state, and with that offer what index
+        fetches were renting of the source is settled — bought, or refused
+        and left to accrue another scan's worth of rent.
         """
         posmaps, indexes, stats, offer = ScanByproducts.merge(
             parts, splits, untruncated=not self.truncated)
-        if self.indexes is None:
+        if not self.indexes:
             indexes = []
-        if self.table_stats is None:
+        if not self.table_stats:
             stats = None
         if not (posmaps or indexes or stats is not None or offer is not None):
             return
-        entry = self.catalog.get(source)
+        entry, token = self._touched[source]
+        state = entry.state
         mapped = grown = learned = False
-        with self.catalog.source_lock(source):
-            current = self._generation_current(source)
+        with state.lock:
+            current = self._generation_current(entry, token)
             if current:
                 if posmaps:
                     mapped = entry.plugin.adopt_posmap_partials(
                         posmaps, expect=self._posmap_expect.get(source))
                 if indexes:
-                    grown = self.indexes.adopt(source, entry.generation,
-                                               indexes)
+                    grown = state.adopt_indexes(indexes)
                 if stats is not None:
-                    learned = self.table_stats.adopt(
-                        source, entry.generation, stats, True)
+                    learned = state.adopt_stats(stats)
                 if offer is not None:
                     if offer.layout == "columns":
-                        self.cache.put_columns(source, offer.fields,
+                        self.cache.put_columns(state, offer.fields,
                                                offer.data)
                     else:
-                        self.cache.put(source, offer.layout, (), offer.data)
-                    if self.indexes is not None:
-                        self.indexes.settle(source)
+                        self.cache.put(state, offer.layout, (), offer.data)
+                    if self.indexes:
+                        state.rented = 0
         if grown:
             with self._lock:
                 self.stats.index_builds += grown
@@ -510,10 +510,10 @@ class QueryRuntime:
         """Per-source collection state shipped to worker processes: each
         child builds sinks for exactly the fields the parent is missing,
         so parent-side adoption converges instead of double-counting."""
-        if self.table_stats is None:
+        if not self.table_stats:
             return ()
         out = []
-        for source in sorted(self._generations):
+        for source in sorted(self._touched):
             state = self._stats_state(source)
             if state is not None:
                 have_rows, known = state
@@ -590,7 +590,7 @@ class QueryRuntime:
         whose probe cannot be served runs warm). A pinned scan reads the
         generation's morsel of the live file (:meth:`_prefix_morsel`)."""
         source = node.source
-        entry = self.catalog.get(source)
+        entry = self.touch_generation(source)[0]
         plugin = entry.plugin
         fields = self._columns(node)
         device = self.device_for(source)
@@ -741,7 +741,7 @@ class QueryRuntime:
     # -- memory sources -----------------------------------------------------------
 
     def memory(self, source: str):
-        entry = self.catalog.get(source)
+        entry = self.touch_generation(source)[0]
         if entry.data is None:
             raise ExecutionError(f"source {source!r} is not an in-memory collection")
         self.stats.cache_rows += len(entry.data)
@@ -756,10 +756,11 @@ class QueryRuntime:
         with ``fields``; for whole-element service it is an iterable of
         elements.
         """
+        state = self.touch_generation(source)[0].state
         if whole:
-            entry = self.cache.lookup(source, [], layouts=("objects", "bson", "json_text"))
+            entry = self.cache.lookup(state, [], layouts=("objects", "bson", "json_text"))
         else:
-            entry = self.cache.lookup(source, list(fields))
+            entry = self.cache.lookup(state, list(fields))
         if entry is None:
             raise ExecutionError(
                 f"planner chose cache access for {source!r} but no entry covers "
@@ -806,18 +807,17 @@ class QueryRuntime:
         fields, whole = self._columns(node), node.binds_objects()
         lookup = node.index_lookup
         if split is None:
-            if lookup is not None or snap is not None:
-                # before the snapshot: an index peeked at this token then
-                # describes the snapshot's rows or an append's extension of
-                # them, never the rows of a file rewritten in between
-                self.touch_generation(source)
+            # cache_data captures the token before it takes the snapshot:
+            # an index peeked at this token then describes the snapshot's
+            # rows or an append's extension of them, never the rows of a
+            # file rewritten in between
             data, layout = self.cache_data(source, fields, whole)
             length = len(data) if whole else (len(data[0]) if data else 0)
             # index rows and a generation's rows are file rows: use only a
             # snapshot whose position i is file row i (the cache admits
             # full scans of uncleaned sources only; this keeps any other
             # row universe off the probe and prefix paths)
-            aligned = length == self.catalog.get(source).file_rows()
+            aligned = length == self.touch_generation(source)[0].file_rows()
             if snap is not None:
                 n = snap.row_count
                 if not aligned or n > length:
@@ -853,10 +853,10 @@ class QueryRuntime:
         before the candidates: a concurrent adoption files its keys before
         it widens the coverage, so every row of a range seen covered here is
         among the candidates."""
-        if self.indexes is None or lookup is None:
+        if not self.indexes or lookup is None:
             return None
-        idx = self.indexes.peek(source, self.touch_generation(source),
-                                lookup[1])
+        entry, token = self.touch_generation(source)
+        idx = entry.state.index(lookup[1], token)
         if idx is None:
             return None
         holes = idx.uncovered_ranges(total)
@@ -945,7 +945,7 @@ class QueryRuntime:
         ``cache_rows``.
         """
         own = own or split is None
-        path = getattr(self.catalog.get(source).plugin, "path", None)
+        path = getattr(self.touch_generation(source)[0].plugin, "path", None)
         if split is None and path is not None:
             snap = self.as_of.get(source)
             size = os.path.getsize(path) if snap is None else snap.byte_size
@@ -993,7 +993,7 @@ class QueryRuntime:
         """Serve a scan through a JIT value index (``access=index``).
 
         Candidate rows matching ``node.index_lookup`` are resolved through
-        the session registry and fetched positionally (posmap seek for CSV,
+        the source state's index and fetched positionally (posmap seek for CSV,
         semi-index span assembly for JSON); row ranges the index has not
         covered yet are scanned in full — with byproduct emission on, so
         coverage converges toward 100% across queries. Candidate fetches and
@@ -1003,16 +1003,16 @@ class QueryRuntime:
         false positives (hash-equality quirks, multi-conjunct predicates)
         and uncovered-range rows are filtered exactly as a scan would.
 
-        Degrades to the plain warm scan when the registry went stale
-        between planning and execution or the probe type is unservable.
+        Degrades to the plain warm scan when the index went stale (the
+        generation moved) between planning and execution or the probe type
+        is unservable.
         A scan pinned to a live-prefix generation probes its first
         ``row_count`` rows and pays no rent.
         """
         source = node.source
-        entry = self.catalog.get(source)
+        entry, token = self.touch_generation(source)
         fields = self._columns(node)
         whole = node.bind_whole or entry.format == "json"
-        gen = self.touch_generation(source)
         total = entry.file_rows()
         snap = self.as_of.get(source)
         if snap is not None and total is not None:
@@ -1042,8 +1042,8 @@ class QueryRuntime:
         self.stats.raw_rows += served
         # rent: these rows were read from the file because their columns
         # are not cached; the planner buys once the rent has paid for a scan
-        if snap is None:
-            self.indexes.rent(source, gen, served, total)
+        if snap is None and entry.state.rent(token, served, total):
+            self._count_engine(buys_due=1)
 
     def _fetch_rows_chunk(self, entry, rows: list, fields: tuple,
                           whole: bool, device) -> Chunk:
@@ -1092,7 +1092,7 @@ class QueryRuntime:
         """The records of a registered DBMS source that the store index
         finds for the equality (or IN-list) the planner pushed down (paper
         §2.1)."""
-        plugin = self.catalog.get(source).plugin
+        plugin = self.touch_generation(source)[0].plugin
         field_name, values = index_eq[0], index_eq[1]
         # dict.fromkeys dedupes hash-equal probes (1 vs 1.0) so a record
         # never surfaces twice for one IN-list
@@ -1111,7 +1111,7 @@ class QueryRuntime:
         same chunked scan top-level plans use (bound whole): CSV, array and
         xls rows surface as dicts so path navigation works uniformly; JSON
         objects, DBMS records and memory elements pass through."""
-        entry = self.catalog.get(source)
+        entry = self.touch_generation(source)[0]
         if entry.data is not None:
             yield from self.memory(source)
             return

@@ -20,8 +20,8 @@ was classified (``EngineContext.refresh_source``):
 - **pinned** (``live=False``): a non-append mutation destroyed the old
   bytes. At that moment every live-prefix snapshot in the history is
   handed one shared :class:`PinnedState` holding *references* to the
-  cache entries and table stats observed just before the rewrite
-  (``DataCache.invalidate_source`` unlinks entries but never mutates the
+  source state's cache entries and table stats observed just before the
+  rewrite (``SourceState.drop`` unlinks entries but never mutates the
   :class:`~repro.caching.layouts.CachedData` objects, so the references
   stay intact at zero copy cost). A pinned snapshot is servable only for
   fields some pinned entry covers, sliced down to the snapshot's own row
@@ -48,7 +48,7 @@ DEFAULT_RETAIN_GENERATIONS = 4
 
 @dataclass
 class PinnedState:
-    """State rescued from the live registries just before a rewrite.
+    """State rescued from the source state just before a rewrite drops it.
 
     Shared by every live-prefix snapshot that the rewrite froze: each
     serves by slicing an entry down to its own ``row_count``, which is

@@ -179,8 +179,7 @@ class Planner:
         cleaning_sources: frozenset | set | None = None,
         backend: str = "thread",
         cleaning_policies: dict | None = None,
-        indexes=None,
-        stats=None,
+        indexes: bool = False,
         calibration=None,
         adaptive: bool = False,
         as_of: dict | None = None,
@@ -206,18 +205,15 @@ class Planner:
         #: live cleaning-policy objects (for the picklability gate); the
         #: frozenset above remains the sel_push gate
         self.cleaning_policies = cleaning_policies or {}
-        #: session :class:`~repro.indexing.IndexRegistry`, or None when JIT
-        #: value indexes are disabled; drives both access-path selection
-        #: (access=index) and byproduct-emission marking
+        #: JIT value indexes on: each source state's indexes drive
+        #: access-path selection (access=index, cache+index)
         self.indexes = indexes
-        #: shared :class:`~repro.stats.StatsRegistry` (JIT table statistics)
-        self.stats = stats
         #: shared :class:`~repro.stats.CostCalibration` — measured-runtime
         #: calibrated cost constants; None keeps the hand-tuned table
         self.calibration = calibration
-        #: statistics-driven planning on: exact row counts, min/max + NDV
-        #: selectivities, and DP join-order enumeration replace the
-        #: syntax-order greedy heuristics
+        #: statistics-driven planning on: each source state's table stats
+        #: give exact row counts, min/max + NDV selectivities, and DP
+        #: join-order enumeration replaces the syntax-order greedy heuristics
         self.adaptive = adaptive
         #: time travel: source → pinned GenerationSnapshot. A live-prefix
         #: generation of known row count is planned like a live scan of that
@@ -404,8 +400,8 @@ class Planner:
     def _row_estimate(self, entry) -> int:
         """Source row count: exact from JIT table stats when available,
         otherwise the bytes-per-row guess."""
-        if self.adaptive and self.stats is not None:
-            tstats = self.stats.peek(entry.name, entry.generation)
+        if self.adaptive:
+            tstats = entry.state.stats
             if tstats is not None and tstats.row_count is not None:
                 return max(1, tstats.row_count)
         return C.source_row_estimate(entry)
@@ -532,13 +528,13 @@ class Planner:
         if u is None:
             return 1.0
         fallback = max(1.0, u.est_rows)
-        if u.kind != "scan" or self.stats is None:
+        if u.kind != "scan" or not self.adaptive:
             return fallback
         entry = self.catalog.get(u.node.source)
         fname = _proj_field(key_expr, u.var, entry.format)
         if fname is None:
             return fallback
-        tstats = self.stats.peek(entry.name, entry.generation)
+        tstats = entry.state.stats
         cs = tstats.column(fname) if tstats is not None else None
         if cs is None or cs.count == 0:
             return fallback
@@ -644,8 +640,8 @@ class Planner:
 
         rows = C.source_row_estimate(entry)
         tstats = None
-        if self.adaptive and self.stats is not None:
-            tstats = self.stats.peek(entry.name, entry.generation)
+        if self.adaptive:
+            tstats = entry.state.stats
             if tstats is not None and tstats.row_count is not None:
                 # exact cardinality, collected as a byproduct of an earlier
                 # scan — supersedes the bytes-per-row guess
@@ -665,7 +661,7 @@ class Planner:
             u.access = "memory"
         elif fmt == "dbms":
             u.access = "warm"  # loaded store; cost-modelled as const_cost
-        elif use_cache and self._cache_covers(entry.name, u):
+        elif use_cache and self._cache_covers(entry.state, u):
             u.access = "cache"
         elif fmt == "csv":
             posmap_ready = entry.plugin.posmap.complete and self.enable_posmap
@@ -730,12 +726,12 @@ class Planner:
         of = "" if total is None else f" of {total}"
         return f"live prefix, {snap.row_count}{of} rows; {path}"
 
-    def _cache_covers(self, source: str, u: _Unit) -> bool:
+    def _cache_covers(self, state, u: _Unit) -> bool:
         if u.whole:
-            return self.cache.peek(source, [], whole=True)
+            return self.cache.peek(state, [], whole=True)
         if not u.fields:
             return False
-        return self.cache.peek(source, list(u.fields))
+        return self.cache.peek(state, list(u.fields))
 
     def _choose_population(self, u: _Unit, entry) -> None:
         fmt = entry.format
@@ -977,7 +973,7 @@ class Planner:
         cached = u.access == "cache"
         if not cached:
             u.index_emit = tuple(dict.fromkeys(f for f, _s in matches))
-        if self.indexes is None or u.access == "cold":
+        if not self.indexes or u.access == "cold":
             # positional fetch needs a complete posmap/semi-index; cold
             # scans only emit byproducts this round
             return
@@ -995,7 +991,7 @@ class Planner:
 
         costed: list[tuple[float, str, str, tuple]] = []
         for fname, spec in matches:
-            idx = self.indexes.peek(entry.name, entry.generation, fname)
+            idx = entry.state.indexes.get(fname)
             if idx is None:
                 continue  # no index yet: emission will build one, no note
             coverage = idx.coverage(rows)
@@ -1061,12 +1057,12 @@ class Planner:
         the populating warm scan it would have been, and later queries are
         cache-served."""
         if not u.populate or u.populate_layout != "columns" \
-                or self.indexes.rented(entry.name, entry.generation) < rows:
+                or entry.state.rented < rows:
             return False
         if self._sel_push(u, entry, A.make_conjunction(u.pushed)):
             return False  # the pushdown would drop the population again
         width = len(getattr(entry.description.element_type, "fields", ()))
-        return self.cache.can_add_columns(entry.name, u.populate, rows,
+        return self.cache.can_add_columns(entry.state, u.populate, rows,
                                           max(width, len(u.populate)))
 
     def _build_tree(self, ordered, unit_by_var, equi, residual, decisions,

@@ -248,10 +248,6 @@ class ViDa:
             else self._engine.cache
 
     @property
-    def indexes(self):
-        return self._engine.indexes
-
-    @property
     def _jit(self):
         return self._engine.jit
 
@@ -390,9 +386,10 @@ class ViDa:
         ``source`` plus every retained historical generation (oldest
         first) with its classification state."""
         entry = self.catalog.get(source)
+        history = entry.state.history
         retained = []
-        for gen in entry.history.generations():
-            snap = entry.history.get(gen)
+        for gen in history.generations():
+            snap = history.get(gen)
             if snap is None:
                 continue
             retained.append({
@@ -468,27 +465,26 @@ class ViDa:
                 entry = self.catalog.get(src)
                 if gen == entry.generation:
                     continue
-                snap = entry.history.acquire(gen)
+                history = entry.state.history
+                snap = history.acquire(gen)
                 if snap is None:
                     retained = ", ".join(
-                        str(g) for g in entry.history.generations()) or "none"
+                        str(g) for g in history.generations()) or "none"
                     raise GenerationError(
                         f"source {src!r} has no retained generation {gen} "
                         f"(live: {entry.generation}; retained: {retained})"
                     )
                 pins[src] = snap
-                acquired.append((entry.history, snap))
+                acquired.append((history, snap))
         try:
             row_limit = limit if isinstance(limit, int) and limit >= 0 else None
             runtime = QueryRuntime(self.catalog, self.cache if self.enable_cache
                                    else DataCache(0), self.cleaning, self.devices,
                                    row_limit=row_limit,
                                    process_pool=self._worker_pool(),
-                                   indexes=self.indexes if self.enable_indexes
-                                   else None,
+                                   indexes=self.enable_indexes,
                                    engine=self._engine,
-                                   table_stats=self._engine.table_stats
-                                   if self.adaptive_stats else None,
+                                   table_stats=self.adaptive_stats,
                                    as_of=pins)
 
             if not isinstance(norm, A.Comprehension):
@@ -580,9 +576,7 @@ class ViDa:
                        cleaning_sources=frozenset(self.cleaning),
                        backend=self.backend,
                        cleaning_policies=self.cleaning,
-                       indexes=self.indexes if self.enable_indexes else None,
-                       stats=self._engine.table_stats
-                       if self.adaptive_stats else None,
+                       indexes=self.enable_indexes,
                        calibration=self._engine.calibration
                        if self.adaptive_stats else None,
                        adaptive=self.adaptive_stats)

@@ -8,11 +8,11 @@ holds a converted column in its hands, the values are recorded into a
 :class:`ValueIndex` — a hash index for equality probes plus lazily sorted
 runs for range probes — over exactly the row ranges the scan touched.
 Indexes grow incrementally across queries, merge across morsel workers
-like posmap partials, and are invalidated with the posmap when the
-underlying file changes.
+like posmap partials, and live in their source's
+:class:`~repro.core.source_state.SourceState`: dropped with the posmap when
+the underlying file is rewritten, extended with it when it is appended to.
 """
 
 from .value_index import ValueIndex, IndexPartial
-from .registry import IndexRegistry
 
-__all__ = ["ValueIndex", "IndexPartial", "IndexRegistry"]
+__all__ = ["ValueIndex", "IndexPartial"]

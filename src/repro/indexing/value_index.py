@@ -269,7 +269,7 @@ class IndexPartial:
     Rides in a scan's :class:`~repro.core.byproducts.ScanByproducts` next
     to the posmap and statistics partials: the plugin records converted
     column values batch by batch; the coordinator merges partials in morsel
-    order via :meth:`IndexRegistry.adopt`. ``local_rows`` marks partials whose
+    order via :meth:`SourceState.adopt_indexes`. ``local_rows`` marks partials whose
     row numbers are morsel-local (cold byte-range morsels start counting
     at 0); adoption shifts them by the preceding morsels' ``rows_seen``.
     """

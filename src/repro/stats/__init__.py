@@ -1,8 +1,9 @@
 """JIT statistics & cost calibration: table stats collected as scan
-byproducts, merged adopt-or-discard, feeding the adaptive optimizer."""
+byproducts, merged adopt-or-discard into their source's
+:class:`~repro.core.source_state.SourceState`, feeding the adaptive
+optimizer."""
 
 from .calibration import DEFAULT_UNIT_MS, CostCalibration, ScanTiming
-from .registry import StatsRegistry
 from .table_stats import (
     SKETCH_K,
     ColumnSketch,
@@ -19,6 +20,5 @@ __all__ = [
     "CostCalibration",
     "ScanTiming",
     "StatsPartial",
-    "StatsRegistry",
     "TableStats",
 ]

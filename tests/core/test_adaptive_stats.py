@@ -22,7 +22,7 @@ from repro.core.executor.runtime import QueryRuntime
 from repro.core.physical import PhysScan
 from repro.core.optimizer import cost as C
 from repro.core.optimizer import enumerator as E
-from repro.stats import ColumnSketch, CostCalibration, ScanTiming, StatsPartial
+from repro.stats import ColumnSketch, CostCalibration, ScanTiming
 
 ROWS = 20000
 SUM_Q = "for { t <- T, t.age > 40 } yield sum t.score"
@@ -61,12 +61,20 @@ def join_dir(tmp_path):
 # ---------------------------------------------------------------------------
 
 
+def table_stats(ctx) -> dict:
+    """Every registered source's statistics, in comparable form."""
+    states = {name: ctx.catalog.get(name).state for name in ctx.catalog.names()}
+    return {name: state.stats.snapshot()
+            for name, state in sorted(states.items())
+            if state.stats is not None}
+
+
 def collect_snapshot(csv_path, parallelism, backend):
     ctx = EngineContext()
     db = ViDa(context=ctx, parallelism=parallelism, backend=backend)
     db.register_csv("T", csv_path)
     r = db.query(SUM_Q)
-    snap = ctx.table_stats.snapshot()
+    snap = table_stats(ctx)
     db.close()
     ctx.close()
     return r.value, snap, r.decisions
@@ -120,7 +128,7 @@ def test_concurrent_sessions_adopt_stats_once(csv_path):
     assert len(set(results)) == 1
     # adopt-or-skip: whoever lost the race changed nothing, so the stored
     # stats match a serial run bit for bit
-    assert ctx.table_stats.snapshot() == collect_snapshot(csv_path, 1, "thread")[1]
+    assert table_stats(ctx) == collect_snapshot(csv_path, 1, "thread")[1]
     for s in sessions:
         s.close()
 
@@ -138,7 +146,7 @@ def test_stale_stats_partial_discarded(csv_path, tmp_path):
     db = ViDa(context=ctx)
     db.register_csv("T", str(path))
     rt = QueryRuntime(ctx.catalog, DataCache(0), engine=ctx,
-                      table_stats=ctx.table_stats)
+                      table_stats=True)
     rt.touch_generation("T")  # scan-start capture, pre-mutation
 
     with open(path, "a") as fh:
@@ -149,25 +157,9 @@ def test_stale_stats_partial_discarded(csv_path, tmp_path):
         pass
     assert ctx.stats.stats_discards >= 1
     assert ctx.stats.stats_adoptions == 0
-    gen = ctx.catalog.get("T").generation
-    assert ctx.table_stats.peek("T", gen) is None  # nothing stale surfaced
+    # nothing stale surfaced
+    assert ctx.catalog.get("T").state.stats is None
     db.close()
-
-
-def test_registry_evicts_on_generation_mismatch():
-    from repro.stats import StatsRegistry
-
-    reg = StatsRegistry()
-    part = StatsPartial(("a",))
-    part.advance(0, 100)
-    part.record(0, {"a": list(range(100))})
-    assert reg.adopt("S", 1, part, complete=True)
-    assert reg.peek("S", 1).row_count == 100
-    assert reg.peek("S", 2) is None          # new generation: evicted
-    assert reg.peek("S", 1) is None          # and gone for good
-    v = reg.version
-    assert not reg.adopt("S", 3, StatsPartial(()), complete=False)
-    assert reg.version == v  # empty partial changed nothing
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +215,7 @@ def test_adaptive_off_is_the_syntax_baseline(join_dir):
     db.query(join_query())
     r = db.query(join_query())
     assert r.decisions.join_cards == []          # no cardinality estimates
-    assert db.engine_context.table_stats.snapshot() == {}  # no collection
+    assert table_stats(db.engine_context) == {}  # no collection
     assert db.engine_context.calibration.version == 0      # no learning
     db.close()
 

@@ -104,15 +104,14 @@ def shared_state(db) -> dict:
     else:
         state["semi_index"] = None if not plugin.has_semi_index() else [
             (s.start, s.end) for s in plugin.semi_index.spans]
-    stats = ctx.table_stats.peek("T", gen)
-    state["stats"] = stats.snapshot() if stats else None
+    held = entry.state
+    state["stats"] = held.stats.snapshot() if held.stats else None
     state["index"] = {
         f: (sorted(ix.entries.items(), key=repr), list(ix.covered))
-        for f in ctx.indexes.fields("T", gen)
-        if (ix := ctx.indexes.peek("T", gen, f)) is not None}
-    state["rent"] = (ctx.indexes.rented("T", gen), ctx.indexes.buys_due)
+        for f, ix in held.indexes.items()}
+    state["rent"] = (held.rented, ctx.stats.buys_due)
     state["cache"] = sorted(
-        ((e.source, e.cached.layout, e.cached.fields, e.cached.nbytes,
+        ((e.cached.layout, e.cached.fields, e.cached.nbytes,
           e.cached.count, e.cached.data) for e in db.cache.entries()),
         key=repr)
     return state
@@ -128,7 +127,7 @@ def test_as_of_equals_the_live_answer_on_every_path(tmp_path, fmt,
         for gen, answers in history.items():
             if gen == live:
                 continue
-            snap = db.catalog.get("T").history.get(gen)
+            snap = db.catalog.get("T").state.history.get(gen)
             for q, want in answers.items():
                 for engine in ("jit", "static"):
                     before = shared_state(db)
@@ -186,7 +185,7 @@ def test_rewrite_serves_pinned_state_or_refuses(tmp_path, fmt, path_name):
         ask(db, COUNT)
         served = 0
         for gen, answers in history.items():
-            if db.catalog.get("T").history.get(gen) is None:
+            if db.catalog.get("T").state.history.get(gen) is None:
                 continue
             for q, want in answers.items():
                 try:

@@ -406,8 +406,9 @@ def test_cold_scan_answers_equal_warm_scan_answers(tmp_path):
         assert plugins[1].has_semi_index() and not plugins[0].has_semi_index()
         for q in queries:
             assert cold.query(q).value == warm.query(q).value
-        assert cold.engine_context.table_stats.snapshot() == \
-            warm.engine_context.table_stats.snapshot()
+        cold_stats, warm_stats = (db.catalog.get("D").state.stats
+                                  for db in (cold, warm))
+        assert cold_stats.snapshot() == warm_stats.snapshot()
         assert plugins[0].semi_index.spans == plugins[1].semi_index.spans
     finally:
         cold.close()

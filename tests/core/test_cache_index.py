@@ -12,7 +12,8 @@
   bucket;
 - rent or buy: the tally crossing the file's row count buys exactly once,
   prepared plans re-plan, a cache without room never buys or evicts, a
-  rewrite resets the tally and an append carries it.
+  rewrite resets the tally and an append carries it (the tally's own
+  contract is a ``SourceState`` one, ``test_source_state.py``).
 """
 
 import json
@@ -27,7 +28,7 @@ from repro import ViDa
 from repro.cleaning import SkipPolicy
 from repro.core.optimizer import cost as C
 from repro.core.optimizer.planner import _intersect_ranges
-from repro.indexing import IndexPartial, IndexRegistry, ValueIndex
+from repro.indexing import IndexPartial, ValueIndex
 
 ROWS = 240
 
@@ -177,9 +178,16 @@ def test_probe_with_partial_coverage(tmp_path_factory, holes, seed):
     try:
         _warm(db)
         _warm(plain)
-        # rebuild T.k's index over everything but the holes
-        gen = db.catalog.get("T").generation
-        db.indexes.invalidate_source("T")
+        # rebuild T.k's index over everything but the holes: drop all T
+        # holds, re-warm its map and cache through a tenant that builds no
+        # index, adopt the partial
+        state = db.catalog.get("T").state
+        with state.lock:
+            state.drop(db.engine_context.cache)
+        rewarm = ViDa(context=db.engine_context, enable_indexes=False)
+        _warm(rewarm)
+        rewarm.close()
+        assert not state.indexes
         part = IndexPartial(("k",))
         pos = 0
         column = [k for _i, k, _v in rows]
@@ -187,7 +195,8 @@ def test_probe_with_partial_coverage(tmp_path_factory, holes, seed):
             if lo > pos:
                 part.record(pos, {"k": column[pos:lo]})
             pos = max(pos, hi)
-        db.indexes.adopt("T", gen, [part])
+        with state.lock:
+            state.adopt_indexes([part])
         for pred in PREDICATES[:9]:
             q = _query(pred)
             want = plain.query(q).value
@@ -271,7 +280,7 @@ def test_split_falls_back_to_the_full_view(tmp_path):
     db = _open(path, "csv")
     try:
         _warm(db)
-        rt = QueryRuntime(db.catalog, db.cache, indexes=db.indexes)
+        rt = QueryRuntime(db.catalog, db.cache, indexes=True)
 
         def scan(lookup):
             return PhysScan("T", "t", "csv", ("k",), "cache",
@@ -314,7 +323,7 @@ def test_columns_a_skipping_tenant_compacted_are_never_probed(tmp_path):
         both = "for { t <- T } yield bag (id := t.id, age := t.age)"
         assert len(skipping.query(both).value) == rows - 1
         assert [e.cached.count for e in ctx.cache.entries()] == [rows]
-        assert not ctx.cache.peek("T", ["age"])
+        assert not ctx.cache.peek(ctx.catalog.get("T").state, ["age"])
         q = "for { t <- T, t.id = 3000 } yield bag t.id"
         want = unindexed.query(q)
         assert "access=cache," in want.plan_text
@@ -465,49 +474,24 @@ def _open_rented(path, **session) -> ViDa:
     return db
 
 
-def test_registry_tally_lives_and_dies_with_the_generation():
-    reg = IndexRegistry()
-    part = IndexPartial(("x",))
-    part.record(0, {"x": [1, 2]})
-    reg.adopt("S", 5, [part])
-    reg.rent("S", 5, 3, 10)
-    assert (reg.rented("S", 5), reg.buys_due) == (3, 0)
-    reg.rent("S", 5, 7, 10)
-    reg.rent("S", 5, 7, 10)
-    assert (reg.rented("S", 5), reg.buys_due) == (17, 1)   # due once
-    # a query that began before a refresh holds an older token: it misses,
-    # and evicts nothing
-    assert reg.peek("S", 4, "x") is None and reg.rented("S", 4) == 0
-    assert reg.peek("S", 5, "x") is not None
-    # an append re-keys indexes and tally together; settling starts afresh
-    reg.extend_source("S", 5, 6, 2, {"x": [3]})
-    assert reg.rented("S", 6) == 17
-    reg.settle("S")
-    assert reg.rented("S", 6) == 0
-    # a newer token finds the entry stale and drops it, tally and all
-    reg.rent("S", 6, 4, 10)
-    assert reg.peek("S", 7, "x") is None and reg.rented("S", 6) == 0
-
-
 def test_rent_then_buy_exactly_once(rented):
     path, _lines = rented
     db = _open_rented(path)
     try:
-        registry = db.indexes
-        gen = db.catalog.get("T").generation
+        state, counts = db.catalog.get("T").state, db.engine_context.stats
         first = db.query(_fk_query(9000))
         assert "access=index[a]" in first.plan_text
         assert "populate" not in first.plan_text
         rent = first.stats.index_rows_served
-        assert registry.rented("T", gen) == rent > 0
+        assert state.rented == rent > 0
         assert db.query(_fk_query(9000)).stats.plan_cached
 
         lo = 8999
-        while registry.rented("T", gen) < 400:
-            assert registry.buys_due == 0
+        while state.rented < 400:
+            assert counts.buys_due == 0
             assert "access=index[a]" in db.query(_fk_query(lo)).plan_text
             lo -= 1
-        assert registry.buys_due == 1
+        assert counts.buys_due == 1
 
         # the prepared index plan re-plans into the one populating scan
         buy = db.query(_fk_query(9000))
@@ -515,7 +499,7 @@ def test_rent_then_buy_exactly_once(rented):
         assert "access=warm" in buy.plan_text
         assert "populate=[a, fk]" in buy.plan_text
         assert buy.stats.raw_bytes > 0
-        assert registry.rented("T", gen) == 0
+        assert state.rented == 0
 
         # ... and every later query is cache-served
         for lo in (9000, 8500, 9900):
@@ -523,7 +507,7 @@ def test_rent_then_buy_exactly_once(rented):
             assert "access=cache" in later.plan_text
             assert later.stats.raw_bytes == 0 and later.stats.cache_only
             assert later.value == buy.value or lo != 9000
-        assert registry.buys_due == 1
+        assert counts.buys_due == 1
     finally:
         db.close()
 
@@ -539,7 +523,7 @@ def test_a_cache_without_room_never_buys_and_never_evicts(rented):
         resident = {e.key for e in db.cache.entries()}
         assert resident
         results = _rent(db, range(9000, 8900, -1))
-        assert db.indexes.rented("T", db.catalog.get("T").generation) > 400
+        assert db.catalog.get("T").state.rented > 400
         assert all("access=index[a]" in r.plan_text for r in results)
         assert db.cache.stats.evictions == 0
         assert {e.key for e in db.cache.entries()} == resident
@@ -552,21 +536,20 @@ def test_rewrite_resets_the_tally_and_append_carries_it(rented):
     db = _open_rented(path)
     try:
         _rent(db, (9000, 8990))
-        gen = db.catalog.get("T").generation
-        tally = db.indexes.rented("T", gen)
+        state = db.catalog.get("T").state
+        gen, tally = state.generation, state.rented
         assert tally > 0
 
         with open(path, "a") as fh:
             fh.write("".join(lines[-4:]))
         db.query(_fk_query(9000))
-        new_gen = db.catalog.get("T").generation
-        assert new_gen != gen
-        assert db.indexes.rented("T", new_gen) > tally
+        assert state.generation != gen
+        assert state.rented > tally
 
         with open(path, "w") as fh:
             fh.write("id,a,fk,b\n" + "".join(reversed(lines)))
         db.query("for { t <- T, t.a >= 9000 } yield sum t.b")
-        assert db.indexes.rented("T", db.catalog.get("T").generation) == 0
+        assert state.rented == 0
     finally:
         db.close()
 

@@ -20,6 +20,7 @@ from repro.core.optimizer.cost import (
     MIN_BATCH_SIZE,
     choose_batch_size,
 )
+from repro.core.source_state import SourceState
 from repro.formats import write_csv
 
 
@@ -181,14 +182,14 @@ def test_array_and_xls_chunked_scans_agree(tmp_path):
 
 
 def test_put_columns_equivalent_to_put(tmp_path):
-    row_cache = DataCache()
-    col_cache = DataCache()
+    row_cache, row_state = DataCache(), SourceState()
+    col_cache, col_state = DataCache(), SourceState()
     fields = ("a", "b")
     cols = ([1, 2, 3], ["x", "y", None])
-    row_cache.put("S", "columns", fields, list(zip(*cols)))
-    col_cache.put_columns("S", fields, cols)
-    re = row_cache.lookup("S", ["a", "b"])
-    ce = col_cache.lookup("S", ["a", "b"])
+    row_cache.put(row_state, "columns", fields, list(zip(*cols)))
+    col_cache.put_columns(col_state, fields, cols)
+    re = row_cache.lookup(row_state, ["a", "b"])
+    ce = col_cache.lookup(col_state, ["a", "b"])
     assert re is not None and ce is not None
     assert list(re.cached.iter_rows(fields)) == list(ce.cached.iter_rows(fields))
     assert re.cached.count == ce.cached.count == 3
@@ -196,10 +197,10 @@ def test_put_columns_equivalent_to_put(tmp_path):
 
 
 def test_put_columns_merges_with_existing_entries():
-    cache = DataCache()
-    cache.put_columns("S", ("a",), ([1, 2],))
-    cache.put_columns("S", ("b",), ([10, 20],))
-    entry = cache.lookup("S", ["a", "b"])
+    cache, state = DataCache(), SourceState()
+    cache.put_columns(state, ("a",), ([1, 2],))
+    cache.put_columns(state, ("b",), ([10, 20],))
+    entry = cache.lookup(state, ["a", "b"])
     assert entry is not None, "aligned columnar entries must merge"
     assert list(entry.cached.iter_rows(("a", "b"))) == [(1, 10), (2, 20)]
 
@@ -208,7 +209,7 @@ def test_put_columns_rejects_ragged():
     from repro.errors import ViDaError
 
     with pytest.raises(ViDaError):
-        DataCache().put_columns("S", ("a", "b"), ([1], [1, 2]))
+        DataCache().put_columns(SourceState(), ("a", "b"), ([1], [1, 2]))
 
 
 def test_chunked_scan_populates_cache_like_row_path(tmp_path):
@@ -216,7 +217,7 @@ def test_chunked_scan_populates_cache_like_row_path(tmp_path):
     q = "for { t <- T, t.age > 30 } yield avg t.score"
     first = db.query(q)
     assert not first.stats.cache_only
-    entry = db.cache.lookup("T", ["age", "score"])
+    entry = db.cache.lookup(db.catalog.get("T").state, ["age", "score"])
     assert entry is not None
     assert entry.cached.count == len(rows)  # populate sees *all* rows
     assert entry.cached.data["age"] == [r[1] for r in rows]
@@ -226,7 +227,7 @@ def test_chunked_scan_populates_cache_like_row_path(tmp_path):
     # the static engine admits the same columns through its chunk protocol
     db2, _ = _csv_db(tmp_path, 3 * BATCH + 1, batch_size=BATCH + 1)
     db2.query(q, engine="static")
-    e2 = db2.cache.lookup("T", ["age", "score"])
+    e2 = db2.cache.lookup(db2.catalog.get("T").state, ["age", "score"])
     assert e2 is not None
     assert e2.cached.data["age"] == entry.cached.data["age"]
 
@@ -239,7 +240,7 @@ def test_cache_hit_served_as_zero_copy_chunk(tmp_path):
 
     rt = QueryRuntime(db.catalog, db.cache)
     (chunk,) = rt.scan(PhysScan("T", "t", "csv", ("age",), "cache"))
-    entry = db.cache.lookup("T", ["age"])
+    entry = db.cache.lookup(db.catalog.get("T").state, ["age"])
     assert chunk.columns[0] is entry.cached.data["age"]  # zero copy
 
 

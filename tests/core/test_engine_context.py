@@ -6,6 +6,7 @@ adopt-or-discard against the generation token; session close is idempotent
 and refcounted; the JIT compile cache is shared but keyed per codegen mode.
 """
 
+import os
 import threading
 
 import pytest
@@ -149,7 +150,7 @@ def test_stale_cache_admission_dropped(csv_path):
     byproducts.cache.data[0].extend([1, 2, 3])
     rt._adopt_byproducts("T", {MORSEL_ALL: byproducts}, [MORSEL_ALL])
     assert ctx.stats.stale_admissions_dropped == 1
-    assert not ctx.cache.peek("T", ["age"])
+    assert not ctx.cache.peek(ctx.catalog.get("T").state, ["age"])
     db.close()
 
 
@@ -342,12 +343,11 @@ def test_sql_statements_are_prepared_once_per_engine(csv_path):
 
 def test_sql_translation_follows_re_registered_schemas(csv_path, tmp_path):
     """A SQL translation resolves unqualified columns against the schemas:
-    re-registering sources re-translates the statement."""
+    re-registering sources re-translates the statement, and each re-registered
+    name reads its own file, never its predecessor's cached columns."""
     bonus = tmp_path / "u.csv"
     bonus.write_text("id,bonus\n" + "".join(f"{i},1\n" for i in range(ROWS)))
-    # no data cache: it keys columns by source name, so a re-registered
-    # name would still be served its predecessor's cached columns
-    db = ViDa(enable_cache=False)
+    db = ViDa()
     db.register_csv("T", csv_path)
     db.register_csv("U", str(bonus))
     sql = "SELECT SUM(bonus) AS s FROM T t JOIN U u ON t.id = u.id"
@@ -358,6 +358,8 @@ def test_sql_translation_follows_re_registered_schemas(csv_path, tmp_path):
     db.register_csv("U", csv_path)
     again = db.sql(sql)                         # ... and now to t
     assert again.value == ROWS and again.stats.parse_ms > 0
+    assert again.stats.raw_bytes == \
+        os.path.getsize(csv_path) + os.path.getsize(bonus)
     db.close()
 
 

@@ -255,7 +255,7 @@ def test_four_threads_share_one_compiled_function(files):
         def run(i):
             barrier.wait()
             for _ in range(40):
-                rt = QueryRuntime(db.catalog, db.cache, indexes=db.indexes,
+                rt = QueryRuntime(db.catalog, db.cache, indexes=True,
                                   engine=db.engine_context)
                 results[i].append(compiled(rt, shapes[i]))
 

@@ -82,7 +82,7 @@ def test_unnest_planned_after_parent(catalog):
 
 def test_cache_access_chosen_when_covered(catalog):
     cache = DataCache()
-    cache.put("Patients", "columns", ("age", "id"),
+    cache.put(catalog.get("Patients").state, "columns", ("age", "id"),
               [(30 + i, i) for i in range(60)])
     plan, decisions = plan_for(catalog, cache,
                                "for { p <- Patients, p.age > 40 } yield count 1")

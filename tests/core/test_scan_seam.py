@@ -10,7 +10,7 @@ Contracts under test:
   partial and exactly one adopts;
 - what a finished scan leaves behind (positional map, value indexes, table
   statistics, cache population) goes through one adopt-or-discard decision
-  — one source lock, one ``stat`` — and is the same at serial, thread DoP 2
+  — one state lock, one ``stat`` — and is the same at serial, thread DoP 2
   and process DoP 2 on both engines (worker processes build no index
   partial, by design); a file mutated mid-scan discards every kind, and a
   LIMIT that cut a parallel scan short admits nothing;
@@ -192,7 +192,6 @@ JSON_Q = "for { b <- B, b.vol > 5 } yield count 1"
 
 def byproduct_state(db) -> dict:
     """Everything the two cold queries left behind, in comparable form."""
-    ctx = db.engine_context
     pm = db.catalog.get("W").plugin.posmap
     state = {
         "posmap": (pm.complete, pm.row_offsets,
@@ -200,18 +199,17 @@ def byproduct_state(db) -> dict:
         "semi_index": [(s.start, s.end) for s in
                        db.catalog.get("B").plugin.semi_index.spans],
     }
+    state["cache"] = []
     for name in ("W", "B"):
-        gen = db.catalog.get(name).generation
-        stats = ctx.table_stats.peek(name, gen)
-        state[name + ".stats"] = stats.snapshot() if stats else None
-        fields = {f: ctx.indexes.peek(name, gen, f)
-                  for f in ctx.indexes.fields(name, gen)}
+        held = db.catalog.get(name).state
+        state[name + ".stats"] = held.stats.snapshot() if held.stats else None
         state[name + ".index"] = {
             f: (sorted(ix.entries.items(), key=repr), ix.covered)
-            for f, ix in fields.items()}
-    state["cache"] = sorted(
-        (e.source, e.cached.layout, e.cached.fields, e.cached.nbytes,
-         e.cached.count, e.cached.data) for e in db.cache.entries())
+            for f, ix in held.indexes.items()}
+        state["cache"] += [
+            (name, e.cached.layout, e.cached.fields, e.cached.nbytes,
+             e.cached.count, e.cached.data) for e in db.cache.entries(held)]
+    state["cache"].sort()
     return state
 
 
@@ -248,7 +246,7 @@ def test_byproducts_identical_across_dop_and_backend(wide_dir):
         wide_dir, parallelism=2, backend="process")
     assert p_backends == [{"w": "process"}, {"b": "process"}]
     assert p_answers == pytest.approx(answers)
-    # a worker process has no index registry: it builds and ships no index
+    # a worker process runs with indexes off: it builds and ships no index
     # partial (that would double the transport), everything else is equal
     assert process.pop("W.index") == {} and process.pop("B.index") == {}
     assert process == {k: v for k, v in serial.items()
@@ -307,17 +305,24 @@ def test_mid_scan_mutation_discards_every_kind_in_one_decision(tmp_path,
     write(2)
     db = ViDa(batch_size=256)
     db.register_csv("T", path)
-    plugin = db.catalog.get("T").plugin
+    entry = db.catalog.get("T")
+    plugin, held = entry.plugin, entry.state
     batches = plugin.iter_line_batches
-    # from the mutation on, count what the end of the scan takes: source
-    # locks and file stats
+    # from the mutation on, count what the end of the scan takes: the source
+    # state's lock and file stats
     taken = {"locks": 0, "stats": 0}
-    source_lock = db.catalog.source_lock
     stat_matches = FileFingerprint.stat_matches
 
-    def counting_lock(name):
-        taken["locks"] += name == "T"
-        return source_lock(name)
+    class CountingLock:
+        def __init__(self, lock):
+            self.lock = lock
+
+        def __enter__(self):
+            taken["locks"] += 1
+            return self.lock.__enter__()
+
+        def __exit__(self, *exc):
+            return self.lock.__exit__(*exc)
 
     def counting_stat(fp, path):
         taken["stats"] += 1
@@ -328,7 +333,7 @@ def test_mid_scan_mutation_discards_every_kind_in_one_decision(tmp_path,
             yield item
             if n == 2:
                 write(7)  # same shape, other values and size: a new file
-                monkeypatch.setattr(db.catalog, "source_lock", counting_lock)
+                monkeypatch.setattr(held, "lock", CountingLock(held.lock))
                 monkeypatch.setattr(FileFingerprint, "stat_matches",
                                     counting_stat)
 
@@ -349,8 +354,7 @@ def test_mid_scan_mutation_discards_every_kind_in_one_decision(tmp_path,
     assert ctx.stats.stale_admissions_dropped == 1
     assert db.cache.entries() == []
     assert not db.catalog.get("T").plugin.posmap.complete
-    assert "T" not in ctx.indexes._sources
-    assert ctx.table_stats.peek("T", db.catalog.get("T").generation) is None
+    assert not held.indexes and held.stats is None
 
     # the next query sees the new file and rebuilds all three
     assert db.query(q).value == 4000
@@ -405,9 +409,8 @@ def every_format(tmp_path):
 
 
 def iterate(db, source):
-    rt = QueryRuntime(db.catalog, db.cache, db.cleaning,
-                      indexes=db.indexes, engine=db.engine_context,
-                      table_stats=db.engine_context.table_stats)
+    rt = QueryRuntime(db.catalog, db.cache, db.cleaning, indexes=True,
+                      engine=db.engine_context, table_stats=True)
     return list(rt.iter_source(source)), rt.stats
 
 

@@ -120,7 +120,7 @@ def test_output_shapes(db):
 
 def test_in_place_update_invalidates(db, patients_csv):
     db.query("for { p <- Patients } yield sum p.age")
-    assert db.cache.peek("Patients", ["age"])
+    assert db.cache.peek(db.catalog.get("Patients").state, ["age"])
     # rewrite the file in place with different content
     write_csv(patients_csv, ["id", "age", "gender", "city", "protein"],
               [(0, 99, "m", "geneva", 1.0)])

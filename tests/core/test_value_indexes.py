@@ -14,9 +14,10 @@ Covers the full lifecycle the subsystem promises:
   uncovered holes in row order, and hole scans re-emit so coverage
   converges;
 - invalidation: in-place mutation and append drop the index with the
-  positional map (per-source generation token);
-- morsel merge: byte-split partials carry morsel-local rows and merge
-  deterministically in morsel order.
+  positional map (per-source generation token).
+
+The morsel-order merge of byte-split partials is a ``SourceState`` contract
+(``test_source_state.py``).
 """
 
 import os
@@ -30,7 +31,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.session import ViDa
-from repro.indexing import IndexPartial, IndexRegistry, ValueIndex
+from repro.indexing import IndexPartial, ValueIndex
 
 ENGINES = ["jit", "static"]
 
@@ -209,22 +210,6 @@ def test_value_index_coverage_merging():
     assert idx.lookup(("eq", "x", 2)) == [1, 5]
 
 
-def test_registry_generation_and_morsel_merge():
-    reg = IndexRegistry()
-    # byte-morsel partials: local rows, merged in morsel order
-    p1 = IndexPartial(("x",), local_rows=True)
-    p1.record(0, {"x": [10, 11]})
-    p2 = IndexPartial(("x",), local_rows=True)
-    p2.record(0, {"x": [12, 10]})
-    assert reg.adopt("S", 1, [p1, p2]) == 1
-    idx = reg.peek("S", 1, "x")
-    assert idx.lookup(("eq", "x", 10)) == [0, 3]
-    assert idx.coverage(4) == 1.0
-    # a new generation invalidates everything under the old one
-    assert reg.peek("S", 2, "x") is None
-    assert reg.peek("S", 1, "x") is None
-
-
 # ---------------------------------------------------------------------------
 # end-to-end: build on first scan, serve on repeats, differentials
 # ---------------------------------------------------------------------------
@@ -384,10 +369,8 @@ def test_thread_sharded_build_matches_serial(data_dir):
     db = _session(data_dir, indexed=True, dop=4)
     r1 = db.query(POINT_Q)
     assert r1.stats.index_builds >= 1
-    gen = db.catalog.get("Patients").generation
-    sgen = serial.catalog.get("Patients").generation
-    sharded = db.indexes.peek("Patients", gen, "age")
-    built = serial.indexes.peek("Patients", sgen, "age")
+    sharded = db.catalog.get("Patients").state.indexes.get("age")
+    built = serial.catalog.get("Patients").state.indexes.get("age")
     assert sharded is not None and built is not None
     assert sharded.entries == built.entries
     assert sharded.covered == built.covered
@@ -411,6 +394,19 @@ def test_repeat_queries_do_not_rebuild(data_dir):
 # ---------------------------------------------------------------------------
 
 
+def _replace_indexes(db, source, partial):
+    """Make ``partial`` the only index ``source`` holds: drop everything its
+    registration derived, re-map the file with a scan that emits no index
+    (no predicate), then adopt the partial."""
+    state = db.catalog.get(source).state
+    with state.lock:
+        state.drop(db.engine_context.cache)
+    db.query(f"for {{ p <- {source} }} yield count 1")
+    assert not state.indexes
+    with state.lock:
+        state.adopt_indexes([partial])
+
+
 def test_partial_coverage_recheck_and_convergence(data_dir):
     db = _session(data_dir)
     full = db.query(POINT_Q).value
@@ -424,20 +420,18 @@ def test_partial_coverage_recheck_and_convergence(data_dir):
             ages.append(int(line.split(",")[1]))
 
     # replace the organically-built index with a half-coverage one
-    db.indexes.invalidate_source("Patients")
     part = IndexPartial(("age",))
     part.record(0, {"age": ages[: total // 2]})
-    db.indexes.adopt("Patients", entry.generation, [part])
-    assert db.indexes.peek("Patients", entry.generation,
-                           "age").coverage(total) == 0.5
+    _replace_indexes(db, "Patients", part)
+    state = entry.state
+    assert state.indexes["age"].coverage(total) == 0.5
 
     r = db.query(POINT_Q)
     assert r.value == full  # candidates + hole scan, bit-identical
     assert r.stats.index_hits == 1
     assert r.stats.raw_rows > r.stats.index_rows_served  # holes were scanned
     # the hole scan re-emitted: coverage converged to 1.0
-    assert db.indexes.peek("Patients", entry.generation,
-                           "age").coverage(total) == 1.0
+    assert state.indexes["age"].coverage(total) == 1.0
     r2 = db.query(POINT_Q)
     assert r2.value == full
     assert r2.stats.raw_rows == r2.stats.index_rows_served  # no holes left
@@ -446,11 +440,9 @@ def test_partial_coverage_recheck_and_convergence(data_dir):
 def test_low_coverage_rejected_with_note(data_dir):
     db = _session(data_dir)
     db.query(POINT_Q)
-    entry = db.catalog.get("Patients")
-    db.indexes.invalidate_source("Patients")
     tiny = IndexPartial(("age",))
     tiny.record(0, {"age": [33] * 10})
-    db.indexes.adopt("Patients", entry.generation, [tiny])
+    _replace_indexes(db, "Patients", tiny)
     r = db.query(POINT_Q)
     assert r.stats.index_hits == 0
     assert any("rejected (coverage" in n for n in r.decisions.notes)
