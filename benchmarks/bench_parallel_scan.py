@@ -1,11 +1,11 @@
-"""Morsel-driven parallel scans — thread vs process backends on cold raw data.
+"""Morsel-driven parallel scans — serial vs worker processes on cold raw data.
 
 The chunk pipeline made the columnar batch the unit of data movement; the
 morsel scheduler makes a range of batches the unit of scale-out. This
 benchmark drives the wide-CSV (Genetics, ~1000 SNP columns) and JSON
-(BrainRegions) cold scans serially, on thread morsels, and on the
-process-pool backend (picklable kernel specs, one worker interpreter per
-core), asserting every configuration returns the same answer.
+(BrainRegions) cold scans serially and on the process-pool backend
+(picklable kernel specs, one worker interpreter per core) at DoP 2 and 4,
+asserting every configuration returns the same answer.
 
 The speedup assertion is **not** self-gated on the interpreter: worker
 processes sidestep the GIL, so stock CPython must show real wall-clock
@@ -48,7 +48,7 @@ QUERIES = [
 ]
 
 
-def _cold_seconds(datasets, query, dop, backend="thread", repeats=3):
+def _cold_seconds(datasets, query, dop, repeats=3):
     """Average cold-scan time: a fresh session per run (no positional map,
     no semi-index, no cache) so raw-parse work dominates, as in Table 2.
     Process sessions prestart their worker pool before the clock starts —
@@ -56,11 +56,10 @@ def _cold_seconds(datasets, query, dop, backend="thread", repeats=3):
     values = []
     elapsed = 0.0
     for _ in range(repeats):
-        db = ViDa(parallelism=dop, backend=backend, enable_cache=False)
+        db = ViDa(parallelism=dop, backend="process", enable_cache=False)
         db.register_csv("Genetics", datasets.genetics_csv)
         db.register_json("BrainRegions", datasets.brain_json)
-        if backend == "process" and dop > 1:
-            db.prestart()
+        db.prestart()
         t0 = time.perf_counter()
         values.append(db.query(query).value)
         elapsed += time.perf_counter() - t0
@@ -75,7 +74,7 @@ def test_parallel_scan_speedup(benchmark, hbp):
     probe = ViDa(parallelism=4, backend="process", enable_cache=False)
     probe.register_csv("Genetics", datasets.genetics_csv)
     probe.register_json("BrainRegions", datasets.brain_json)
-    assert "parallel=4/process" in probe.explain(QUERIES[0][1]), \
+    assert "parallel=4" in probe.explain(QUERIES[0][1]), \
         "cold wide-CSV scan did not choose the process backend"
     probe.close()
 
@@ -83,30 +82,28 @@ def test_parallel_scan_speedup(benchmark, hbp):
         out = []
         for name, query in QUERIES:
             serial, v1 = _cold_seconds(datasets, query, 1)
-            thread4, vt = _cold_seconds(datasets, query, 4)
-            proc2, v2 = _cold_seconds(datasets, query, 2, backend="process")
-            proc4, v4 = _cold_seconds(datasets, query, 4, backend="process")
-            for v in (vt, v2, v4):
+            proc2, v2 = _cold_seconds(datasets, query, 2)
+            proc4, v4 = _cold_seconds(datasets, query, 4)
+            for v in (v2, v4):
                 if isinstance(v, float):
                     assert math.isclose(v, v1, rel_tol=1e-9)
                 else:
                     assert v == v1
-            out.append((name, serial, thread4, proc2, proc4))
+            out.append((name, serial, proc2, proc4))
         return out
 
     results = benchmark.pedantic(run, rounds=1, iterations=1)
 
     rows = []
     speedups = []
-    for name, serial, thread4, proc2, proc4 in results:
+    for name, serial, proc2, proc4 in results:
         speedups.append(serial / proc4)
-        rows.append([name, f"{serial * 1e3:.1f}", f"{thread4 * 1e3:.1f}",
-                     f"{proc2 * 1e3:.1f}", f"{proc4 * 1e3:.1f}",
-                     f"{serial / proc4:.2f}x"])
+        rows.append([name, f"{serial * 1e3:.1f}", f"{proc2 * 1e3:.1f}",
+                     f"{proc4 * 1e3:.1f}", f"{serial / proc4:.2f}x"])
     cores = _cores()
     lines = table(
-        ["query", "serial (ms)", "thread@4 (ms)", "proc@2 (ms)",
-         "proc@4 (ms)", "proc speedup@4"],
+        ["query", "serial (ms)", "proc@2 (ms)", "proc@4 (ms)",
+         "proc speedup@4"],
         rows,
     )
     lines.append("")
@@ -118,7 +115,7 @@ def test_parallel_scan_speedup(benchmark, hbp):
         lines.append(f"only {cores} core(s) available: a DoP-4 run cannot "
                      "physically beat serial here; timings are "
                      "informational and correctness is enforced only")
-    emit("Morsel-driven parallel scans — thread vs process backends (cold)",
+    emit("Morsel-driven parallel scans — serial vs worker processes (cold)",
          lines)
 
     if cores >= 4:

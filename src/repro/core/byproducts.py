@@ -69,10 +69,7 @@ class ScanByproducts:
     def advance(self, start: int, nrows: int) -> None:
         """Rows ``[start, start + nrows)`` passed through the scan. Called
         exactly once per batch whether or not it records: the statistics
-        partial *counts* rows, the index partial keeps a row cursor that
-        byte-morsel partials are shifted by at adoption."""
-        if self.index is not None:
-            self.index.advance(start, nrows)
+        partial *counts* rows."""
         if self.stats is not None:
             self.stats.advance(start, nrows)
 
@@ -95,9 +92,8 @@ class ScanByproducts:
 
         =========  ========================================================
         posmap     every split present (offsets must tile the file)
-        index      byte morsels all-or-nothing (local rows shift by every
-                   predecessor's exact row count); row/span morsels carry
-                   global rows, so whatever completed adopts on its own
+        index      whatever completed adopts on its own (index partials
+                   carry file rows)
         stats      every split present and no LIMIT cut the query short
                    (a row count and min/max/NDV claim the whole table)
         cache      the same as stats: a partial column must never pose as
@@ -110,9 +106,6 @@ class ScanByproducts:
         if not full or len(posmaps) != len(have):
             posmaps = []
         indexes = [p.index for p in have if p.index is not None]
-        if any(s.kind == "bytes" for s in splits) and not (
-                full and len(indexes) == len(have)):
-            indexes = []
         complete = full and untruncated
         stats = cache = None
         if complete and all(p.stats is not None for p in have):

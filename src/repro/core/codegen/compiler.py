@@ -182,9 +182,8 @@ def _row_iter(ctx: _ChunkCtx) -> tuple[str, str, bool]:
 # accumulator, a hash table, or per-key groups. The parameters travel in
 # ``_shared`` too, so a worker process reads the values of the plan being
 # run, whichever plan of the shape it compiled. The coordinator makes one
-# ``_rt.run_parallel`` call, which splits, fans out (threads or worker
-# processes alike), merges the partials in morsel order and finishes the
-# scan.
+# ``_rt.run_parallel`` call, which splits, fans out to worker processes,
+# merges the partials in morsel order and finishes the scan.
 
 
 def _fold_init(name: str) -> list[str]:

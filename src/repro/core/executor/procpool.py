@@ -1,11 +1,18 @@
 """Process-pool morsel backend: picklable kernel specs and worker processes.
 
-Thread morsels close over live objects — plugins, caches, compiled
-functions — none of which can cross a process boundary. This module defines
-the *kernel spec* that makes a parallel scan shippable: the query's pickled
-physical plan, the engine and the name of the morsel worker, and a
-self-contained description of every source, from which a child process
-rebuilds the catalog and the worker itself.
+Every parallel scan runs its morsels in worker processes (or inline, in
+morsel order, when there is one morsel or no pool). A morsel worker closes
+over live objects — plugins, caches, compiled functions — none of which can
+cross a process boundary, so this module defines the *kernel spec* that
+makes a parallel scan shippable: the query's pickled physical plan, the
+engine and the name of the morsel worker, and a self-contained description
+of every source, from which a child process rebuilds the catalog and the
+worker itself.
+
+Workers start by ``spawn``, which re-imports the main module: a script that
+opens a session with ``parallelism > 1`` must guard its entry point with
+``if __name__ == "__main__":``, or each worker re-runs the script and dies
+(:func:`worker_died` names the guard in the error that follows).
 
 The contract, mirrored by ARCHITECTURE.md:
 
@@ -17,7 +24,7 @@ The contract, mirrored by ARCHITECTURE.md:
   by-product object per scanned source (positional-map, statistics and
   cache-population partials; never an index partial); they never touch the
   parent's cache. All cache admission and by-product adoption happens in
-  the parent, in morsel order, through the same gate the thread path uses.
+  the parent, in morsel order, through the same gate serial scans use.
 - Results travel as plain pickles.
 """
 
@@ -28,6 +35,7 @@ import pickle
 import threading
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
 #: formats whose sources can be described by a SourceSpec and rebuilt in a
@@ -156,12 +164,19 @@ def kernel_spec(rt, worker, shared: dict) -> KernelSpec:
     """Spec for one process-backed parallel scan of runtime ``rt``: its
     query's plan and engine (``rt.program``), the morsel worker's name, and
     the read-only state the coordinator built for it (hash tables, NL inner
-    rows), keyed by names that survive pickling."""
+    rows), keyed by names that survive pickling. Only the cleaning policies
+    of sources the plan touches ship: the planner checked that those pickle,
+    and the session may clean others with policies that do not."""
+    from ..physical import plan_sources
+
     engine, plan = rt.program
+    touched = plan_sources(plan, rt.catalog.names())
+    cleaning = {name: policy for name, policy in rt.cleaning.items()
+                if name in touched}
     return KernelSpec(
         plan=pickle.dumps(plan), engine=engine, worker=worker.__name__,
         sources=catalog_specs(rt.catalog), shared=pickle.dumps(shared),
-        cleaning=pickle.dumps(rt.cleaning), row_limit=rt.row_limit,
+        cleaning=pickle.dumps(cleaning), row_limit=rt.row_limit,
         stats_sources=rt._stats_spec(),
     )
 
@@ -223,9 +238,7 @@ def _finish(rt, partial) -> tuple:
     off, so no index partial is ever built or shipped from a worker."""
     stats = (rt.stats.raw_rows, rt.stats.cleaned_rows,
              rt.stats.skipped_rows, rt.stats.cache_rows)
-    byproducts = {src: part for src, by_split in rt._byproducts.items()
-                  for part in by_split.values()}
-    return (partial, stats, byproducts)
+    return (partial, stats, dict(rt._byproducts))
 
 
 def run_morsel(spec_bytes: bytes, morsel) -> tuple:
@@ -242,6 +255,15 @@ def run_morsel(spec_bytes: bytes, morsel) -> tuple:
 
 def _noop(_i: int) -> int:
     return _i
+
+
+def worker_died(where: str) -> str:
+    """The message of the :class:`~repro.errors.ExecutionError` raised when
+    a worker process died ``where`` — it names the likeliest cause."""
+    return (f"a worker process died {where}; the worker pool was reset. "
+            "Workers start by spawn, which re-imports the main module: a "
+            "script that opens a session with parallelism > 1 must guard "
+            "its entry point with `if __name__ == \"__main__\":`")
 
 
 class WorkerPool:
@@ -281,9 +303,18 @@ class WorkerPool:
 
     def prestart(self) -> None:
         """Spawn and warm every worker up front (benchmarks call this so
-        interpreter start-up never lands inside a timed region)."""
+        interpreter start-up never lands inside a timed region). A worker
+        dying resets the pool and raises
+        :class:`~repro.errors.ExecutionError`, as a query's scan does."""
+        from ...errors import ExecutionError
+
         ex = self.executor()
-        list(ex.map(_noop, range(self.max_workers * 2)))
+        try:
+            list(ex.map(_noop, range(self.max_workers * 2)))
+        except BrokenProcessPool as exc:
+            self.shutdown(permanent=False)
+            raise ExecutionError(worker_died("while the pool started")) \
+                from exc
 
     def shutdown(self, permanent: bool = True) -> None:
         """Reap the worker processes. Idempotent; ``permanent`` (the

@@ -14,7 +14,6 @@ import bisect
 import functools
 import os
 import pickle
-import threading
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from operator import itemgetter
@@ -27,9 +26,9 @@ from ...indexing import IndexPartial
 from ...mcc.monoids import get_monoid
 from ...stats import ScanTiming, StatsPartial
 from ..byproducts import CachePartial, ScanByproducts
-from ..chunk import MORSEL_ALL, Chunk, Morsel, split_ranges
+from ..chunk import MORSEL_ALL, Chunk, Morsel
 from ..physical import PhysScan
-from .scheduler import MorselScheduler, ProcessMorselScheduler
+from .scheduler import ProcessMorselScheduler
 
 
 @dataclass
@@ -65,24 +64,21 @@ class _CountingPolicy:
     The batch path hands the policy to the plugin's chunked scan, so the
     accounting wraps the policy rather than living in a runtime callback:
     ``counts`` is the scan's own tally, flushed into the query's stats when
-    the scan ends. ``lock`` serialises repairs — morsel workers and
-    sub-query scans share the underlying (possibly stateful) policy object.
+    the scan ends.
     """
 
-    def __init__(self, policy, counts: "ExecStats", lock):
+    def __init__(self, policy, counts: "ExecStats"):
         self._policy = policy
-        self._lock = lock
         self.counts = counts
         self.validate_always = bool(getattr(policy, "validate_always", False))
 
     def repair(self, plugin, row: int, cells: list, cols: list):
-        with self._lock:
-            repaired = self._policy.repair(plugin, row, cells, list(cols))
-            if repaired is None:
-                self.counts.skipped_rows += 1
-            else:
-                self.counts.cleaned_rows += 1
-            return repaired
+        repaired = self._policy.repair(plugin, row, cells, list(cols))
+        if repaired is None:
+            self.counts.skipped_rows += 1
+        else:
+            self.counts.cleaned_rows += 1
+        return repaired
 
 
 # -- how a parallel scan's morsel partials combine, always in morsel order --
@@ -164,11 +160,11 @@ class QueryRuntime:
         self.cleaning = cleaning or {}
         self.devices = devices or {}
         #: session-lifetime worker-process pool, present when the session was
-        #: opened with ``backend="process"`` (scans the planner marked
-        #: ``backend="process"`` fan their kernel specs out through it)
+        #: opened with ``parallelism > 1`` (scans the planner marked
+        #: ``parallel`` fan their kernel specs out through it)
         self.process_pool = process_pool
         #: (engine name, physical plan) of the query being run, set by the
-        #: engine that runs it: what a process-backend scan ships so worker
+        #: engine that runs it: what a parallel scan ships so worker
         #: processes build the same morsel workers
         self.program: tuple | None = None
         self.stats = ExecStats()
@@ -178,15 +174,9 @@ class QueryRuntime:
         #: True once a limited scan stopped early: the query saw a prefix of
         #: the source, so cache admissions must be suppressed
         self.truncated = False
-        # morsel-parallel scans: stats flushes and cleaning-policy calls
-        # from worker threads serialise on this lock
-        self._lock = threading.Lock()
-        # one cache lookup per (source, fields, whole) per query, shared by
-        # every morsel worker slicing row-range chunk views off it
-        self._cache_scan_memo: dict[tuple, tuple] = {}
-        # per-morsel by-products of parallel scans awaiting run_parallel's
-        # ordered merge (source → {Morsel: ScanByproducts})
-        self._byproducts: dict[str, dict] = {}
+        # by-products of the morsel a worker process ran, shipped home for
+        # run_parallel's ordered merge (source → ScanByproducts)
+        self._byproducts: dict[str, object] = {}
         #: adaptive statistics on: scans collect what their source state's
         #: table stats miss (off, ``stats_hint`` may still carry a worker
         #: child's marching orders: source → (have_rows, known fields), so
@@ -228,8 +218,7 @@ class QueryRuntime:
         hit = self._touched.get(source)
         if hit is None:
             entry = self.catalog.get(source)
-            # setdefault: concurrent morsel workers agree on one capture
-            hit = self._touched.setdefault(source, (entry, entry.generation))
+            hit = self._touched[source] = (entry, entry.generation)
         return hit
 
     @staticmethod
@@ -270,14 +259,12 @@ class QueryRuntime:
         inner rows), keyed by names that survive pickling.
 
         The driver charges the file's bytes once (:meth:`account_raw`), asks
-        for splits and runs the worker per morsel on threads or on worker
-        processes (``node.backend``). A process scan ships the query's
-        ``program`` and the worker's name; each worker process builds the
-        worker with the same engine, and the driver records what each
-        process morsel counted and left behind. Partials merge in morsel
-        order by ``merge = (kind, monoid)`` (:data:`MERGES`), what the
-        morsels left behind goes through the by-product gate, and the merged
-        partial is returned.
+        for splits and ships the query's ``program`` and the worker's name
+        to the worker processes; each builds the worker with the same
+        engine and returns its morsel's partial with what the morsel counted
+        and left behind. Partials merge in morsel order by ``merge = (kind,
+        monoid)`` (:data:`MERGES`), what the morsels left behind goes
+        through the by-product gate, and the merged partial is returned.
 
         A ``bag``/``list`` fold under a row limit is LIMIT-countable: its
         splits over-partition and the scheduler stops once the
@@ -286,70 +273,51 @@ class QueryRuntime:
         fails the query with :class:`ExecutionError`; the next query runs
         on fresh workers.
         """
+        from . import procpool
+
         kind, monoid = merge
         source = node.source
-        raw = node.access != "cache"
-        if raw:
-            self.account_raw(source)
+        self.account_raw(source)
         limited = kind == "fold" and monoid.name in ("bag", "list") \
             and self.row_limit is not None
         splits = self._scan_splits(node, limited)
-        process = node.backend == "process"
-        if process:
-            from . import procpool
-
-            spec = pickle.dumps(procpool.kernel_spec(self, worker, shared))
-            kernel = functools.partial(procpool.run_morsel, spec)
-            scheduler = ProcessMorselScheduler(node.parallel,
-                                               self.process_pool)
-        else:
-            def kernel(split):
-                return worker(self, shared, split)
-
-            scheduler = MorselScheduler(node.parallel)
+        spec = pickle.dumps(procpool.kernel_spec(self, worker, shared))
+        kernel = functools.partial(procpool.run_morsel, spec)
+        scheduler = ProcessMorselScheduler(node.parallel, self.process_pool)
         stop = None
         if limited:
             seen = 0
 
             def stop(result):
                 nonlocal seen
-                # a process morsel returns (partial, deltas, by-products)
-                seen += len(result[0] if process else result)
+                # a morsel returns (partial, deltas, by-products)
+                seen += len(result[0])
                 return seen >= self.row_limit
 
         try:
             results = scheduler.map(kernel, splits, stop=stop)
         except BrokenProcessPool as exc:
             self.process_pool.shutdown(permanent=False)
-            self._byproducts.pop(source, None)
-            raise ExecutionError(
-                f"a worker process died during the parallel scan of "
-                f"{source!r}; the worker pool was reset") from exc
+            raise ExecutionError(procpool.worker_died(
+                f"during the parallel scan of {source!r}")) from exc
         if len(results) < len(splits):
             # the query saw a prefix of the scan: suppress cache admission
             # (and posmap adoption skips the holes). In-flight morsels
             # drained with their results discarded; only the truly-unstarted
             # ones count as cancelled.
             self.truncated = True
-            if scheduler.cancelled:
-                with self._lock:
-                    self.stats.morsels_cancelled += scheduler.cancelled
-        partials = results
-        if process:
-            partials = []
-            with self._lock:
-                for morsel, (partial, deltas, byproducts) in zip(splits,
-                                                                 results):
-                    raw_rows, cleaned, skipped, cache_rows = deltas
-                    self.stats.raw_rows += raw_rows
-                    self.stats.cleaned_rows += cleaned
-                    self.stats.skipped_rows += skipped
-                    self.stats.cache_rows += cache_rows
-                    for src, part in byproducts.items():
-                        self._byproducts.setdefault(src, {})[morsel] = part
-                    partials.append(partial)
+            self.stats.morsels_cancelled += scheduler.cancelled
+        partials, parts = [], {}
+        for morsel, (partial, deltas, byproducts) in zip(splits, results):
+            raw_rows, cleaned, skipped, cache_rows = deltas
+            self.stats.raw_rows += raw_rows
+            self.stats.cleaned_rows += cleaned
+            self.stats.skipped_rows += skipped
+            self.stats.cache_rows += cache_rows
+            if source in byproducts:
+                parts[morsel] = byproducts[source]
+            partials.append(partial)
         merged = MERGES[kind](monoid, partials)
-        parts = self._byproducts.pop(source, None) if raw else None
         if parts:
             self._adopt_byproducts(source, parts, splits)
         return merged
@@ -358,9 +326,8 @@ class QueryRuntime:
         """File-level raw accounting for a parallel scan, charged once by
         the coordinator (split scans skip it so workers don't multiply it)."""
         entry, _token = self.touch_generation(source)
-        with self._lock:
-            self.stats.raw_sources.add(source)
-            self.stats.raw_bytes += os.path.getsize(entry.plugin.path)
+        self.stats.raw_sources.add(source)
+        self.stats.raw_bytes += os.path.getsize(entry.plugin.path)
 
     #: split multiplier for LIMIT-countable parallel folds: finer morsels
     #: mean the scheduler can stop sooner once the limit is satisfied
@@ -369,22 +336,15 @@ class QueryRuntime:
     def _scan_splits(self, node: PhysScan, limited: bool) -> list:
         """Morsels for a parallel scan of ``node`` (at most its ``parallel``).
 
-        Cache scans split into row ranges over the (single, memoised)
-        lookup; raw formats delegate to the plugin's splittable-range
-        contract; anything else degrades to the single-morsel plan.
-        ``limited`` over-partitions (more morsels than workers) so early
-        termination has pending morsels to cancel.
+        Raw formats delegate to the plugin's splittable-range contract;
+        anything else degrades to the single-morsel plan. ``limited``
+        over-partitions (more morsels than workers) so early termination
+        has pending morsels to cancel.
         """
         parts = node.parallel
         if limited:
             parts *= self.LIMIT_OVERSPLIT
         source = node.source
-        if node.access == "cache":
-            whole = node.binds_objects()
-            data, _layout = self._cache_scan_once(source, self._columns(node),
-                                                  whole)
-            count = len(data) if whole else (len(data[0]) if data else 0)
-            return split_ranges(count, parts, "rows")
         plugin = self.touch_generation(source)[0].plugin
         if hasattr(plugin, "posmap"):
             self._posmap_expect[source] = plugin.posmap
@@ -432,9 +392,7 @@ class QueryRuntime:
             if split is None:
                 self._posmap_expect[source] = posmap_of.posmap
         if index_fields and self.indexes:
-            # byte morsels count rows from 0; adoption shifts them
-            index = IndexPartial(index_fields, local_rows=split is not None
-                                 and split.kind == "bytes")
+            index = IndexPartial(index_fields)
         state = self._stats_state(source) if stat_fields is not None else None
         if state is not None:
             have_rows, known = state
@@ -494,9 +452,7 @@ class QueryRuntime:
                         self.cache.put(state, offer.layout, (), offer.data)
                     if self.indexes:
                         state.rented = 0
-        if grown:
-            with self._lock:
-                self.stats.index_builds += grown
+        self.stats.index_builds += grown
         self._count_engine(
             posmap_adoptions=int(mapped),
             posmap_discards=int(bool(posmaps) and not mapped),
@@ -520,15 +476,6 @@ class QueryRuntime:
                 out.append((source, bool(have_rows), tuple(sorted(known))))
         return tuple(out)
 
-    def _cache_scan_once(self, source: str, fields: tuple, whole: bool):
-        key = (source, fields, bool(whole))
-        with self._lock:
-            hit = self._cache_scan_memo.get(key)
-            if hit is None:
-                hit = self.cache_data(source, fields, whole)
-                self._cache_scan_memo[key] = hit
-        return hit
-
     # -- the one scan call (both engines) --------------------------------------
 
     def scan(self, node: PhysScan, split=None, pred_kernel=None):
@@ -550,19 +497,19 @@ class QueryRuntime:
         the same scan bounded to the generation's rows — the first
         ``row_count`` rows of the live file — and leaves nothing behind; a
         rewritten-away generation is served from the state pinned when its
-        bytes went (:meth:`_pinned_cached_chunks`). Pinned scans are planned
-        serial.
+        bytes went (:meth:`_pinned_cached_chunks`). Pinned and cached scans
+        are planned serial.
         """
         snap = self.as_of.get(node.source)
-        if snap is not None:
-            if split is not None and split.kind != "all":
-                raise ExecutionError(
-                    f"pinned scans of {node.source!r} are serial; got a "
-                    f"{split.kind!r} morsel")
-            if not snap.live:
-                return self._pinned_cached_chunks(node, snap)
+        if (snap is not None or node.access == "cache") \
+                and split is not None and split.kind != "all":
+            raise ExecutionError(
+                f"{'pinned' if snap is not None else 'cache'} scans of "
+                f"{node.source!r} are serial; got a {split.kind!r} morsel")
+        if snap is not None and not snap.live:
+            return self._pinned_cached_chunks(node, snap)
         if node.access == "cache":
-            return self._cache_chunks(node, split)
+            return self._cache_chunks(node)
         if node.access == "index":
             return self._index_chunks(node)
         return self._raw_chunks(node, split, pred_kernel)
@@ -619,7 +566,7 @@ class QueryRuntime:
                 byproducts = self._request_byproducts(source, split,
                                                       posmap_of=posmap_of)
                 counts = ExecStats()
-                clean = _CountingPolicy(clean, counts, self._lock)
+                clean = _CountingPolicy(clean, counts)
             chunks = plugin.scan_chunks(
                 fields, batch_size=node.batch_size, device=device,
                 clean=clean, whole=whole, access=access, split=bound,
@@ -786,13 +733,11 @@ class QueryRuntime:
 
     # -- cached scans ------------------------------------------------------------
 
-    def _cache_chunks(self, node: PhysScan, split) -> list:
+    def _cache_chunks(self, node: PhysScan) -> list:
         """Serve a cached scan as one zero-copy chunk view.
 
         Columnar entries are wrapped without copying a value; row/object
-        layouts are columnarised once. ``split`` serves a row-range chunk
-        view of the (memoised, shared) lookup instead — morsel workers each
-        slice their rows off one cache entry.
+        layouts are columnarised once.
 
         ``node.index_lookup`` is the planner's value-index probe for this
         scan: when the index can serve it, only its candidates (and whatever
@@ -806,40 +751,28 @@ class QueryRuntime:
         snap = self.as_of.get(source)
         fields, whole = self._columns(node), node.binds_objects()
         lookup = node.index_lookup
-        if split is None:
-            # cache_data captures the token before it takes the snapshot:
-            # an index peeked at this token then describes the snapshot's
-            # rows or an append's extension of them, never the rows of a
-            # file rewritten in between
-            data, layout = self.cache_data(source, fields, whole)
-            length = len(data) if whole else (len(data[0]) if data else 0)
-            # index rows and a generation's rows are file rows: use only a
-            # snapshot whose position i is file row i (the cache admits
-            # full scans of uncleaned sources only; this keeps any other
-            # row universe off the probe and prefix paths)
-            aligned = length == self.touch_generation(source)[0].file_rows()
-            if snap is not None:
-                n = snap.row_count
-                if not aligned or n > length:
-                    self.stats.cache_rows -= length
-                    return self._raw_chunks(node)
-                self.stats.cache_rows -= length - n
-                data = data[:n] if whole else [col[:n] for col in data]
-            if lookup is not None and layout == "columns" and aligned:
-                chunks = self._gathered_chunks(source, fields, data, lookup)
-                if chunks is not None:
-                    return chunks
-        else:
-            data, _layout = self._cache_scan_once(source, fields, whole)
-            if split.kind == "rows":
-                if whole:
-                    data = data[split.lo:split.hi]
-                else:
-                    data = [col[split.lo:split.hi] for col in data]
-            elif split.kind != "all":
-                raise ExecutionError(
-                    f"cache scans cannot interpret a {split.kind!r} morsel"
-                )
+        # cache_data captures the token before it takes the snapshot: an
+        # index peeked at this token then describes the snapshot's rows or
+        # an append's extension of them, never the rows of a file rewritten
+        # in between
+        data, layout = self.cache_data(source, fields, whole)
+        length = len(data) if whole else (len(data[0]) if data else 0)
+        # index rows and a generation's rows are file rows: use only a
+        # snapshot whose position i is file row i (the cache admits full
+        # scans of uncleaned sources only; this keeps any other row universe
+        # off the probe and prefix paths)
+        aligned = length == self.touch_generation(source)[0].file_rows()
+        if snap is not None:
+            n = snap.row_count
+            if not aligned or n > length:
+                self.stats.cache_rows -= length
+                return self._raw_chunks(node)
+            self.stats.cache_rows -= length - n
+            data = data[:n] if whole else [col[:n] for col in data]
+        if lookup is not None and layout == "columns" and aligned:
+            chunks = self._gathered_chunks(source, fields, data, lookup)
+            if chunks is not None:
+                return chunks
         if whole:
             return [Chunk((), (), len(data), whole=data)]
         length = len(data[0]) if data else 0
@@ -912,11 +845,10 @@ class QueryRuntime:
                 chunks.append(Chunk(fields,
                                     tuple(col[lo:hi] for col in data),
                                     hi - lo))
-        with self._lock:
-            self.stats.index_hits += 1
-            self.stats.index_rows_served += len(rows)
-            # cache_data counted the whole entry; only these were handed over
-            self.stats.cache_rows -= length - sum(c.length for c in chunks)
+        self.stats.index_hits += 1
+        self.stats.index_rows_served += len(rows)
+        # cache_data counted the whole entry; only these were handed over
+        self.stats.cache_rows -= length - sum(c.length for c in chunks)
         return chunks
 
     def _scan(self, source: str, chunks, split=None, byproducts=None,
@@ -933,14 +865,15 @@ class QueryRuntime:
         format, access, field count; consumer time excluded, and morsels
         overlap, so theirs isn't wall-clock) and, being the whole scan — as
         is a morsel that is ``own`` — puts its by-products through the
-        adopt-or-discard gate when it runs to the end; any other morsel
-        stashes them for :meth:`run_parallel`. Every chunk is recorded into
-        the by-products' cache population, if any (chunks are dense: what
-        the scan yields is what the cache is offered). An abandoned scan
-        (LIMIT) records and adopts nothing. Row and cleaning counters
-        (``counts``, filled by a :class:`_CountingPolicy`) accumulate
-        scan-locally and flush once under the runtime lock — rows the policy
-        dropped were still physically scanned. A plugin without a file
+        adopt-or-discard gate when it runs to the end; any other morsel (a
+        worker process's) stashes them for the worker to ship home to
+        :meth:`run_parallel`. Every chunk is recorded into the by-products'
+        cache population, if any (chunks are dense: what the scan yields is
+        what the cache is offered). An abandoned scan (LIMIT) records and
+        adopts nothing. Row and cleaning counters (``counts``, filled by a
+        :class:`_CountingPolicy`) accumulate scan-locally and flush once
+        when the scan ends — rows the policy dropped were still physically
+        scanned. A plugin without a file
         behind it (a DBMS store) serves already-loaded rows: they count as
         ``cache_rows``.
         """
@@ -949,9 +882,8 @@ class QueryRuntime:
         if split is None and path is not None:
             snap = self.as_of.get(source)
             size = os.path.getsize(path) if snap is None else snap.byte_size
-            with self._lock:
-                self.stats.raw_sources.add(source)
-                self.stats.raw_bytes += size
+            self.stats.raw_sources.add(source)
+            self.stats.raw_bytes += size
         offer = byproducts.cache if byproducts is not None else None
         count = nchunks = 0
         elapsed = 0.0
@@ -968,21 +900,20 @@ class QueryRuntime:
                 offer.record(chunk)
             nchunks += 1
             yield chunk
-        with self._lock:
-            if split is None and timing is not None:
-                fmt, access, nfields = timing
-                self.scan_timings.append(ScanTiming(
-                    source, fmt, access, count, nfields, nchunks, elapsed))
-            if counts is not None:
-                count += counts.skipped_rows
-                self.stats.cleaned_rows += counts.cleaned_rows
-                self.stats.skipped_rows += counts.skipped_rows
-            if path is None:
-                self.stats.cache_rows += count
-            else:
-                self.stats.raw_rows += count
-            if byproducts is not None and not own:
-                self._byproducts.setdefault(source, {})[split] = byproducts
+        if split is None and timing is not None:
+            fmt, access, nfields = timing
+            self.scan_timings.append(ScanTiming(
+                source, fmt, access, count, nfields, nchunks, elapsed))
+        if counts is not None:
+            count += counts.skipped_rows
+            self.stats.cleaned_rows += counts.cleaned_rows
+            self.stats.skipped_rows += counts.skipped_rows
+        if path is None:
+            self.stats.cache_rows += count
+        else:
+            self.stats.raw_rows += count
+        if byproducts is not None and not own:
+            self._byproducts[source] = byproducts
         if byproducts is not None and own:
             key = split if split is not None else MORSEL_ALL
             self._adopt_byproducts(source, {key: byproducts}, [key])

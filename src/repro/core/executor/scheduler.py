@@ -4,11 +4,10 @@ The chunk protocol made the columnar batch the unit of data movement; this
 module makes a *range of batches* — a **morsel** — the unit of scale-out
 (Leis et al., "Morsel-Driven Parallelism", adapted to ViDa's raw-file scans).
 Format plugins expose splittable scan ranges (CSV byte/row ranges, JSON span
-ranges, array element ranges, cache row ranges); the planner picks a
-degree of parallelism per driver scan; and :class:`MorselScheduler` fans the
-per-morsel kernels out over a thread pool. :class:`ProcessMorselScheduler`
-runs the same contract over a session-lifetime process pool, for kernels
-shipped as picklable specs (see ``procpool``) — the backend that scales on
+ranges, array element ranges); the planner picks a degree of parallelism
+per driver scan; and :class:`ProcessMorselScheduler` fans the per-morsel
+kernels — picklable tasks bound to a kernel spec (see ``procpool``) — out
+over a session-lifetime worker-process pool, the substrate that scales on
 GIL-ful CPython.
 
 Correctness contract: every morsel kernel folds into a *worker-local*
@@ -30,34 +29,34 @@ rows are returned.
 Backpressure contract: at most ~2×DoP morsels are in flight at once. Results
 are consumed in morsel order and each consumed slot admits one more
 submission, so over-partitioned LIMIT scans and wide chunks cannot pile an
-unbounded queue of materialised partials — which matters double when every
-partial is a pickled cross-process payload.
+unbounded queue of materialised partials — every partial is a pickled
+cross-process payload.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-
 from ..chunk import MORSEL_ALL, Morsel, split_ranges  # noqa: F401 (re-export)
 
 
-class MorselScheduler:
-    """Runs per-morsel kernels on a bounded thread pool, in morsel order.
+class ProcessMorselScheduler:
+    """Runs per-morsel kernels on a worker-process pool, in morsel order.
 
     ``map`` returns partial results aligned with the input morsels so the
-    caller can merge them deterministically. With ``dop <= 1`` (or a single
-    morsel) kernels run inline on the calling thread — the serial fallback
-    shares the exact code path the workers run, which keeps parallel and
-    serial execution differential-testable.
+    caller can merge them deterministically. The pool outlives the query —
+    spawning interpreters is a per-session fixed cost, never a per-query
+    one. With no pool, ``dop <= 1`` or a single morsel, kernels run inline
+    on the calling thread, in morsel order: the inline run shares the exact
+    kernel the workers run, which keeps parallel and serial execution
+    differential-testable.
     """
 
-    #: which execution substrate runs the kernels (EXPLAIN surfaces this)
-    backend = "thread"
-
-    def __init__(self, dop: int):
+    def __init__(self, dop: int, pool):
         if dop < 1:
             raise ValueError(f"degree of parallelism must be >= 1, got {dop}")
         self.dop = dop
+        #: anything with an ``executor()`` returning a
+        #: :class:`concurrent.futures.Executor` (a ``procpool.WorkerPool``)
+        self.pool = pool
         #: morsels cancelled before they started (early termination)
         self.cancelled = 0
 
@@ -70,12 +69,9 @@ class MorselScheduler:
         their results discarded, and the ordered prefix is returned.
         """
         self.cancelled = 0
-        if self.dop <= 1 or len(morsels) <= 1:
+        if self.pool is None or self.dop <= 1 or len(morsels) <= 1:
             return self._run_inline(kernel, morsels, stop)
-        workers = min(self.dop, len(morsels))
-        with ThreadPoolExecutor(max_workers=workers,
-                                thread_name_prefix="vida-morsel") as pool:
-            return self._pump(pool, kernel, morsels, stop)
+        return self._pump(self.pool.executor(), kernel, morsels, stop)
 
     def _run_inline(self, kernel, morsels, stop) -> list:
         results = []
@@ -87,7 +83,7 @@ class MorselScheduler:
         return results
 
     def _pump(self, pool, kernel, morsels, stop) -> list:
-        """Windowed submit/consume loop shared by both pool backends.
+        """Windowed submit/consume loop.
 
         Keeps at most ``2 × dop`` morsels outstanding: enough that every
         worker always has a queued successor, little enough that partials
@@ -122,27 +118,3 @@ class MorselScheduler:
         for f in pending:
             if f.cancel() and count:
                 self.cancelled += 1
-
-
-class ProcessMorselScheduler(MorselScheduler):
-    """Morsel scheduling over a session-lifetime worker-process pool.
-
-    Same ordering/failure/early-termination/backpressure contract as the
-    thread scheduler, but kernels must be picklable (a ``procpool`` task
-    bound to a kernel-spec) and the pool outlives the query — spawning
-    interpreters is a per-session fixed cost, never a per-query one.
-    """
-
-    backend = "process"
-
-    def __init__(self, dop: int, pool):
-        super().__init__(dop)
-        self.pool = pool
-
-    def map(self, kernel, morsels: list[Morsel], stop=None) -> list:
-        self.cancelled = 0
-        if self.pool is None or self.dop <= 1 or len(morsels) <= 1:
-            # the spec kernel rehydrates in-process just as well — the
-            # serial fallback stays differential-testable against workers
-            return self._run_inline(kernel, morsels, stop)
-        return self._pump(self.pool.executor(), kernel, morsels, stop)

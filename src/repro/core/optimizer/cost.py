@@ -158,24 +158,24 @@ def choose_parallelism(requested: int, rows: int, nfields: int,
     return max(1, min(requested, worthwhile))
 
 
-def choose_backend(requested: str, rows: int, nfields: int,
-                   fmt: str, access: str, dop: int, calibration=None) -> str:
-    """Execution substrate for one parallel scan: ``process`` only when the
-    estimated conversion work amortizes the backend's fixed costs.
+def choose_backend(rows: int, nfields: int, fmt: str, access: str,
+                   dop: int, calibration=None) -> str:
+    """Where one shardable scan runs: ``"process"`` (its morsels on worker
+    processes) only when the estimated conversion work amortizes the
+    process backend's fixed costs, else ``"serial"``.
 
     Two gates, both in abstract attribute-fetch units: the scan's total work
     must cover the (session-amortised) spawn cost, and each worker's share
     must be worth ``MORSEL_MIN_WORK_FACTOR`` × the per-morsel IPC cost of
-    shipping a spec out and a pickled partial back. Otherwise thread morsels
-    win — their dispatch is three orders of magnitude cheaper.
+    shipping a spec out and a pickled partial back.
     """
-    if requested != "process" or dop <= 1:
-        return "thread"
+    if dop <= 1:
+        return "serial"
     work = rows * max(1, nfields) * access_factor(fmt, access, calibration)
     if work < PROCESS_SPAWN_COST:
-        return "thread"
+        return "serial"
     if work / dop < MORSEL_MIN_WORK_FACTOR * PROCESS_MORSEL_IPC_COST:
-        return "thread"
+        return "serial"
     return "process"
 
 

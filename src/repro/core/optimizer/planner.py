@@ -55,6 +55,7 @@ from ..physical import (
     PhysScan,
     VarUsage,
     collect_usage,
+    plan_sources,
 )
 from . import cost as C
 
@@ -67,9 +68,8 @@ class PlanDecisions:
     join_order: list[str] = field(default_factory=list)         # vars, build→probe
     populate: dict[str, tuple] = field(default_factory=dict)    # var → cached fields
     batch: dict[str, int] = field(default_factory=dict)         # var → rows per chunk
-    parallel: dict[str, int] = field(default_factory=dict)      # var → morsel DoP
-    #: var → execution substrate for its parallel scan (thread | process)
-    parallel_backend: dict[str, str] = field(default_factory=dict)
+    #: var → morsel DoP of a scan that runs on worker processes
+    parallel: dict[str, int] = field(default_factory=dict)
     filters: dict[str, str] = field(default_factory=dict)       # var → vec | row
     cache_served: bool = False
     notes: list[str] = field(default_factory=list)
@@ -94,7 +94,6 @@ class PlanDecisions:
             access=dict(self.access), join_order=list(self.join_order),
             populate=dict(self.populate), batch=dict(self.batch),
             parallel=dict(self.parallel),
-            parallel_backend=dict(self.parallel_backend),
             filters=dict(self.filters), cache_served=self.cache_served,
             notes=list(self.notes), est_rows=dict(self.est_rows),
             est_cost=dict(self.est_cost), join_cards=list(self.join_cards),
@@ -128,11 +127,7 @@ class PlanDecisions:
                 f"{v}:{b}" for v, b in self.batch.items()) + "]"
         if self.parallel:
             out += " parallel[" + ", ".join(
-                f"{v}:{n}" + (
-                    f"/{self.parallel_backend[v]}"
-                    if self.parallel_backend.get(v, "thread") != "thread" else ""
-                )
-                for v, n in self.parallel.items()) + "]"
+                f"{v}:{n}" for v, n in self.parallel.items()) + "]"
         if self.filters:
             out += " filter[" + ", ".join(
                 f"{v}:{k}" for v, k in self.filters.items()) + "]"
@@ -177,7 +172,6 @@ class Planner:
         parallelism: int = 1,
         serial_sources: frozenset | set | None = None,
         cleaning_sources: frozenset | set | None = None,
-        backend: str = "thread",
         cleaning_policies: dict | None = None,
         indexes: bool = False,
         calibration=None,
@@ -191,17 +185,13 @@ class Planner:
         self.enable_posmap = enable_posmap
         #: fixed rows-per-chunk override (None = cost-model choice per scan)
         self.batch_size = batch_size
-        #: session-level morsel worker budget (1 = serial, the safe default)
+        #: session-level worker-process budget (1 = serial, the default)
         self.parallelism = parallelism
         #: sources that must stay serial (e.g. charged to a simulated device)
         self.serial_sources = frozenset(serial_sources or ())
         #: sources with a scan-time cleaning policy (no selection pushdown:
         #: the predicate must see repaired values, so filters stay in-engine)
         self.cleaning_sources = frozenset(cleaning_sources or ())
-        #: session-requested morsel substrate ("thread" | "process"); the
-        #: per-scan choice still runs through the cost model and the
-        #: kernel-spec shippability gates
-        self.backend = backend
         #: live cleaning-policy objects (for the picklability gate); the
         #: frozenset above remains the sel_push gate
         self.cleaning_policies = cleaning_policies or {}
@@ -250,10 +240,10 @@ class Planner:
         into its own partial) and direct hash-join *build* scans (workers
         build partial tables, merged per key). Everything else stays serial;
         DoP per scan comes from the cost model so small or warm scans don't
-        pay morsel setup. With a process-backend session, each parallel scan
-        additionally picks its substrate: process morsels only when the
-        whole plan is kernel-spec shippable and the work amortizes
-        spawn + per-morsel IPC.
+        pay morsel setup. A sharded scan runs its morsels in worker
+        processes, so it also needs a plan that ships as a kernel spec and
+        work that amortizes spawn + per-morsel IPC; a scan that misses
+        either runs serial, with a note saying why.
         """
         from ..physical import PhysHashJoin, parallel_driver, plan_scans
 
@@ -267,58 +257,41 @@ class Planner:
             if isinstance(node, PhysHashJoin) and isinstance(node.build, PhysScan):
                 candidates.append(node.build)
             stack.extend(node.children())
-        blocker = None
-        if self.backend == "process":
-            blocker = self._process_blocker(plan)
-        for scan in candidates:
-            dop = self._scan_parallelism(scan)
-            if dop > 1:
-                scan.parallel = dop
-                decisions.parallel[scan.var] = dop
-                backend = "thread"
-                if self.backend == "process":
-                    if blocker is not None:
-                        decisions.notes.append(
-                            f"{scan.var}: {blocker}; thread morsels"
-                        )
-                    else:
-                        backend = self._scan_backend(scan, dop, decisions)
-                scan.backend = backend
-                decisions.parallel_backend[scan.var] = backend
-        if self.backend == "process":
-            for scan in plan_scans(plan):
-                if scan.parallel > 1:
-                    continue
-                if scan.format == "dbms" or scan.source in self.serial_sources:
-                    kind = "dbms source" if scan.format == "dbms" \
-                        else "device-charged source"
-                    decisions.notes.append(
-                        f"{scan.var}: process backend unavailable "
-                        f"({kind} {scan.source!r} is not picklable); runs serial"
-                    )
+        sharded = [(scan, dop) for scan in candidates
+                   if (dop := self._scan_parallelism(scan)) > 1]
+        blocker = self._process_blocker(plan) if sharded else None
+        for scan, dop in sharded:
+            why = blocker or self._serial_reason(scan, dop)
+            if why is not None:
+                decisions.notes.append(f"{scan.var}: {why}; runs serial")
+                continue
+            scan.parallel = dop
+            decisions.parallel[scan.var] = dop
+        for scan in plan_scans(plan):
+            if scan.parallel > 1:
+                continue
+            if scan.format == "dbms" or scan.source in self.serial_sources:
+                kind = "dbms source" if scan.format == "dbms" \
+                    else "device-charged source"
+                decisions.notes.append(
+                    f"{scan.var}: process backend unavailable "
+                    f"({kind} {scan.source!r} is not picklable); runs serial"
+                )
 
-    def _scan_backend(self, scan: PhysScan, dop: int,
-                      decisions: PlanDecisions) -> str:
-        """Substrate for one shippable parallel scan, via the cost model."""
+    def _serial_reason(self, scan: PhysScan, dop: int) -> str | None:
+        """Why a shippable scan worth ``dop`` morsels still runs serial, or
+        None when the cost model sends it to worker processes."""
         if scan.access == "cache":
             # cache entries live in the parent; shipping them defeats the cache
-            decisions.notes.append(
-                f"{scan.var}: cache scan stays on thread morsels"
-            )
-            return "thread"
+            return "cache scan stays in this process"
         entry = self.catalog.get(scan.source)
-        rows = self._row_estimate(entry)
         chosen = C.choose_backend(
-            "process", rows, len(scan.chunk_fields()) or 1,
-            scan.format, scan.access, dop,
-            calibration=self.calibration,
+            self._row_estimate(entry), len(scan.chunk_fields()) or 1,
+            scan.format, scan.access, dop, calibration=self.calibration,
         )
         if chosen != "process":
-            decisions.notes.append(
-                f"{scan.var}: work below process-backend threshold; "
-                "thread morsels"
-            )
-        return chosen
+            return "work below process-backend threshold"
+        return None
 
     def _process_blocker(self, plan: PhysReduce) -> str | None:
         """Why this plan cannot ship kernel specs to worker processes
@@ -330,7 +303,7 @@ class Planner:
 
         from ..executor import procpool
 
-        for name in sorted(self._plan_sources(plan)):
+        for name in sorted(plan_sources(plan, self.catalog.names())):
             entry = self.catalog.get(name)
             if name in self.serial_sources:
                 return f"device-charged source {name!r} cannot ship to workers"
@@ -343,40 +316,6 @@ class Planner:
                 except Exception:
                     return f"cleaning policy for {name!r} is not picklable"
         return None
-
-    def _plan_sources(self, plan: PhysReduce) -> set[str]:
-        """Every catalog source the plan touches: scan leaves plus sources
-        referenced from embedded expressions (subquery generators)."""
-        from ..physical import PhysUnnest
-
-        names = self.catalog.names()
-        out: set[str] = set()
-        stack: list = [plan]
-        while stack:
-            node = stack.pop()
-            exprs: list = []
-            if isinstance(node, PhysScan):
-                out.add(node.source)
-                exprs = [node.pred]
-            elif isinstance(node, PhysExprScan):
-                exprs = [node.expr, node.pred]
-            elif isinstance(node, PhysFilter):
-                exprs = [node.pred]
-            elif isinstance(node, PhysHashJoin):
-                exprs = [*node.build_keys, *node.probe_keys, node.residual]
-            elif isinstance(node, PhysNLJoin):
-                exprs = [node.pred]
-            elif isinstance(node, PhysUnnest):
-                exprs = [node.path, node.pred]
-            elif isinstance(node, PhysNest):
-                exprs = [e for _n, e in node.keys] + [node.head]
-            elif isinstance(node, PhysReduce):
-                exprs = [node.head]
-            for e in exprs:
-                if e is not None:
-                    out |= A.free_vars(e) & names
-            stack.extend(node.children())
-        return out
 
     def _scan_parallelism(self, scan: PhysScan) -> int:
         if scan.source in self.serial_sources or scan.source in self.as_of:

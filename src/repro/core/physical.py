@@ -122,7 +122,8 @@ class PhysScan(PhysNode):
         batch_size: rows per chunk on the vectorized scan path (planner pick).
         parallel: degree of parallelism for a morsel-driven scan (planner
             pick; 1 = serial). Only driver scans and direct hash-join build
-            scans of splittable formats ever get > 1.
+            scans of splittable formats ever get > 1; such a scan runs its
+            morsels in worker processes.
     """
 
     source: str
@@ -149,10 +150,6 @@ class PhysScan(PhysNode):
     index_emit: tuple = ()
     batch_size: int = DEFAULT_BATCH_SIZE
     parallel: int = 1
-    #: execution substrate for a parallel scan: "thread" morsel workers share
-    #: the interpreter; "process" ships picklable kernel specs to a worker
-    #: pool (planner picks it only when estimated work amortizes spawn+IPC)
-    backend: str = "thread"
     #: selection pushdown into the scan itself (late materialization): the
     #: plugin evaluates the predicate kernel on the predicate columns and
     #: materialises the remaining columns only for surviving rows. Planner
@@ -372,6 +369,39 @@ def plan_scans(node: PhysNode) -> list[PhysScan]:
     return out
 
 
+def plan_sources(plan: PhysNode, names) -> set[str]:
+    """Every catalog source (of ``names``) the plan touches: scan leaves
+    plus sources referenced from embedded expressions (subquery
+    generators)."""
+    out: set[str] = set()
+    stack: list = [plan]
+    while stack:
+        node = stack.pop()
+        exprs: list = []
+        if isinstance(node, PhysScan):
+            out.add(node.source)
+            exprs = [node.pred]
+        elif isinstance(node, PhysExprScan):
+            exprs = [node.expr, node.pred]
+        elif isinstance(node, PhysFilter):
+            exprs = [node.pred]
+        elif isinstance(node, PhysHashJoin):
+            exprs = [*node.build_keys, *node.probe_keys, node.residual]
+        elif isinstance(node, PhysNLJoin):
+            exprs = [node.pred]
+        elif isinstance(node, PhysUnnest):
+            exprs = [node.path, node.pred]
+        elif isinstance(node, PhysNest):
+            exprs = [e for _n, e in node.keys] + [node.head]
+        elif isinstance(node, PhysReduce):
+            exprs = [node.head]
+        for e in exprs:
+            if e is not None:
+                out |= A.free_vars(e) & names
+        stack.extend(node.children())
+    return out
+
+
 #: literal types generated code reads as parameters, with their slot tags;
 #: ``bool`` (generated code branches on it) and null stay inline
 LIFTED_TYPES = {int: "int", float: "float", str: "str"}
@@ -466,10 +496,7 @@ def explain_physical(node: PhysNode, indent: int = 0,
         ):
             extras.append(f"batch={node.batch_size}")
         if node.parallel > 1:
-            if node.backend != "thread":
-                extras.append(f"parallel={node.parallel}/{node.backend}")
-            else:
-                extras.append(f"parallel={node.parallel}")
+            extras.append(f"parallel={node.parallel}")
         if node.fields:
             extras.append(f"fields=[{', '.join(node.fields)}]")
         if node.bind_whole:

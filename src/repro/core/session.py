@@ -138,7 +138,7 @@ class ViDa:
         enable_posmap: bool = True,
         batch_size: int | None = None,
         parallelism: int = 1,
-        backend: str = "thread",
+        backend: str = "process",
         enable_indexes: bool = True,
         adaptive_stats: bool = True,
         context: EngineContext | None = None,
@@ -153,9 +153,11 @@ class ViDa:
             raise ViDaError(f"batch_size must be >= 1, got {batch_size}")
         if parallelism < 1:
             raise ViDaError(f"parallelism must be >= 1, got {parallelism}")
-        if backend not in ("thread", "process", "serial"):
+        if backend != "process":
             raise ViDaError(
-                f"unknown backend {backend!r} (thread | process | serial)"
+                f"unknown backend {backend!r}: parallel scans run on worker "
+                "processes (backend='process'); for a serial session pass "
+                "parallelism=1"
             )
         if context is not None and (cache_budget_bytes is not None
                                     or admission_policy is not None):
@@ -199,15 +201,13 @@ class ViDa:
         self.enable_posmap = enable_posmap
         #: fixed rows-per-chunk for vectorized scans (None = planner's choice)
         self.batch_size = batch_size
-        #: morsel worker budget for parallel scans (1 = serial, the default;
-        #: the planner still decides per scan whether sharding pays off)
+        #: worker-process budget for parallel scans (1 = serial, the
+        #: default). Above 1 a scan the planner shards ships kernel specs to
+        #: an engine-lifetime worker-process pool — true multicore on stock
+        #: CPython; a script doing so needs an ``if __name__ ==
+        #: "__main__":`` guard, since workers start by spawn. The planner
+        #: keeps small, cached and unshippable scans serial.
         self.parallelism = parallelism
-        #: morsel substrate: "thread" (default), "process" (kernel specs over
-        #: a session-lifetime worker-process pool — true multicore on stock
-        #: CPython), or "serial" (force every scan serial, the differential
-        #: baseline). The planner still falls back per scan via the cost
-        #: model and kernel-spec shippability gates.
-        self.backend = backend
         #: JIT secondary indexes: value-based access paths built as scan
         #: byproducts (arXiv 1901.07627 extends the paper's positional maps
         #: to value indexes the same just-in-time way). False disables both
@@ -560,12 +560,12 @@ class ViDa:
         """A planner seeing this session's configuration and cache state.
 
         Device-charged sources stay serial (simulated devices account
-        per-access state the worker threads would race on); a wildcard
-        device pins the whole session serial. ``pinned`` maps sources the
+        per-access state that lives in this process); a wildcard device pins
+        the whole session serial. ``pinned`` maps sources the
         query time-travels to their generation snapshots.
         """
         parallelism = self.parallelism
-        if "*" in self.devices or self.backend == "serial":
+        if "*" in self.devices:
             parallelism = 1
         return Planner(self.catalog, self.cache, enable_cache=self.enable_cache,
                        as_of=pinned,
@@ -574,7 +574,6 @@ class ViDa:
                        parallelism=parallelism,
                        serial_sources=frozenset(self.devices),
                        cleaning_sources=frozenset(self.cleaning),
-                       backend=self.backend,
                        cleaning_policies=self.cleaning,
                        indexes=self.enable_indexes,
                        calibration=self._engine.calibration
@@ -589,7 +588,7 @@ class ViDa:
         salt and the engine's plan epoch it was made under."""
         return (
             self.enable_cache, self.enable_posmap, self.batch_size,
-            self.parallelism, self.backend,
+            self.parallelism,
             self.enable_indexes, self.adaptive_stats,
             tuple(sorted((name, type(policy).__qualname__)
                          for name, policy in self.cleaning.items())),
@@ -625,17 +624,20 @@ class ViDa:
         return "static"
 
     def _worker_pool(self):
-        """The context's worker-process pool (process backend only); spawned
-        lazily on first request, shared by every attached session, reaped
-        when the last session detaches."""
-        if self.backend != "process" or self.parallelism <= 1:
+        """The context's worker-process pool (``parallelism > 1`` only);
+        spawned lazily on first request, shared by every attached session,
+        reaped when the last session detaches."""
+        if self.parallelism <= 1:
             return None
         return self._engine.worker_pool(self.parallelism)
 
     def prestart(self) -> None:
         """Spin worker processes up ahead of the first query, so interpreter
         spawn never lands inside a query (benchmarks call this before
-        timing; optional otherwise — the pool spawns lazily)."""
+        timing; optional otherwise — the pool spawns lazily). A worker that
+        dies starting — typically a script without an ``if __name__ ==
+        "__main__":`` guard — resets the pool and raises
+        :class:`~repro.errors.ExecutionError`."""
         pool = self._worker_pool()
         if pool is not None:
             pool.prestart()

@@ -88,15 +88,10 @@ class SourceState:
     # -- adoption (the by-product gate, under ``lock``) ---------------------
 
     def adopt_indexes(self, partials) -> int:
-        """Merge index partials in morsel order. Partials with
-        ``local_rows`` (cold byte morsels) shift by the ``rows_seen`` of the
-        partials before them — the rule ``adopt_posmap_partials`` uses for
-        offsets. Returns how many fields' indexes gained rows (covered
-        ranges add nothing)."""
+        """Merge index partials (file rows) in morsel order. Returns how many
+        fields' indexes gained rows (covered ranges add nothing)."""
         grown: set[str] = set()
-        base = 0
         for part in partials:
-            shift = base if part.local_rows else 0
             for field, runs in part.runs.items():
                 if not runs:
                     continue
@@ -104,9 +99,8 @@ class SourceState:
                 if idx is None:
                     idx = self.indexes[field] = ValueIndex(field)
                 for start, values in runs:
-                    if idx.add_run(start + shift, values):
+                    if idx.add_run(start, values):
                         grown.add(field)
-            base += part.rows_seen
         return len(grown)
 
     def adopt_stats(self, partial) -> bool:

@@ -15,6 +15,7 @@ fields and configured null tokens.
 
 from __future__ import annotations
 
+import codecs
 import os
 import threading
 from dataclasses import dataclass, field
@@ -112,16 +113,19 @@ class CSVSource:
     # -- schema ----------------------------------------------------------------
 
     def _header_length(self) -> int:
-        if not self.options.header:
-            return 0
+        """Bytes before the first data row: the header line, or the UTF-8
+        byte-order mark that opens a headerless file."""
         with open(self.path, "rb") as fh:
-            first = fh.readline()
-        return len(first)
+            if self.options.header:
+                return len(fh.readline())
+            bom = codecs.BOM_UTF8
+            return len(bom) if fh.read(len(bom)) == bom else 0
 
     def _infer_schema(self) -> tuple[list[str], list[str]]:
         opts = self.options
         with open(self.path, "r", encoding=opts.encoding) as fh:
-            first = fh.readline().rstrip("\n")
+            # a leading byte-order mark is no part of the first cell
+            first = fh.readline().rstrip("\n").removeprefix("\ufeff")
             if not first:
                 raise DataFormatError(f"{self.path}: empty CSV file")
             cells = first.split(opts.delimiter)

@@ -205,8 +205,8 @@ class JSONSource:
         """Independently scannable morsels: contiguous semi-index span ranges.
 
         Builds the semi-index if absent (one raw pass, no parsing) — the
-        split decision runs on the coordinating thread before workers start,
-        so the index is read-only by the time morsels execute.
+        split decision runs in the coordinating process before workers
+        start, and the spans ship to them in the kernel spec.
         """
         from ...core.chunk import split_ranges
 

@@ -269,34 +269,23 @@ class IndexPartial:
     Rides in a scan's :class:`~repro.core.byproducts.ScanByproducts` next
     to the posmap and statistics partials: the plugin records converted
     column values batch by batch; the coordinator merges partials in morsel
-    order via :meth:`SourceState.adopt_indexes`. ``local_rows`` marks partials whose
-    row numbers are morsel-local (cold byte-range morsels start counting
-    at 0); adoption shifts them by the preceding morsels' ``rows_seen``.
+    order via :meth:`SourceState.adopt_indexes`. Row numbers are the
+    file's: index partials come from serial scans and from the row ranges
+    of index-served scans, never from a worker process's byte morsel.
     """
 
-    __slots__ = ("fields", "local_rows", "runs", "rows_seen")
+    __slots__ = ("fields", "runs")
 
-    def __init__(self, fields: Sequence[str], local_rows: bool = False):
+    def __init__(self, fields: Sequence[str]):
         self.fields = tuple(fields)
-        self.local_rows = local_rows
         self.runs: dict[str, list[tuple[int, list]]] = {
             f: [] for f in self.fields
         }
-        self.rows_seen = 0
 
     def record(self, start: int, columns: dict[str, list]) -> None:
         """Record one batch's converted values per field; ``start`` is the
-        batch's first row (global, or morsel-local for byte morsels)."""
+        batch's first file row."""
         for field, values in columns.items():
             run = self.runs.get(field)
             if run is not None and values:
                 run.append((start, values))
-        self.advance(start, max((len(v) for v in columns.values()),
-                                default=0))
-
-    def advance(self, start: int, nrows: int) -> None:
-        """Note that rows ``[start, start+nrows)`` passed through the scan,
-        whether or not any field was recorded — byte-morsel row shifting
-        depends on an exact per-morsel row count."""
-        if start + nrows > self.rows_seen:
-            self.rows_seen = start + nrows

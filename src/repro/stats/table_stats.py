@@ -10,7 +10,7 @@ Partials merge in the parent under the generation-token adopt-or-discard
 gate.
 
 Everything here is **order-independent** so morsel-parallel collection is
-bit-identical to serial collection at any DoP on either backend:
+bit-identical to serial collection at any DoP:
 
 - counts and null counts are sums;
 - min/max are kept per *type domain* (numeric vs string) so mixed-type

@@ -6,6 +6,7 @@ import json
 import multiprocessing
 import os
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -29,6 +30,42 @@ def no_stray_workers():
         proc_or_thread.join(timeout=5)
     stray = running()
     assert not stray, f"left running after the test session: {stray}"
+
+
+@pytest.fixture()
+def inline_morsels(monkeypatch):
+    """Sessions get no worker pool: a parallel scan still plans, splits and
+    runs one kernel-spec task per morsel, merged in morsel order, but inline
+    on the calling thread instead of in spawned workers — a DoP
+    differential that costs no interpreter start-up
+    (``tests/core/test_process_backend.py`` runs the same path on real
+    worker processes). With no processes to start or feed, the planner is
+    told spawn and IPC cost nothing, so it shards every scan whose work
+    pays for its morsels, however small."""
+    from repro.core.optimizer import cost
+
+    monkeypatch.setattr(ViDa, "_worker_pool", lambda self: None)
+    monkeypatch.setattr(cost, "PROCESS_SPAWN_COST", 0.0)
+    monkeypatch.setattr(cost, "PROCESS_MORSEL_IPC_COST", 0.0)
+
+
+@pytest.fixture()
+def executor_pool():
+    """A stand-in for ``procpool.WorkerPool`` whose executor runs kernels on
+    threads: the scheduler's contracts (morsel order, bounded window, stop,
+    failure) hold for any executor, and this one neither spawns interpreters
+    nor needs picklable kernels."""
+
+    class Pool:
+        def __init__(self):
+            self.ex = ThreadPoolExecutor(max_workers=4)
+
+        def executor(self):
+            return self.ex
+
+    pool = Pool()
+    yield pool
+    pool.ex.shutdown(wait=True)
 
 
 @pytest.fixture()

@@ -28,6 +28,7 @@ from repro import ViDa
 from repro.cleaning import SkipPolicy
 from repro.core.optimizer import cost as C
 from repro.core.optimizer.planner import _intersect_ranges
+from repro.errors import ExecutionError
 from repro.indexing import IndexPartial, ValueIndex
 
 ROWS = 240
@@ -259,7 +260,7 @@ def test_probe_is_never_taken_where_rows_may_not_line_up(tmp_path,
     finally:
         db.close()
 
-    # a gathered scan is never sharded, and a morsel never gathers
+    # a gathered scan is never sharded
     db = _open(path, "csv", parallelism=2)
     try:
         _warm(db)
@@ -270,7 +271,7 @@ def test_probe_is_never_taken_where_rows_may_not_line_up(tmp_path,
         db.close()
 
 
-def test_split_falls_back_to_the_full_view(tmp_path):
+def test_unservable_probe_falls_back_to_the_full_view(tmp_path):
     from repro.core.chunk import Morsel
     from repro.core.executor.runtime import QueryRuntime
     from repro.core.physical import PhysScan
@@ -289,8 +290,9 @@ def test_split_falls_back_to_the_full_view(tmp_path):
         lookup = ("eq", "k", 8)
         (gathered,) = rt.scan(scan(lookup))
         assert set(gathered.columns[0]) == {8}
-        (view,) = rt.scan(scan(lookup), split=Morsel("rows", 10, 50))
-        assert view.length == 40
+        # cache scans are serial: a row-range morsel of one is refused
+        with pytest.raises(ExecutionError, match="serial"):
+            rt.scan(scan(lookup), split=Morsel("rows", 10, 50))
         # an unservable probe (no ordered domain) hands over everything
         (full,) = rt.scan(scan(("range", "k", None, None, True, True)))
         assert full.length == ROWS

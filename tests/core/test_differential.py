@@ -129,7 +129,7 @@ def nan_files(tmp_path_factory):
     return paths
 
 
-@pytest.mark.parametrize("config", ["process", "thread", "serial"])
+@pytest.mark.parametrize("config", ["process", "serial"])
 @pytest.mark.parametrize("where", list(NAN_AT))
 def test_max_min_agree_on_nan(nan_files, where, config):
     """max/min replace the accumulator only on a strictly better value, on
@@ -154,7 +154,6 @@ def test_max_min_agree_on_nan(nan_files, where, config):
             if config != "serial":
                 assert r.decisions.parallel.get("t") == 2, \
                     r.decisions.summary()
-                assert r.decisions.parallel_backend["t"] == config
     finally:
         db.close()
 

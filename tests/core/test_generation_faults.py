@@ -12,9 +12,10 @@ catalog fingerprint) must guarantee two things whatever the timing:
 
 The mutation hook wraps the plugin's ``iter_line_batches`` so the file is
 rewritten between chunk boundaries of the scan itself (deterministic for
-serial and thread-morsel runs); worker-process children rebuild plugins from
-specs and never see the parent's wrapper, so the process-backend runs mutate
-from a background thread instead.
+serial runs, and for morsels run inline on plugins rebuilt from the kernel
+spec when the hook wraps the plugin class); worker-process children never
+see the parent's wrapper, so the process-backend runs mutate from a
+background thread instead.
 """
 
 import dataclasses
@@ -23,6 +24,7 @@ import os
 import shutil
 import threading
 import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -155,12 +157,25 @@ def test_serial_scan_discards_stale_partials(csv_path, mutation):
 
 @pytest.mark.parametrize("dop", [2, 4])
 @pytest.mark.parametrize("mutation", ["append", "rewrite"])
-def test_thread_morsel_scan_discards_stale_partials(csv_path, dop, mutation):
+def test_inline_morsel_scan_discards_stale_partials(csv_path, dop, mutation,
+                                                    inline_morsels,
+                                                    monkeypatch):
+    # inline morsels scan plugins rebuilt from the kernel spec, so the hook
+    # wraps the plugin class: it fires in the first morsel to reach its
+    # second batch. The file is small: make its morsels worth their setup
+    from repro.core.optimizer import cost
+    from repro.formats.csvfmt import CSVSource
+
+    monkeypatch.setattr(cost, "MORSEL_SETUP_COST", 1.0)
     db = ViDa(batch_size=128, parallelism=dop)
     db.register_csv("T", csv_path)
-    fired = arm_mutation(db.catalog.get("T").plugin,
-                         MUTATIONS[mutation](csv_path))
+    hook = SimpleNamespace(iter_line_batches=CSVSource.iter_line_batches)
+    fired = arm_mutation(hook, MUTATIONS[mutation](csv_path))
+    monkeypatch.setattr(CSVSource, "iter_line_batches",
+                        hook.iter_line_batches)
     result = db.query(Q, output="records")
+    assert result.decisions.parallel.get("t") == dop
+    assert fired.is_set(), "mutation hook never fired"
     snap = db.engine_context.stats_snapshot()
     if fired.is_set():
         assert snap["posmap_adoptions"] == 0

@@ -5,6 +5,10 @@ the *same answer* as the serial session on both engines. Results are
 bit-identical except where floating-point accumulation order matters
 (``sum``/``avg`` over floats regroup additions at morsel boundaries and can
 differ in the last ulp) — those compare with a tight relative tolerance.
+
+Sessions here run their parallel scans' morsels inline (``inline_morsels``):
+the plan, the splits, the kernel-spec task per morsel and the morsel-order
+merge are the worker processes' own, without spawning any.
 """
 
 from __future__ import annotations
@@ -18,12 +22,14 @@ import pytest
 from repro import ViDa
 from repro.cleaning import SkipPolicy
 from repro.core.chunk import Morsel, split_ranges
-from repro.core.executor.scheduler import MorselScheduler
+from repro.core.executor.scheduler import ProcessMorselScheduler
 from repro.core.optimizer import cost as C
 from repro.errors import DataFormatError
 
 ENGINES = ("jit", "static")
 DOPS = (2, 4)
+
+pytestmark = pytest.mark.usefixtures("inline_morsels")
 
 
 # ---------------------------------------------------------------------------
@@ -96,20 +102,21 @@ def test_split_ranges_tile_exactly():
     assert len(single) == 1 and (single[0].lo, single[0].hi) == (0, 5)
 
 
-def test_scheduler_results_in_morsel_order():
+def test_scheduler_results_in_morsel_order(executor_pool):
     morsels = split_ranges(100, 4, "rows")
-    out = MorselScheduler(4).map(lambda m: (m.lo, m.hi), morsels)
+    out = ProcessMorselScheduler(4, executor_pool).map(
+        lambda m: (m.lo, m.hi), morsels)
     assert out == [(m.lo, m.hi) for m in morsels]
 
 
-def test_scheduler_serial_fallback_runs_inline():
+def test_scheduler_serial_fallback_runs_inline(executor_pool):
     calls = []
-    out = MorselScheduler(1).map(lambda m: calls.append(m.lo) or m.lo,
-                                 split_ranges(10, 3, "rows"))
+    out = ProcessMorselScheduler(1, executor_pool).map(
+        lambda m: calls.append(m.lo) or m.lo, split_ranges(10, 3, "rows"))
     assert out == calls  # ran on the calling thread, in order
 
 
-def test_scheduler_worker_failure_fails_query_without_hang():
+def test_scheduler_worker_failure_fails_query_without_hang(executor_pool):
     morsels = split_ranges(8, 4, "rows")
 
     def kernel(m):
@@ -118,12 +125,12 @@ def test_scheduler_worker_failure_fails_query_without_hang():
         return m.lo
 
     with pytest.raises(ValueError, match="boom"):
-        MorselScheduler(4).map(kernel, morsels)
+        ProcessMorselScheduler(4, executor_pool).map(kernel, morsels)
 
 
 def test_scheduler_rejects_bad_dop():
     with pytest.raises(ValueError):
-        MorselScheduler(0)
+        ProcessMorselScheduler(0, None)
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +231,11 @@ QUERIES = [
 
 @pytest.mark.parametrize("engine", ENGINES)
 def test_parallel_results_match_serial(big_dir, engine):
+    # raw-row accounting parity is the subject here; value indexes serve
+    # warm repeats from candidates (fewer raw rows) only where emission ran,
+    # and worker processes skip emission — so pin them off on both sides
     serial = make_session(big_dir, 1)
+    serial.enable_indexes = False
     cold = []
     for q in QUERIES:
         r = serial.query(q, engine=engine)
@@ -234,6 +245,7 @@ def test_parallel_results_match_serial(big_dir, engine):
 
     for dop in DOPS:
         db = make_session(big_dir, dop)
+        db.enable_indexes = False
         sharded_any = False
         for i, q in enumerate(QUERIES):
             r = db.query(q, engine=engine)
@@ -274,21 +286,26 @@ def test_parallel_sql_limit_matches_serial(big_dir, engine):
 
 @pytest.mark.parametrize("engine", ENGINES)
 def test_parallel_cache_served_scan(big_dir, engine):
+    # the cold scan shards; the cache entries it leaves live in this
+    # process, so the cache-served repeat runs serial and says why
     db = make_session(big_dir, 4)
     q = "for { p <- Patients } yield bag (a := p.age, s := p.score)"
     first = db.query(q, engine=engine)
+    assert first.decisions.parallel.get("p", 1) > 1
     second = db.query(q, engine=engine)
     assert second.stats.cache_only
     assert second.value == first.value
-    assert second.decisions.parallel.get("p", 1) > 1, \
-        second.decisions.summary()
+    assert second.decisions.parallel == {}, second.decisions.summary()
+    assert "p: cache scan stays in this process; runs serial" in \
+        second.decisions.notes
 
 
 @pytest.mark.parametrize("engine", ENGINES)
 def test_parallel_whole_binding_cache_scan_stats(engine, tmp_path):
-    # regression: the split probe and the workers' cache_chunks calls must
-    # share one memoised lookup even when a bind-whole scan also extracts
-    # fields — a key mismatch double-counted cache_rows in the static engine
+    # a bind-whole scan that also extracts fields: the sharded cold pass
+    # admits whole objects, the serial cache-served repeat counts every
+    # cached row once (a lookup keyed apart from the fields used to count
+    # them twice in the static engine)
     path = tmp_path / "whole.json"
     with open(path, "w") as fh:
         for i in range(15000):
@@ -297,10 +314,10 @@ def test_parallel_whole_binding_cache_scan_stats(engine, tmp_path):
     db.register_json("W", str(path))
     q = "for { w <- W } yield bag (v := w.vol, o := w)"
     first = db.query(q, engine=engine)
+    assert first.decisions.parallel.get("w", 1) > 1
     second = db.query(q, engine=engine)
     assert second.stats.cache_only
-    assert second.decisions.parallel.get("w", 1) > 1, \
-        second.decisions.summary()
+    assert second.decisions.parallel == {}, second.decisions.summary()
     assert second.stats.cache_rows == 15000
     assert second.value == first.value
 

@@ -4,8 +4,8 @@ The contract under test: ``ViDa(parallelism=N, backend="process")`` ships
 picklable kernel specs to worker processes and returns the *same answer* as
 the serial session on both engines — ordered bags, set dedup, grouping,
 LIMIT prefixes, cleaning drops and positional maps included. Where the plan
-cannot ship (dbms/device sources, sub-threshold work) it must degrade to
-thread morsels or serial execution with an EXPLAIN note, never fail.
+cannot ship (dbms/device sources, unpicklable cleaning, cache scans,
+sub-threshold work) it must run serial with an EXPLAIN note, never fail.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from repro import ViDa
 from repro.cleaning import SkipPolicy
 from repro.core.chunk import split_ranges
 from repro.core.executor import procpool as PP
-from repro.core.executor.scheduler import MorselScheduler, ProcessMorselScheduler
+from repro.core.executor.scheduler import ProcessMorselScheduler
 from repro.core.optimizer import cost as C
 from repro.core.physical import plan_shape
 from repro.errors import DataFormatError, ExecutionError, ViDaError
@@ -34,7 +34,7 @@ ENGINES = ("jit", "static")
 # ---------------------------------------------------------------------------
 # fixtures: rows padded wide enough that the cost model's file-size row
 # estimate clears PROCESS_SPAWN_COST — narrow rows would (correctly) plan
-# thread morsels and the differentials would not exercise worker processes
+# serial scans and the differentials would not exercise worker processes
 # ---------------------------------------------------------------------------
 
 
@@ -97,7 +97,7 @@ def assert_same(got, want):
 
 
 def test_source_specs_pickle_round_trip(wide_dir):
-    with session(wide_dir, 1, backend="thread") as db:
+    with session(wide_dir, 1) as db:
         db.register_memory("M", [{"id": 1, "v": 2.5}, {"id": 2, "v": 0.5}])
         specs = PP.catalog_specs(db.catalog)
         assert {s.name for s in specs} == {"W", "G", "B", "Dirty", "M"}
@@ -115,9 +115,9 @@ def test_source_specs_pickle_round_trip(wide_dir):
 
 
 def test_kernel_spec_pickle_round_trip(wide_dir):
-    with session(wide_dir, 1, backend="thread") as db:
+    with session(wide_dir, 1) as db:
         spec = PP.KernelSpec(
-            plan=pickle.dumps(_group_plan(2, "process")), engine="jit",
+            plan=pickle.dumps(_group_plan(2)), engine="jit",
             worker="_mw4", sources=PP.catalog_specs(db.catalog),
             shared=pickle.dumps({"_ht1": {1: [(2, "m")]}}),
             cleaning=pickle.dumps({}), row_limit=17,
@@ -133,13 +133,16 @@ def test_one_plan_compiles_to_one_source(wide_dir):
 
     with session(wide_dir, 4) as db:
         plans = []
+        # the second query reads a source of its own: W's cache entries
+        # would keep its scan serial
+        db.register_csv("V", str(wide_dir / "wide.csv"))
         for q in ("for { w <- W, g <- G, w.id = g.id, g.snp = 1 } "
                   "yield bag (id := w.id, s := g.snp)",
-                  "for { w <- W, w.age > 70 } yield set (a := w.age)"):
+                  "for { w <- V, w.age > 70 } yield set (a := w.age)"):
             assert db.query(q).decisions.parallel["w"] > 1
             (slot,) = db.engine_context.prepared(("mcc", q)).plans.values()
             plans.append(slot[1])  # (epoch, plan, ...)
-        plans.append(_group_plan(4, "process"))
+        plans.append(_group_plan(4))
         compiled = [QueryCompiler(db.catalog).compile(p) for p in plans]
         cached = {c.source for c in db._jit._compiled.values()}
         rebuilt = PP.build_catalog(PP.catalog_specs(db.catalog))
@@ -153,7 +156,7 @@ def test_one_plan_compiles_to_one_source(wide_dir):
 
 
 def test_warm_csv_spec_ships_complete_posmap(wide_dir):
-    with session(wide_dir, 1, backend="thread") as db:
+    with session(wide_dir, 1) as db:
         db.query("for { w <- W, w.age > 30 } yield count 1")
         entry = db.catalog.get("W")
         assert entry.plugin.posmap.complete
@@ -172,17 +175,18 @@ def test_monoid_pickle_round_trips_to_registry_identity():
 
 def test_choose_backend_thresholds():
     # plenty of work: process pays for itself
-    assert C.choose_backend("process", 50000, 4, "csv", "cold", 4) == "process"
-    # thread sessions never escalate
-    assert C.choose_backend("thread", 50000, 4, "csv", "cold", 4) == "thread"
+    assert C.choose_backend(50000, 4, "csv", "cold", 4) == "process"
     # DoP 1 has nothing to fan out
-    assert C.choose_backend("process", 50000, 4, "csv", "cold", 1) == "thread"
+    assert C.choose_backend(50000, 4, "csv", "cold", 1) == "serial"
     # total work below the spawn cost
-    assert C.choose_backend("process", 5000, 1, "csv", "cold", 4) == "thread"
+    assert C.choose_backend(5000, 1, "csv", "cold", 4) == "serial"
     # spawn covered, but per-worker share below the IPC threshold at DoP 4 —
     # the same scan at DoP 2 gives each worker a worthwhile share
-    assert C.choose_backend("process", 12000, 1, "csv", "cold", 4) == "thread"
-    assert C.choose_backend("process", 12000, 1, "csv", "cold", 2) == "process"
+    assert C.choose_backend(12000, 1, "csv", "cold", 4) == "serial"
+    assert C.choose_backend(12000, 1, "csv", "cold", 2) == "process"
+    # the per-value cost moves the threshold: a warm scan of the same rows
+    # does less work than a cold one
+    assert C.choose_backend(12000, 1, "csv", "warm", 2) == "serial"
 
 
 # ---------------------------------------------------------------------------
@@ -191,33 +195,29 @@ def test_choose_backend_thresholds():
 
 
 def test_session_validates_backend():
-    with pytest.raises(ViDaError):
-        ViDa(backend="bogus")
+    ViDa(backend="process").close()
+    for backend in ("bogus", "thread", "serial"):
+        with pytest.raises(ViDaError, match="parallelism=1"):
+            ViDa(backend=backend)
 
 
 def test_serial_backend_forces_dop_one(wide_dir):
-    with session(wide_dir, 4, backend="serial") as db:
+    # the serial session is spelled parallelism=1 (backend="serial" is
+    # refused above): no scan shards, whatever its size
+    with session(wide_dir, 1) as db:
         r = db.query("for { w <- W, w.age > 40 } yield sum w.score")
         assert r.decisions.parallel == {}
         assert "parallel=" not in r.plan_text
+        assert db._worker_pool() is None
 
 
 def test_explain_reports_process_backend(wide_dir):
     with session(wide_dir, 4) as db:
         text = db.explain("for { w <- W, w.age > 40 } yield sum w.score")
-        assert "parallel=4/process" in text, text
+        assert "parallel=4," in text, text
         r = db.query("for { w <- W, w.age > 40 } yield sum w.score")
-        assert r.decisions.parallel_backend.get("w") == "process", \
-            r.decisions.summary()
-        assert "/process" in r.decisions.summary()
-
-
-def test_thread_sessions_never_report_process(wide_dir):
-    with session(wide_dir, 4, backend="thread") as db:
-        r = db.query("for { w <- W, w.age > 40 } yield sum w.score")
-        assert r.decisions.parallel.get("w", 1) > 1
-        assert r.decisions.parallel_backend.get("w") == "thread"
-        assert "/process" not in r.plan_text
+        assert r.decisions.parallel == {"w": 4}, r.decisions.summary()
+        assert "parallel[w:4]" in r.decisions.summary()
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +259,7 @@ def test_process_results_match_serial(wide_dir, engine):
     # raw-row accounting parity is the subject here; value indexes serve
     # warm repeats from candidates (fewer raw rows) only where emission ran,
     # and process children skip emission — so pin them off on both sides
-    with session(wide_dir, 1, backend="thread") as serial:
+    with session(wide_dir, 1) as serial:
         serial.enable_indexes = False
         cold = []
         for q in QUERIES:
@@ -278,33 +278,31 @@ def test_process_results_match_serial(wide_dir, engine):
                 assert_same(r.value, value)
                 assert (r.stats.raw_rows, r.stats.cleaned_rows,
                         r.stats.skipped_rows) == (raw, cleaned, skipped), q
-                used_process = used_process or \
-                    "process" in r.decisions.parallel_backend.values()
+                used_process = used_process or bool(r.decisions.parallel)
             assert used_process, \
-                "no query used worker processes — differentials ran on threads"
+                "no query used worker processes — differentials ran serial"
             # warm/cache-served second pass must agree too
             for i, q in enumerate(QUERIES):
                 assert_same(db.query(q, engine=engine).value, warm[i])
 
 
 @pytest.mark.parametrize("engine", ENGINES)
-@pytest.mark.parametrize("backend", ("thread", "process"))
+@pytest.mark.parametrize("backend", ("process",))
 def test_every_merge_rule_matches_serial(wide_dir, engine, backend):
-    with session(wide_dir, 1, backend="thread") as serial:
+    with session(wide_dir, 1) as serial:
         want = [serial.query(q, engine=engine).value for q in MERGE_RULES]
     for dop in (2, 4):
         with session(wide_dir, dop, backend=backend) as db:
             for i, q in enumerate(MERGE_RULES):
                 # a source of its own per query: every scan is cold, which
-                # is what the planner shards on this backend
+                # is what the planner ships to worker processes
                 db.register_csv(f"W{i}", str(wide_dir / "wide.csv"))
                 r = db.query(q.replace("<- W", f"<- W{i}"), engine=engine)
                 assert_same(r.value, want[i])
                 assert r.decisions.parallel.get("w") == dop, q
-                assert r.decisions.parallel_backend["w"] == backend, q
 
 
-def _group_plan(parallel: int, backend: str):
+def _group_plan(parallel: int):
     """SELECT age, SUM(score) FROM W GROUP BY age — as a PhysNest plan (the
     SQL layer encodes GROUP BY as correlated comprehensions, so the sharded
     grouping path is exercised with directly-constructed plans)."""
@@ -313,7 +311,7 @@ def _group_plan(parallel: int, backend: str):
 
     scan = PhysScan(
         source="W", var="w", format="csv", fields=("age", "score"),
-        access="cold", parallel=parallel, backend=backend,
+        access="cold", parallel=parallel,
     )
     nest = PhysNest(
         child=scan,
@@ -331,7 +329,7 @@ def _group_plan(parallel: int, backend: str):
 
 
 @pytest.mark.parametrize("engine", ENGINES)
-@pytest.mark.parametrize("backend", ("thread", "process"))
+@pytest.mark.parametrize("backend", ("process",))  # names the substrate
 def test_group_by_shards_across_morsels(wide_dir, engine, backend):
     from repro.caching import DataCache
     from repro.core.catalog import Catalog
@@ -341,21 +339,20 @@ def test_group_by_shards_across_morsels(wide_dir, engine, backend):
 
     cat = Catalog()
     cat.register_csv("W", str(wide_dir / "wide.csv"))
-    pool = PP.WorkerPool(4) if backend == "process" else None
+    pool = PP.WorkerPool(4)
 
-    def run(parallel, run_backend):
+    def run(parallel):
         rt = QueryRuntime(cat, DataCache(), process_pool=pool)
-        plan = _group_plan(parallel, run_backend)
+        plan = _group_plan(parallel)
         if engine == "jit":
             return QueryCompiler(cat).compile(plan)(rt, plan_shape(plan))
         return StaticExecutor(cat).execute(plan, rt)
 
     try:
-        base = run(1, "thread")
-        got = run(4, backend)
+        base = run(1)
+        got = run(4)
     finally:
-        if pool is not None:
-            pool.shutdown()
+        pool.shutdown()
     # group order (first occurrence) and per-key fold results must match the
     # serial nest; float sums regroup at morsel boundaries, hence isclose
     assert [r["age"] for r in got] == [r["age"] for r in base]
@@ -367,7 +364,7 @@ def test_group_by_shards_across_morsels(wide_dir, engine, backend):
 @pytest.mark.parametrize("engine", ENGINES)
 def test_process_limit_stops_early(wide_dir, engine):
     stmt = "SELECT w.id FROM W w WHERE w.age > 30 LIMIT 17"
-    with session(wide_dir, 1, backend="thread") as serial:
+    with session(wide_dir, 1) as serial:
         base = serial.sql(stmt, engine=engine)
     with session(wide_dir, 4) as db:
         r = db.sql(stmt, engine=engine)
@@ -380,14 +377,13 @@ def test_process_limit_stops_early(wide_dir, engine):
 @pytest.mark.parametrize("engine", ENGINES)
 def test_process_cleaning_drops_match_serial(wide_dir, engine):
     q = "for { d <- Dirty } yield bag (id := d.id, a := d.age)"
-    with session(wide_dir, 1, backend="thread") as serial:
+    with session(wide_dir, 1) as serial:
         base = serial.query(q, engine=engine)
         assert base.stats.skipped_rows > 0
     with session(wide_dir, 4) as db:
         r = db.query(q, engine=engine)
         # SkipPolicy pickles, so the cleaned scan still ships to processes
-        assert r.decisions.parallel_backend.get("d") == "process", \
-            r.decisions.summary()
+        assert r.decisions.parallel.get("d") == 4, r.decisions.summary()
         assert r.value == base.value
         assert r.stats.skipped_rows == base.stats.skipped_rows
 
@@ -397,23 +393,24 @@ def test_process_cache_served_second_pass(wide_dir, engine):
     q = "for { w <- W } yield bag (a := w.age, s := w.score)"
     with session(wide_dir, 4) as db:
         first = db.query(q, engine=engine)
-        assert first.decisions.parallel_backend.get("w") == "process"
+        assert first.decisions.parallel.get("w") == 4
         second = db.query(q, engine=engine)
         assert second.stats.cache_only
         assert second.value == first.value
-        # cache entries live in the parent; the cache scan stays on threads
-        assert second.decisions.parallel_backend.get("w", "thread") == "thread"
+        # cache entries live in the parent; the cache scan runs serial
+        assert second.decisions.parallel == {}
+        assert "w: cache scan stays in this process; runs serial" in \
+            second.decisions.notes
 
 
 def test_process_cold_scan_builds_identical_posmap(wide_dir):
-    with session(wide_dir, 1, backend="thread") as serial:
+    with session(wide_dir, 1) as serial:
         serial.query("for { w <- W, w.age > 30 } yield count 1")
         pm_serial = serial.catalog.get("W").plugin.posmap
 
         with session(wide_dir, 4) as db:
             r = db.query("for { w <- W, w.age > 30 } yield count 1")
-            assert r.decisions.parallel_backend.get("w") == "process", \
-                r.decisions.summary()
+            assert r.decisions.parallel.get("w") == 4, r.decisions.summary()
             pm = db.catalog.get("W").plugin.posmap
             assert pm.complete
             assert pm.row_offsets == pm_serial.row_offsets
@@ -432,7 +429,7 @@ def test_worker_exception_propagates_without_hang(tmp_path):
         db = ViDa(parallelism=4, backend="process")
         db.register_csv("X", str(path))
         try:
-            assert "parallel=4/process" in \
+            assert "parallel=4," in \
                 db.explain("for { x <- X, x.id > 10 } yield sum x.v")
             with pytest.raises(DataFormatError, match="boom"):
                 db.query("for { x <- X, x.id > 10 } yield sum x.v",
@@ -450,7 +447,7 @@ def test_dead_worker_fails_one_query_and_the_pool_respawns(wide_dir, engine):
     import signal
 
     q = "for { w <- W, w.age > 40 } yield sum w.score"
-    with session(wide_dir, 1, backend="thread") as serial:
+    with session(wide_dir, 1) as serial:
         want = serial.query(q, engine=engine).value
     with session(wide_dir, 2) as db:
         db.prestart()
@@ -458,12 +455,43 @@ def test_dead_worker_fails_one_query_and_the_pool_respawns(wide_dir, engine):
         victim = next(iter(pool._executor._processes.values()))
         os.kill(victim.pid, signal.SIGKILL)
         victim.join()
-        with pytest.raises(ExecutionError, match="'W'"):
+        with pytest.raises(ExecutionError, match="'W'") as err:
             db.query(q, engine=engine)
+        assert 'if __name__ == "__main__":' in str(err.value)
         assert not db.catalog.get("W").plugin.posmap.complete
         r = db.query(q, engine=engine)
-        assert r.decisions.parallel_backend.get("w") == "process"
+        assert r.decisions.parallel.get("w") == 2
         assert_same(r.value, want)
+
+
+def test_unguarded_script_prestart_raises_typed_error(tmp_path):
+    # workers start by spawn and re-import the main module: a script without
+    # the guard re-runs itself in each worker, which dies starting. The
+    # parent sees a typed error naming the guard, not a BrokenProcessPool
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    script = tmp_path / "unguarded.py"
+    script.write_text(
+        "from repro import ViDa\n"
+        "from repro.errors import ExecutionError\n"
+        "db = ViDa(parallelism=2, backend='process')\n"
+        "try:\n"
+        "    db.prestart()\n"
+        "except ExecutionError as exc:\n"
+        "    print('typed:', exc)\n"
+        "finally:\n"
+        "    db.close()\n")
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    out = subprocess.run([sys.executable, str(script)], cwd=tmp_path,
+                         env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.count("typed:") == 1, (out.stdout, out.stderr)
+    assert "the worker pool was reset" in out.stdout
+    assert 'if __name__ == "__main__":' in out.stdout
 
 
 # ---------------------------------------------------------------------------
@@ -482,18 +510,17 @@ def test_dbms_source_falls_back_to_serial_with_note(wide_dir, tmp_path):
         db.register_dbms("T", store, "T")
         r = db.query("for { t <- T, t.id < 100 } yield sum t.v")
         assert r.value == sum(i * 3 for i in range(100))
-        assert "t" not in r.decisions.parallel_backend
+        assert "t" not in r.decisions.parallel
         assert any("process backend unavailable" in n and "runs serial" in n
                    for n in r.decisions.notes), r.decisions.notes
 
         # a plan that joins a shippable scan with a dbms source cannot ship
-        # either: the driver degrades to thread morsels, with a note
+        # either: the driver runs serial, with a note
         j = db.query("for { w <- W, t <- T, w.id = t.id } yield count 1")
         assert j.value == 500
-        if j.decisions.parallel.get("w", 1) > 1:
-            assert j.decisions.parallel_backend.get("w") == "thread"
-            assert any("thread morsels" in n for n in j.decisions.notes), \
-                j.decisions.notes
+        assert j.decisions.parallel == {}
+        assert "w: dbms source 'T' is not picklable; runs serial" in \
+            j.decisions.notes, j.decisions.notes
 
 
 def test_device_charged_source_falls_back_serial(wide_dir):
@@ -507,24 +534,39 @@ def test_device_charged_source_falls_back_serial(wide_dir):
                    for n in r.decisions.notes), r.decisions.notes
 
 
-def test_small_scan_stays_on_thread_morsels(tmp_path):
-    # narrow rows: the size-based row estimate keeps work under the spawn
-    # cost, so the planner declines processes and says why
+def test_unshippable_scans_plan_serial_with_a_note(tmp_path, wide_dir):
+    # DoP 2: a cache scan, a scan worth two morsels but below
+    # choose_backend's threshold, and a plan blocked by an unpicklable
+    # cleaning policy each plan serial and say why
+    from repro.cleaning import NullPolicy
+
+    class LocalPolicy(NullPolicy):
+        """Defined in a function, so pickle cannot find it by name."""
+
     path = tmp_path / "narrow.csv"
     with open(path, "w") as fh:
         fh.write("id,v\n")
-        for i in range(3000):
+        for i in range(20000):
             fh.write(f"{i},{i % 7}\n")
-    db = ViDa(parallelism=4, backend="process")
-    db.register_csv("N", str(path))
-    try:
-        r = db.query("for { n <- N, n.id > 10 } yield sum n.v")
-        if r.decisions.parallel.get("n", 1) > 1:
-            assert r.decisions.parallel_backend.get("n") == "thread"
-            assert any("below process-backend threshold" in n
-                       for n in r.decisions.notes), r.decisions.notes
-    finally:
-        db.close()
+    with session(wide_dir, 2) as db:
+        db.register_csv("N", str(path))
+        db.register_csv("W2", str(wide_dir / "wide.csv"))
+        db.set_cleaning("W2", LocalPolicy())
+        small = db.query("for { n <- N, n.id > 10 } yield sum n.v")
+        assert "n: work below process-backend threshold; runs serial" in \
+            small.decisions.notes
+        q = "for { w <- W } yield bag (a := w.age, s := w.score)"
+        assert db.query(q).decisions.parallel == {"w": 2}
+        cached = db.query(q)
+        assert cached.stats.cache_only
+        assert "w: cache scan stays in this process; runs serial" in \
+            cached.decisions.notes
+        blocked = db.query("for { w <- W2 } yield sum w.age")
+        assert "w: cleaning policy for 'W2' is not picklable; runs serial" \
+            in blocked.decisions.notes, blocked.decisions.notes
+        for r in (small, cached, blocked):
+            assert r.decisions.parallel == {}
+            assert "parallel=" not in r.plan_text
 
 
 # ---------------------------------------------------------------------------
@@ -533,7 +575,7 @@ def test_small_scan_stays_on_thread_morsels(tmp_path):
 
 
 def test_sel_push_when_populate_subset_of_predicate(wide_dir):
-    with session(wide_dir, 1, backend="thread") as db:
+    with session(wide_dir, 1) as db:
         # pushdown on warm scans is the subject; a value index would
         # outbid the warm access path this test inspects
         db.enable_indexes = False
@@ -561,8 +603,8 @@ def test_sel_push_when_populate_subset_of_predicate(wide_dir):
 # ---------------------------------------------------------------------------
 
 
-def test_scheduler_bounds_inflight_morsels():
-    sched = MorselScheduler(2)
+def test_scheduler_bounds_inflight_morsels(executor_pool):
+    sched = ProcessMorselScheduler(2, executor_pool)
     morsels = split_ranges(2000, 20, "rows")
     assert len(morsels) == 20
     out = sched.map(lambda m: m.lo, morsels, stop=lambda r: True)
@@ -572,16 +614,17 @@ def test_scheduler_bounds_inflight_morsels():
     assert 16 <= sched.cancelled <= 19
 
 
-def test_scheduler_windowed_run_preserves_morsel_order():
+def test_scheduler_windowed_run_preserves_morsel_order(executor_pool):
     morsels = split_ranges(2000, 20, "rows")
-    out = MorselScheduler(3).map(lambda m: (m.lo, m.hi), morsels)
+    out = ProcessMorselScheduler(3, executor_pool).map(
+        lambda m: (m.lo, m.hi), morsels)
     assert out == [(m.lo, m.hi) for m in morsels]
 
 
 def test_scheduler_drops_pending_morsels_on_stop():
     from concurrent.futures import Future
 
-    sched = MorselScheduler(2)
+    sched = ProcessMorselScheduler(2, None)
     done = Future()
     done.set_result("r1")  # finished: its result is simply never consumed
     pending = Future()  # never started — cancellable
@@ -592,6 +635,5 @@ def test_scheduler_drops_pending_morsels_on_stop():
 
 def test_process_scheduler_runs_inline_without_pool():
     sched = ProcessMorselScheduler(4, None)
-    assert sched.backend == "process"
     morsels = split_ranges(100, 3, "rows")
     assert sched.map(lambda m: m.lo, morsels) == [m.lo for m in morsels]

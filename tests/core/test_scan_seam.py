@@ -10,9 +10,9 @@ Contracts under test:
   partial and exactly one adopts;
 - what a finished scan leaves behind (positional map, value indexes, table
   statistics, cache population) goes through one adopt-or-discard decision
-  — one state lock, one ``stat`` — and is the same at serial, thread DoP 2
-  and process DoP 2 on both engines (worker processes build no index
-  partial, by design); a file mutated mid-scan discards every kind, and a
+  — one state lock, one ``stat`` — and is the same at serial and process
+  DoP 2 on both engines (worker processes build no index partial, by
+  design); a file mutated mid-scan discards every kind, and a
   LIMIT that cut a parallel scan short admits nothing;
 - ``QueryRuntime.iter_source`` is the chunked scan with ``whole=True`` for
   every format: same elements and same accounting as a top-level scan.
@@ -172,7 +172,7 @@ def test_concurrent_standalone_scan_chunks_adopt_exactly_once(tmp_path):
 @pytest.fixture(scope="module")
 def wide_dir(tmp_path_factory):
     """Rows padded wide enough that process morsels clear the planner's
-    spawn-cost gate (narrow rows would, correctly, plan threads)."""
+    spawn-cost gate (narrow rows would, correctly, plan serial scans)."""
     d = tmp_path_factory.mktemp("seam")
     with open(d / "wide.csv", "w") as fh:
         fh.write("id,age,score,pad\n")
@@ -221,7 +221,7 @@ def run_cold(wide_dir, engine=None, **session):
         results = [db.query(CSV_Q, engine=engine),
                    db.query(JSON_Q, engine=engine)]
         return ([r.value for r in results],
-                [r.decisions.parallel_backend for r in results],
+                [r.decisions.parallel for r in results],
                 byproduct_state(db), counters(db))
     finally:
         db.close()
@@ -236,15 +236,9 @@ def test_byproducts_identical_across_dop_and_backend(wide_dir):
                         "index_adoptions": 2, "index_discards": 0,
                         "stats_adoptions": 2, "stats_discards": 0}
 
-    t_answers, t_backends, thread, thread_n = run_cold(wide_dir, parallelism=2)
-    assert t_backends == [{"w": "thread"}, {"b": "thread"}]
-    assert t_answers == pytest.approx(answers)
-    assert thread == serial
-    assert thread_n == serial_n
-
-    p_answers, p_backends, process, process_n = run_cold(
+    p_answers, p_parallel, process, process_n = run_cold(
         wide_dir, parallelism=2, backend="process")
-    assert p_backends == [{"w": "process"}, {"b": "process"}]
+    assert p_parallel == [{"w": 2}, {"b": 2}]
     assert p_answers == pytest.approx(answers)
     # a worker process runs with indexes off: it builds and ships no index
     # partial (that would double the transport), everything else is equal
@@ -262,11 +256,9 @@ def test_population_identical_across_dop_and_backend(wide_dir, engine):
     _, _, serial, _ = run_cold(wide_dir, engine)
     assert [(src, fields) for src, _l, fields, *_ in serial["cache"]] == \
         [("B", ("vol",)), ("W", ("age", "score"))]
-    _, _, thread, _ = run_cold(wide_dir, engine, parallelism=2)
-    _, backends, process, _ = run_cold(wide_dir, engine, parallelism=2,
+    _, parallel, process, _ = run_cold(wide_dir, engine, parallelism=2,
                                        backend="process")
-    assert backends == [{"w": "process"}, {"b": "process"}]
-    assert thread == serial
+    assert parallel == [{"w": 2}, {"b": 2}]
     for state in (process, serial):
         state.pop("W.index")
         state.pop("B.index")
@@ -274,7 +266,7 @@ def test_population_identical_across_dop_and_backend(wide_dir, engine):
 
 
 @pytest.mark.parametrize("engine", ENGINES)
-@pytest.mark.parametrize("backend", ("thread", "process"))
+@pytest.mark.parametrize("backend", ("process",))
 def test_limit_truncated_parallel_bag_admits_nothing(wide_dir, engine,
                                                       backend):
     db = ViDa(parallelism=2, backend=backend)

@@ -13,6 +13,9 @@ Contracts under test:
 - a satisfied SQL LIMIT under ``ViDa(parallelism=N)`` cancels pending
   morsels (observable via ``stats.morsels_cancelled``) without changing
   the returned rows, and suppresses partial cache admissions.
+
+Parallel sessions here run their morsels inline (``inline_morsels``): the
+worker processes' kernel-spec path, without spawning any.
 """
 
 from __future__ import annotations
@@ -26,9 +29,11 @@ import pytest
 from repro import ViDa
 from repro.cleaning import SkipPolicy
 from repro.core.chunk import Chunk, Morsel
-from repro.core.executor.scheduler import MorselScheduler
+from repro.core.executor.scheduler import ProcessMorselScheduler
 
 ENGINES = ("jit", "static")
+
+pytestmark = pytest.mark.usefixtures("inline_morsels")
 
 
 # ---------------------------------------------------------------------------
@@ -279,9 +284,9 @@ def test_truncated_scan_never_admits_partial_columns(sel_dir):
         assert not r.stats.cache_only
 
 
-def test_scheduler_stop_predicate_returns_ordered_prefix():
+def test_scheduler_stop_predicate_returns_ordered_prefix(executor_pool):
     morsels = [Morsel("rows", i, i + 1) for i in range(10)]
-    sched = MorselScheduler(2)
+    sched = ProcessMorselScheduler(2, executor_pool)
     seen = []
 
     def stop(partial):
@@ -291,7 +296,7 @@ def test_scheduler_stop_predicate_returns_ordered_prefix():
     out = sched.map(lambda m: m.lo, morsels, stop=stop)
     assert out == [0, 1, 2]
     # inline path (dop=1) stops too and counts the remainder
-    sched1 = MorselScheduler(1)
+    sched1 = ProcessMorselScheduler(1, executor_pool)
     out1 = sched1.map(lambda m: m.lo, morsels,
                       stop=lambda p: p >= 4)
     assert out1 == [0, 1, 2, 3, 4]

@@ -45,11 +45,11 @@ COUNTERS = ("posmap_adoptions", "index_adoptions", "stats_adoptions",
 def test_index_generation_and_morsel_merge():
     state = SourceState()
     token = state.generation
-    # byte-morsel partials: local rows, merged in morsel order
-    p1 = IndexPartial(("x",), local_rows=True)
+    # row-range morsel partials: file rows, merged in morsel order
+    p1 = IndexPartial(("x",))
     p1.record(0, {"x": [10, 11]})
-    p2 = IndexPartial(("x",), local_rows=True)
-    p2.record(0, {"x": [12, 10]})
+    p2 = IndexPartial(("x",))
+    p2.record(2, {"x": [12, 10]})
     assert state.adopt_indexes([p1, p2]) == 1
     idx = state.index("x", token)
     assert idx.lookup(("eq", "x", 10)) == [0, 3]
@@ -149,7 +149,7 @@ def files(tmp_path):
 
 
 @pytest.mark.parametrize("engine", ["jit", "static"])
-@pytest.mark.parametrize("config", [("thread", 1), ("process", 2)],
+@pytest.mark.parametrize("config", [("process", 1), ("process", 2)],
                          ids=["serial", "process2"])
 def test_re_registered_name_never_serves_its_predecessor(files, engine,
                                                           config):
@@ -167,7 +167,7 @@ def test_re_registered_name_never_serves_its_predecessor(files, engine,
         assert r.value == ROWS
         assert r.stats.raw_bytes > 0
         if dop > 1:
-            assert r.decisions.parallel_backend == {"U": "process"}
+            assert r.decisions.parallel == {"U": 2}
         assert db.sql(SUM_SQL, engine=engine).value == ROWS
     finally:
         db.close()
@@ -223,10 +223,13 @@ def test_a_closed_engine_frees_its_cache_without_the_cycle_collector(files):
 # ---------------------------------------------------------------------------
 
 
-def arm(plugin, action, after_batches=2):
-    """Run ``action()`` once, between two chunk boundaries of the next scan
-    through ``plugin.iter_line_batches``."""
-    orig = plugin.iter_line_batches
+def arm(monkeypatch, action, after_batches=2):
+    """Run ``action()`` once, between two chunk boundaries of the next CSV
+    scan. The hook wraps the plugin class, so it also fires inside a morsel
+    run inline on a plugin rebuilt from the kernel spec."""
+    from repro.formats.csvfmt import CSVSource
+
+    orig = CSVSource.iter_line_batches
     fired = threading.Event()
 
     def wrapper(*args, **kwargs):
@@ -238,7 +241,7 @@ def arm(plugin, action, after_batches=2):
                 fired.set()
                 action()
 
-    plugin.iter_line_batches = wrapper
+    monkeypatch.setattr(CSVSource, "iter_line_batches", wrapper)
     return fired
 
 
@@ -248,12 +251,14 @@ def counters(db) -> dict:
 
 
 @pytest.mark.parametrize("dop", [1, 2])
-def test_mid_scan_deregistration_answers_and_adopts_nothing(files, dop):
+def test_mid_scan_deregistration_answers_and_adopts_nothing(files, dop,
+                                                            inline_morsels,
+                                                            monkeypatch):
     old, _new = files
     db = ViDa(batch_size=256, parallelism=dop)
     try:
         entry = db.register_csv("U", old)
-        fired = arm(entry.plugin, lambda: db.catalog.deregister("U"))
+        fired = arm(monkeypatch, lambda: db.catalog.deregister("U"))
         r = db.sql(SUM_SQL)
         assert fired.is_set()
         assert r.decisions.parallel.get("U", 1) == dop
@@ -270,8 +275,8 @@ def test_mid_scan_deregistration_answers_and_adopts_nothing(files, dop):
 
 
 @pytest.mark.parametrize("dop", [1, 2])
-def test_mid_scan_re_registration_adopts_nothing_into_the_new_one(files,
-                                                                   dop):
+def test_mid_scan_re_registration_adopts_nothing_into_the_new_one(
+        files, dop, inline_morsels, monkeypatch):
     old, new = files
     db = ViDa(batch_size=256, parallelism=dop)
     try:
@@ -281,7 +286,7 @@ def test_mid_scan_re_registration_adopts_nothing_into_the_new_one(files,
             db.catalog.deregister("U")
             db.register_csv("U", new)
 
-        fired = arm(db.catalog.get("U").plugin, re_register)
+        fired = arm(monkeypatch, re_register)
         assert db.sql(SUM_SQL).value == 3 * ROWS   # the old bytes
         assert fired.is_set()
         fresh = db.catalog.get("U")

@@ -8,15 +8,15 @@ Covers the full lifecycle the subsystem promises:
   filters to ``access=index`` (EXPLAIN + decisions proof), with a cheap
   predicate recheck so partial-coverage indexes stay exact;
 - differentials: index-served answers bit-identical to full-scan baselines
-  (``enable_indexes=False``) on both engines, serial and DoP 2/4 on the
-  thread and process backends;
+  (``enable_indexes=False``) on both engines, serial and process DoP 2/4
+  (worker processes emit no index partial; indexes grow on serial scans);
 - partial coverage: candidate fetches interleave with full scans of
   uncovered holes in row order, and hole scans re-emit so coverage
   converges;
 - invalidation: in-place mutation and append drop the index with the
   positional map (per-source generation token).
 
-The morsel-order merge of byte-split partials is a ``SourceState`` contract
+The morsel-order merge of index partials is a ``SourceState`` contract
 (``test_source_state.py``).
 """
 
@@ -55,7 +55,7 @@ def data_dir(tmp_path):
     return tmp_path
 
 
-def _session(d, *, indexed=True, dop=1, backend="thread", engine="jit"):
+def _session(d, *, indexed=True, dop=1, backend="process", engine="jit"):
     db = ViDa(enable_cache=False, enable_indexes=indexed, parallelism=dop,
               backend=backend, default_engine=engine)
     db.register_csv("Patients", str(d / "patients.csv"))
@@ -248,8 +248,7 @@ BOTH_Q = ('for { p <- Patients, p.age >= 30, p.city = "c4" } '
           "yield bag (id := p.id, age := p.age)")
 
 
-@pytest.mark.parametrize("backend,dop", [("thread", 1), ("thread", 2),
-                                         ("process", 2)])
+@pytest.mark.parametrize("backend,dop", [("process", 1), ("process", 2)])
 def test_chooser_picks_the_cheaper_conjunct(data_dir, backend, dop):
     """Both conjuncts have an index: the one with fewer candidates serves
     the scan, EXPLAIN names it and the loser with their counts, and the
@@ -344,8 +343,7 @@ def test_dense_index_loses_to_the_scan(tmp_path):
         db.close()
 
 
-@pytest.mark.parametrize("backend,dop", [("thread", 2), ("thread", 4),
-                                         ("process", 2), ("process", 4)])
+@pytest.mark.parametrize("backend,dop", [("process", 2), ("process", 4)])
 def test_parallel_differentials(data_dir, backend, dop):
     serial = _session(data_dir, indexed=True)
     expect1 = serial.query(POINT_Q).value
@@ -359,24 +357,6 @@ def test_parallel_differentials(data_dir, backend, dop):
         assert r2.value == expect2
     finally:
         db.close()
-
-
-def test_thread_sharded_build_matches_serial(data_dir):
-    """A DoP-4 cold scan builds the index from byte-split morsel partials;
-    the merged index must equal the serially-built one."""
-    serial = _session(data_dir, indexed=True)
-    serial.query(POINT_Q)
-    db = _session(data_dir, indexed=True, dop=4)
-    r1 = db.query(POINT_Q)
-    assert r1.stats.index_builds >= 1
-    sharded = db.catalog.get("Patients").state.indexes.get("age")
-    built = serial.catalog.get("Patients").state.indexes.get("age")
-    assert sharded is not None and built is not None
-    assert sharded.entries == built.entries
-    assert sharded.covered == built.covered
-    r2 = db.query(POINT_Q)
-    assert r2.stats.index_hits == 1
-    assert r2.value == serial.query(POINT_Q).value
 
 
 def test_repeat_queries_do_not_rebuild(data_dir):

@@ -187,3 +187,37 @@ def test_posmap_random_access_equals_split(data):
     for r, line in enumerate(lines):
         for c in range(ncols):
             assert pm.field_in_line(line, r, c) == line.split(",")[c]
+
+
+@pytest.mark.parametrize("dop", [1, 2])
+def test_utf8_bom_is_stripped_at_registration(tmp_path, dop):
+    """A leading UTF-8 byte-order mark belongs to neither the first column's
+    name (header) nor the first row's first cell (headerless): both files
+    answer exactly, cold and warm, serial and on worker processes. The rows
+    are padded so DoP 2 ships both scans."""
+    from repro import ViDa
+
+    rows = 15000
+    lines = [f"{i},{i % 7},{'x' * 90}\n" for i in range(rows)]
+    with open(tmp_path / "h.csv", "w", encoding="utf-8-sig") as fh:
+        fh.write("id,v,pad\n")
+        fh.writelines(lines)
+    with open(tmp_path / "n.csv", "w", encoding="utf-8-sig") as fh:
+        fh.writelines(lines)
+    db = ViDa(parallelism=dop, enable_cache=False, enable_indexes=False)
+    try:
+        db.register_csv("H", str(tmp_path / "h.csv"))
+        db.register_csv("N", str(tmp_path / "n.csv"), header=False)
+        assert db.catalog.get("H").plugin.columns == ["id", "v", "pad"]
+        assert db.catalog.get("N").plugin.types == ["int", "int", "string"]
+        want = sum(i for i in range(rows) if i % 7 >= 3)
+        for q in ("for { r <- H, r.v >= 3 } yield sum r.id",
+                  "for { r <- N, r.c1 >= 3 } yield sum r.c0"):
+            cold, warm = db.query(q), db.query(q)
+            assert "r:cold" in cold.decisions.summary()
+            assert "r:warm" in warm.decisions.summary()
+            for r in (cold, warm):
+                assert r.value == want
+                assert r.decisions.parallel == ({"r": 2} if dop > 1 else {})
+    finally:
+        db.close()
